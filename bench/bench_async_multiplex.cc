@@ -6,16 +6,12 @@
 // Setup: 8 simulated high-latency clouds (LatentCloud, 40 ms per request,
 // unlimited bandwidth — latency-bound on purpose), 16 files x 64 KiB at
 // theta = 64 KiB, connections_per_cloud = 4. For each pool width in the
-// UNIDRIVE_PIPELINE_THREADS sweep {1, 2, 4} the same sync round runs twice:
-// blocking (one thread per RPC, pipeline.async_transfers = false) and
-// async (completion-based, the default). Per round we record wall-clock
-// time and the driver's peak in-flight RPC gauge.
+// UNIDRIVE_PIPELINE_THREADS sweep {1, 2, 4} one sync round runs; per round
+// we record wall-clock time and the driver's peak in-flight RPC gauge.
 //
-// Emits BENCH_async.json (CI artifact). Hard gates, both on the 2-thread
-// row: peak in-flight async RPCs must be >= 4x the pool width (the
-// multiplexing claim), and the async round must be no slower than 1.10x
-// the blocking round (in practice it is several times faster — the
-// blocking path serializes 40 ms round trips over 2 threads).
+// Emits BENCH_async.json (CI artifact). Hard gate on the 2-thread row:
+// peak in-flight RPCs must be >= 4x the pool width (the multiplexing
+// claim). Wall-clock times are reported, not gated.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +42,7 @@ struct RoundResult {
   double rpcs_inflight_peak = 0;
 };
 
-RoundResult run_round(std::size_t threads, bool async) {
+RoundResult run_round(std::size_t threads) {
   // The sweep drives the real knob: the environment variable overrides
   // every configured pool width.
   setenv("UNIDRIVE_PIPELINE_THREADS", std::to_string(threads).c_str(), 1);
@@ -66,7 +62,6 @@ RoundResult run_round(std::size_t threads, bool async) {
   cfg.device = "bench";
   cfg.theta = kTheta;
   cfg.driver.connections_per_cloud = kConnectionsPerCloud;
-  cfg.pipeline.async_transfers = async;
   core::UniDriveClient client(clouds, fs, cfg);
 
   Rng rng(7);
@@ -103,19 +98,14 @@ int run() {
       "%zu KiB, %zu connections/cloud\n",
       kClouds, kLatencySec * 1e3, kFiles, kFileBytes >> 10,
       kConnectionsPerCloud);
-  std::printf("  %-8s %-10s %10s %16s\n", "threads", "mode", "time (s)",
-              "peak inflight");
+  std::printf("  %-8s %10s %16s\n", "threads", "time (s)", "peak inflight");
 
   const std::vector<std::size_t> sweep = {1, 2, 4};
-  std::vector<RoundResult> blocking(sweep.size());
-  std::vector<RoundResult> async_r(sweep.size());
+  std::vector<RoundResult> rounds(sweep.size());
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    blocking[i] = run_round(sweep[i], /*async=*/false);
-    std::printf("  %-8zu %-10s %10.3f %16.0f\n", sweep[i], "blocking",
-                blocking[i].seconds, blocking[i].rpcs_inflight_peak);
-    async_r[i] = run_round(sweep[i], /*async=*/true);
-    std::printf("  %-8zu %-10s %10.3f %16.0f\n", sweep[i], "async",
-                async_r[i].seconds, async_r[i].rpcs_inflight_peak);
+    rounds[i] = run_round(sweep[i]);
+    std::printf("  %-8zu %10.3f %16.0f\n", sweep[i], rounds[i].seconds,
+                rounds[i].rpcs_inflight_peak);
   }
 
   FILE* json = std::fopen("BENCH_async.json", "w");
@@ -132,47 +122,28 @@ int run() {
                  kConnectionsPerCloud);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       std::fprintf(json,
-                   "    {\"threads\": %zu, \"blocking_s\": %.4f, "
-                   "\"async_s\": %.4f, \"blocking_inflight_peak\": %.0f, "
-                   "\"async_inflight_peak\": %.0f, \"speedup\": %.3f}%s\n",
-                   sweep[i], blocking[i].seconds, async_r[i].seconds,
-                   blocking[i].rpcs_inflight_peak,
-                   async_r[i].rpcs_inflight_peak,
-                   async_r[i].seconds > 0
-                       ? blocking[i].seconds / async_r[i].seconds
-                       : 0.0,
+                   "    {\"threads\": %zu, \"seconds\": %.4f, "
+                   "\"inflight_peak\": %.0f}%s\n",
+                   sweep[i], rounds[i].seconds, rounds[i].rpcs_inflight_peak,
                    i + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
   }
 
-  // Hard gates on the 2-thread row (sweep index 1).
+  // Hard gate on the 2-thread row (sweep index 1).
   const std::size_t threads = sweep[1];
-  const RoundResult& a2 = async_r[1];
-  const RoundResult& b2 = blocking[1];
-  int failures = 0;
-  if (a2.rpcs_inflight_peak < 4.0 * static_cast<double>(threads)) {
+  const RoundResult& r2 = rounds[1];
+  if (r2.rpcs_inflight_peak < 4.0 * static_cast<double>(threads)) {
     std::fprintf(stderr,
-                 "FAIL: async peak in-flight RPCs %.0f < 4x pool width %zu — "
+                 "FAIL: peak in-flight RPCs %.0f < 4x pool width %zu — "
                  "the completion layer is not multiplexing\n",
-                 a2.rpcs_inflight_peak, threads);
-    ++failures;
+                 r2.rpcs_inflight_peak, threads);
+    return 1;
   }
-  if (a2.seconds > b2.seconds * 1.10) {
-    std::fprintf(stderr,
-                 "FAIL: async round %.3fs slower than blocking %.3fs x1.10\n",
-                 a2.seconds, b2.seconds);
-    ++failures;
-  }
-  if (failures == 0) {
-    std::printf(
-        "  gates: async peak inflight %.0f >= %zu (4x threads), "
-        "async %.3fs <= blocking %.3fs (%.1fx faster)\n",
-        a2.rpcs_inflight_peak, 4 * threads, a2.seconds, b2.seconds,
-        a2.seconds > 0 ? b2.seconds / a2.seconds : 0.0);
-  }
-  return failures == 0 ? 0 : 1;
+  std::printf("  gate: peak inflight %.0f >= %zu (4x threads)\n",
+              r2.rpcs_inflight_peak, 4 * threads);
+  return 0;
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 #include <memory>
 
 #include "cloud/memory_cloud.h"
-#include "cloud/stats_cloud.h"
+#include "cloud/metered_cloud.h"
 #include "common/clock.h"
 #include "lock/quorum_lock.h"
+#include "obs/obs.h"
 
 namespace {
 
@@ -36,24 +37,26 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_LockAcquireRelease)->Arg(3)->Arg(5)->Arg(9);
 
 void BM_LockApiRequestCount(benchmark::State& state) {
-  // Counts the Web API calls of one uncontended acquire+release cycle.
-  auto raw = make_clouds(5);
+  // Counts the Web API calls of one uncontended acquire+release cycle: every
+  // request lands in exactly one cloud.<name>.<verb>.<area>.ok|err counter.
+  auto sink = std::make_shared<obs::Observability>();
   cloud::MultiCloud clouds;
-  std::vector<std::shared_ptr<cloud::StatsCloud>> stats;
-  for (const auto& c : raw) {
-    auto s = std::make_shared<cloud::StatsCloud>(c);
-    stats.push_back(s);
-    clouds.push_back(s);
+  for (const auto& c : make_clouds(5)) {
+    clouds.push_back(std::make_shared<cloud::MeteredCloud>(c, sink));
   }
   ManualClock clock;
   lock::QuorumLock lock(clouds, "bench", lock::LockConfig{}, clock, Rng(1),
                         [&clock](Duration d) { clock.advance(d); });
-  std::uint64_t requests = 0;
   for (auto _ : state) {
-    for (const auto& s : stats) s->reset_stats();
     benchmark::DoNotOptimize(lock.acquire());
     lock.release();
-    for (const auto& s : stats) requests += s->stats().requests;
+  }
+  std::uint64_t requests = 0;
+  for (const auto& [name, value] : sink->metrics.snapshot().counters) {
+    if (name.starts_with("cloud.") &&
+        (name.ends_with(".ok") || name.ends_with(".err"))) {
+      requests += value;
+    }
   }
   state.counters["api_calls_per_cycle"] = static_cast<double>(requests) /
                                           static_cast<double>(state.iterations());

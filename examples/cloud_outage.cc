@@ -4,8 +4,9 @@
 //   1. a file synced with Kr=3, Ks=2 survives TWO simultaneous cloud
 //      outages (any 3 of 5 clouds suffice);
 //   2. a single cloud can never reconstruct the data (security);
-//   3. a dead cloud can be removed and a fresh one added — the client
-//      rebalances blocks so the guarantees hold for the new membership.
+//   3. a dead cloud can be removed and a fresh one added — an admin device
+//      with no local copy rebalances blocks, rebuilding moved ones from the
+//      surviving clouds, so the guarantees hold for the new membership.
 //
 // Run:  build/examples/cloud_outage
 #include <cstdio>
@@ -80,12 +81,18 @@ int main() {
   // --- 3. membership change: drop the dead cloud 0, add a new vendor -----------
   std::printf("\n== membership: remove dead cloud 0, add cloud 5 ==\n");
   faults[1]->set_outage(false);  // cloud 1 recovers; cloud 0 stays dead
-  const Status removed = workstation.remove_cloud(0);
+  // The admin device holds no local copy, so every moved block is decoded
+  // from the surviving clouds and re-encoded.
+  core::ClientConfig admin_config = config;
+  admin_config.device = "admin-console";
+  core::UniDriveClient admin(clouds, std::make_shared<core::MemoryLocalFs>(),
+                             admin_config);
+  const Status removed = admin.remove_cloud(0);
   std::printf("remove_cloud(0): %s (N is now 4)\n",
               removed.is_ok() ? "ok" : removed.to_string().c_str());
 
   auto new_cloud = std::make_shared<cloud::MemoryCloud>(5, "newvendor");
-  const Status added = workstation.add_cloud(new_cloud);
+  const Status added = admin.add_cloud(new_cloud);
   std::printf("add_cloud(newvendor): %s (N is now 5; fair shares rebalanced)\n",
               added.is_ok() ? "ok" : added.to_string().c_str());
   std::printf("newvendor now stores %zu block file(s)\n",
@@ -95,7 +102,7 @@ int main() {
   core::ClientConfig config3 = config;
   config3.device = "verify-device";
   auto folder3 = std::make_shared<core::MemoryLocalFs>();
-  cloud::MultiCloud new_membership = workstation.clouds();
+  cloud::MultiCloud new_membership = admin.clouds();
   core::UniDriveClient verifier(new_membership, folder3, config3);
   auto verify = verifier.sync();
   const bool ok = verify.is_ok() &&

@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "cloud/memory_cloud.h"
-#include "cloud/stats_cloud.h"
 #include "core/client.h"
 #include "workload/files.h"
 
@@ -29,17 +28,26 @@ void must(const Result<core::SyncReport>& report, const char* what) {
   }
 }
 
+// Payload bytes a device uploaded, from the cloud.<name>.bytes_up counters
+// its guarded clouds record.
+std::uint64_t uploaded_bytes(const core::UniDriveClient& device) {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] :
+       device.observability()->metrics.snapshot().counters) {
+    if (name.starts_with("cloud.") && name.ends_with(".bytes_up")) {
+      total += value;
+    }
+  }
+  return total;
+}
+
 }  // namespace
 
 int main() {
   cloud::MultiCloud clouds;
-  std::vector<std::shared_ptr<cloud::StatsCloud>> stats;
   for (cloud::CloudId id = 0; id < 5; ++id) {
-    auto memory = std::make_shared<cloud::MemoryCloud>(
-        id, "cloud" + std::to_string(id));
-    auto wrapped = std::make_shared<cloud::StatsCloud>(memory);
-    stats.push_back(wrapped);
-    clouds.push_back(wrapped);
+    clouds.push_back(std::make_shared<cloud::MemoryCloud>(
+        id, "cloud" + std::to_string(id)));
   }
 
   auto make_device = [&](const std::string& name) {
@@ -94,13 +102,11 @@ int main() {
   const Bytes big = workload::random_file(rng, 2 << 20);
   fs_a->write("/data/original.bin", ByteSpan(big));
   must(a.sync(), "a.sync");
-  std::uint64_t uploaded_before = 0;
-  for (const auto& s : stats) uploaded_before += s->stats().payload_up;
+  const std::uint64_t uploaded_before = uploaded_bytes(a);
 
   fs_a->write("/data/copy.bin", ByteSpan(big));  // identical content
   must(a.sync(), "a.sync");
-  std::uint64_t uploaded_after = 0;
-  for (const auto& s : stats) uploaded_after += s->stats().payload_up;
+  const std::uint64_t uploaded_after = uploaded_bytes(a);
 
   std::printf("2 MB copy cost only %llu KB of upload traffic "
               "(segments dedup'ed, metadata only)\n",

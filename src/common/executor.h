@@ -4,8 +4,9 @@
 // Executor is a deliberately simple fixed-size thread pool: no work
 // stealing, one FIFO task queue, N worker threads. Two usage patterns:
 //
-//   submit(fn)            fire-and-forget task (the transfer drivers submit
-//                         one finite task per block transfer).
+//   submit(fn)            fire-and-forget task (the async runtime's
+//                         SyncAdapter leaf runs one blocking cloud verb per
+//                         task).
 //   parallel_apply(n, fn) caller-participating fan-out of fn(0..n-1): the
 //                         calling thread claims indices alongside the pool,
 //                         so progress is guaranteed even when every pool
@@ -16,8 +17,8 @@
 //
 // Tasks must be independent: a submitted task that BLOCKS waiting for
 // another submitted task can deadlock a small pool. Blocking on external
-// I/O (a cloud request) is fine — that is exactly what the transfer
-// drivers do — it just occupies a pool slot for the duration.
+// I/O (a cloud request) is fine — that is exactly what the SyncAdapter
+// leaf does — it just occupies a pool slot for the duration.
 //
 // Exception safety: a throwing fire-and-forget task is caught and logged —
 // it must not kill the worker thread (std::terminate) or wedge the pool.

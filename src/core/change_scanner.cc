@@ -31,9 +31,7 @@ ScanResult scan_local_changes(const LocalFs& fs,
                               const std::string& device, ScanCache* cache,
                               const SegmentSink& sink) {
   ScanResult result;
-  // With a sink, new_segments stays empty — track emitted ids separately so
-  // the within-scan dedup still holds.
-  std::set<std::string> emitted;
+  std::set<std::string> emitted;  // within-scan dedup of new segments
 
   const std::vector<std::string> local_files = fs.list_files();
   const std::set<std::string> local_set(local_files.begin(),
@@ -75,13 +73,8 @@ ScanResult scan_local_changes(const LocalFs& fs,
       // Dedup: only segments unknown to the pool (and not already scheduled
       // in this scan) need uploading.
       if (image.find_segment(seg.id) != nullptr) continue;
-      if (sink) {
-        if (emitted.insert(seg.id).second) {
-          sink(seg.id, chunker::segment_bytes(ByteSpan(data), seg));
-        }
-      } else if (result.new_segments.count(seg.id) == 0) {
-        result.new_segments.emplace(
-            seg.id, chunker::segment_bytes(ByteSpan(data), seg));
+      if (emitted.insert(seg.id).second) {
+        sink(seg.id, chunker::segment_bytes(ByteSpan(data), seg));
       }
     }
     result.changes.record(Change::upsert_file(snapshot));

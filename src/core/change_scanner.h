@@ -4,8 +4,8 @@
 //
 // Files whose size and content hash match their image snapshot are
 // unchanged; everything else produces a ChangedFileList entry. The scanner
-// also returns the segmentation of added/edited files so the data plane can
-// encode and upload exactly the *new* segments (dedup against the pool).
+// also streams the *new* segments of added/edited files (dedup against the
+// pool) to a sink, so the data plane encodes and uploads exactly those.
 #pragma once
 
 #include <functional>
@@ -22,9 +22,6 @@ namespace unidrive::core {
 
 struct ScanResult {
   metadata::ChangedFileList changes;
-  // Content of every new segment (not yet in the image's pool), keyed by
-  // segment id — the upload work list.
-  std::map<std::string, Bytes> new_segments;
   // Snapshot of each added/edited file (also stored inside changes).
   std::vector<metadata::FileSnapshot> touched;
   std::size_t files_scanned = 0;
@@ -59,19 +56,18 @@ class ScanCache {
 using SegmentSink = std::function<void(const std::string& id, Bytes bytes)>;
 
 // `seg_params.theta` is the target segment size; `device` stamps snapshot
-// origin. `cache` (optional) skips re-hashing files whose (size, mtime)
+// origin. `cache` (may be null) skips re-hashing files whose (size, mtime)
 // fingerprint is unchanged and is updated in place.
 //
-// When `sink` is set, each new segment's bytes are handed to it as soon as
-// the segment is discovered (deduped within the scan) instead of being
-// accumulated in ScanResult::new_segments — this lets the sync pipeline
-// start encoding and uploading while the scan is still hashing later
-// files. The sink may block (backpressure from a bounded pipeline).
+// Each new segment's bytes — not yet in the image's pool, and deduped
+// within the scan — are handed to `sink` as soon as the segment is
+// discovered, so the sync pipeline encodes and uploads while the scan is
+// still hashing later files. The sink may block (backpressure from a
+// bounded pipeline).
 ScanResult scan_local_changes(const LocalFs& fs,
                               const metadata::SyncFolderImage& image,
                               const chunker::SegmenterParams& seg_params,
-                              const std::string& device,
-                              ScanCache* cache = nullptr,
-                              const SegmentSink& sink = nullptr);
+                              const std::string& device, ScanCache* cache,
+                              const SegmentSink& sink);
 
 }  // namespace unidrive::core

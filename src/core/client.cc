@@ -105,11 +105,8 @@ void UniDriveClient::rebuild_guards() {
 
 void UniDriveClient::rebuild_async_clouds() {
   async_clouds_.clear();
-  io_executor_ = config_.pipeline.io_threads > 0
-                     ? std::make_shared<Executor>(config_.pipeline.io_threads)
-                     : executor_;
   cloud::AsyncContext ctx;
-  ctx.io = io_executor_.get();
+  ctx.io = executor_.get();
   ctx.clock = &clock_;
   ctx.sleep = config_.sleep;
   ctx.obs = obs_;
@@ -195,19 +192,16 @@ std::unique_ptr<UploadPipeline> UniDriveClient::make_pipeline(
     const sched::CodeParams& params) {
   return std::make_unique<UploadPipeline>(
       params, codec_for(params), cloud_ids(), config_.driver, monitor_,
-      executor_, [this](cloud::CloudId id) { return find_cloud(id); },
-      config_.pipeline, health_, obs_,
-      [this](cloud::CloudId id) { return find_async_cloud(id); },
-      config_.pool, config_.folder_id);
+      executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
+      config_.pipeline, health_, obs_, config_.pool, config_.folder_id);
 }
 
 std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
     const sched::CodeParams& params) {
   return std::make_unique<DownloadPipeline>(
       params.k, codec_for(params), cloud_ids(), config_.driver, monitor_,
-      executor_, [this](cloud::CloudId id) { return find_cloud(id); },
-      config_.pipeline, *fs_, health_, obs_,
-      [this](cloud::CloudId id) { return find_async_cloud(id); });
+      executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
+      config_.pipeline, *fs_, health_, obs_);
 }
 
 // Fetches, decodes and integrity-checks one segment. On an integrity
@@ -217,7 +211,8 @@ std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
 // until one decodes to the segment's content hash. One long-lived
 // streaming driver serves the whole reconstruction: extra blocks raise the
 // budget of the same scheduler instead of standing up a fresh driver per
-// attempt.
+// attempt. Fetches launch through the async twins of the guarded clouds,
+// exactly like the restore pipeline's.
 Result<Bytes> UniDriveClient::fetch_segment(
     const SegmentInfo& segment,
     const std::vector<metadata::BlockLocation>& exclude) {
@@ -244,22 +239,37 @@ Result<Bytes> UniDriveClient::fetch_segment(
   std::size_t events = 0;
   bool last_ok = false;
 
+  // Declared after everything its completions touch: the driver's
+  // destructor waits out every launched fetch.
   sched::StreamingDownloadDriver driver(
       params.k, cloud_ids(), config_.driver, monitor_, executor_,
-      [&](const sched::BlockTask& task) -> Status {
-        cloud::CloudProvider* provider = find_cloud(task.cloud);
+      [&](const sched::BlockTask& task,
+          sched::TransferDoneFn done) -> cloud::AsyncHandle {
+        cloud::AsyncCloud* provider = find_async_cloud(task.cloud);
         if (provider == nullptr) {
-          return make_error(ErrorCode::kInternal, "unknown cloud");
+          // Never complete on the launching stack (cloud/async.h).
+          executor_->submit([done = std::move(done)] {
+            done(make_error(ErrorCode::kInternal, "unknown cloud"));
+          });
+          return {};
         }
-        auto data = provider->download(
-            metadata::block_path(task.segment_id, task.block_index));
-        if (!data.is_ok()) return data.status();
-        std::lock_guard<std::mutex> guard(mu);
-        // A hedge duplicate may land second; keep the first copy.
-        if (fetched_indices.insert(task.block_index).second) {
-          shards.push_back({task.block_index, std::move(data).take()});
-        }
-        return Status::ok();
+        const std::uint32_t index = task.block_index;
+        return provider->download_async(
+            metadata::block_path(task.segment_id, index),
+            [&, index, done = std::move(done)](Result<Bytes> data) {
+              if (!data.is_ok()) {
+                done(data.status());
+                return;
+              }
+              {
+                std::lock_guard<std::mutex> guard(mu);
+                // A hedge duplicate may land second; keep the first copy.
+                if (fetched_indices.insert(index).second) {
+                  shards.push_back({index, std::move(data).take()});
+                }
+              }
+              done(Status::ok());
+            });
       },
       health_, obs_,
       [&](const std::string&, bool ok) {
@@ -309,56 +319,9 @@ Result<Bytes> UniDriveClient::fetch_segment(
 
 Status UniDriveClient::materialize_file(const FileSnapshot& snapshot,
                                         const SyncFolderImage& image) {
-  const sched::CodeParams params = code_params();
-  if (config_.pipeline.enabled && params.validate().is_ok()) {
-    auto pipeline = make_download_pipeline(params);
-    pipeline->add_file(snapshot, image);
-    const auto results = pipeline->finish();
-    return results.empty() ? Status::ok() : results.front().status;
-  }
-
-  // Monolithic fallback: fetch + decode one segment at a time, streaming
-  // each into the writer — peak memory is one segment, not the file, and
-  // a failed restore aborts the writer instead of leaving a partial file.
-  UNI_ASSIGN_OR_RETURN(std::unique_ptr<LocalFs::FileWriter> writer,
-                       fs_->open_write(snapshot.path));
-  crypto::Sha1 hasher;
-  std::uint64_t written = 0;
-  for (const std::string& seg_id : snapshot.segment_ids) {
-    const SegmentInfo* seg = image.find_segment(seg_id);
-    if (seg == nullptr) {
-      writer->abort();
-      return make_error(ErrorCode::kCorrupt,
-                        "snapshot references unknown segment " + seg_id);
-    }
-    auto piece = fetch_segment(*seg, {});
-    if (!piece.is_ok()) {
-      writer->abort();
-      return piece.status();
-    }
-    const Status appended = writer->append(ByteSpan(piece.value()));
-    if (!appended.is_ok()) {
-      writer->abort();
-      return appended;
-    }
-    hasher.update(ByteSpan(piece.value()));
-    written += piece.value().size();
-  }
-  if (written != snapshot.size) {
-    writer->abort();
-    return make_error(ErrorCode::kCorrupt,
-                      "assembled size mismatch for " + snapshot.path);
-  }
-  if (!snapshot.content_hash.empty()) {
-    const crypto::Sha1::Digest digest = hasher.finish();
-    if (to_hex(ByteSpan(digest.data(), digest.size())) !=
-        snapshot.content_hash) {
-      writer->abort();
-      return make_error(ErrorCode::kCorrupt,
-                        "content hash mismatch for " + snapshot.path);
-    }
-  }
-  return writer->commit();
+  auto pipeline = make_download_pipeline(code_params());
+  pipeline->add_file(snapshot, image);
+  return pipeline->finish().front().status;
 }
 
 Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
@@ -402,21 +365,15 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
   }
 
   if (!to_download.empty()) {
-    const sched::CodeParams params = code_params();
-    if (config_.pipeline.enabled && params.validate().is_ok()) {
-      auto pipeline = make_download_pipeline(params);
-      for (const FileSnapshot* snapshot : to_download) {
-        pipeline->add_file(*snapshot, target);
-      }
-      for (const DownloadPipeline::FileResult& r : pipeline->finish()) {
-        UNI_RETURN_IF_ERROR(r.status);
-        ++outcome.downloaded;
-      }
-    } else {
-      for (const FileSnapshot* snapshot : to_download) {
-        UNI_RETURN_IF_ERROR(materialize_file(*snapshot, target));
-        ++outcome.downloaded;
-      }
+    // Restore needs only k, so it runs even when the placement params fail
+    // CodeParams::validate().
+    auto pipeline = make_download_pipeline(code_params());
+    for (const FileSnapshot* snapshot : to_download) {
+      pipeline->add_file(*snapshot, target);
+    }
+    for (const DownloadPipeline::FileResult& r : pipeline->finish()) {
+      UNI_RETURN_IF_ERROR(r.status);
+      ++outcome.downloaded;
     }
   }
 
@@ -745,28 +702,29 @@ Result<SyncReport> UniDriveClient::sync() {
 
   const chunker::SegmenterParams seg_params{config_.theta};
   const sched::CodeParams params = code_params();
-  const bool params_ok = params.validate().is_ok();
+  const Status params_valid = params.validate();
 
-  // Staged mode: stand the pipeline up BEFORE the scan so CDC output
-  // streams straight into encode/transfer while the scanner is still
-  // walking files. Invalid CodeParams fall through to the batch branch,
-  // which surfaces the validation error only if there is data to upload.
+  // Stand the pipeline up BEFORE the scan so CDC output streams straight
+  // into encode/transfer while the scanner is still walking files. Its
+  // segment-pool pins live until after the metadata commit below. Invalid
+  // CodeParams get no pipeline: the scan then only notes that new segment
+  // data exists, so the validation error surfaces only in rounds that have
+  // data to upload (a round that only deletes still commits).
   std::unique_ptr<UploadPipeline> pipeline;
-  if (params_ok && config_.pipeline.enabled) pipeline = make_pipeline(params);
+  if (params_valid.is_ok()) pipeline = make_pipeline(params);
+  bool has_new_data = false;
 
   ScanResult scan;
   {
     obs::Span scan_span = round_span.child("sync.scan");
-    if (pipeline != nullptr) {
-      scan = scan_local_changes(*fs_, image_, seg_params, config_.device,
-                                &scan_cache_,
-                                [&](const std::string& id, Bytes bytes) {
+    scan = scan_local_changes(*fs_, image_, seg_params, config_.device,
+                              &scan_cache_,
+                              [&](const std::string& id, Bytes bytes) {
+                                has_new_data = true;
+                                if (pipeline != nullptr) {
                                   pipeline->feed(id, std::move(bytes));
-                                });
-    } else {
-      scan = scan_local_changes(*fs_, image_, seg_params, config_.device,
-                                &scan_cache_);
-    }
+                                }
+                              });
   }
 
   if (!scan.changes.empty()) {
@@ -775,31 +733,19 @@ Result<SyncReport> UniDriveClient::sync() {
     std::vector<SegmentInfo> uploaded;
     {
       obs::Span upload_span = round_span.child("sync.upload_segments");
-      if (pipeline != nullptr) {
+      if (pipeline == nullptr) {
+        if (has_new_data) return params_valid;
+      } else {
         UNI_ASSIGN_OR_RETURN(uploaded, pipeline->finish());
-      } else if (!scan.new_segments.empty()) {
-        UNI_RETURN_IF_ERROR(params.validate());
-        // Monolithic fallback: one batch round through the same object.
-        // Assigned to the function-scope pointer so its segment-pool pins
-        // survive until after the metadata commit below.
-        pipeline = make_pipeline(params);
-        for (auto& [id, bytes] : scan.new_segments) {
-          pipeline->feed(id, std::move(bytes));
-        }
-        UNI_ASSIGN_OR_RETURN(uploaded, pipeline->finish());
+        const UploadPipeline::DedupStats dedup = pipeline->dedup_stats();
+        report.segments_deduped = dedup.segments;
+        report.dedup_bytes_saved = dedup.bytes_saved;
+        // `uploaded` carries one record per fed segment, dedup hits
+        // included; clamp so a result subset can never underflow size_t.
+        report.segments_uploaded = uploaded.size() >= dedup.segments
+                                       ? uploaded.size() - dedup.segments
+                                       : 0;
       }
-    }
-    if (pipeline != nullptr) {
-      const UploadPipeline::DedupStats dedup = pipeline->dedup_stats();
-      report.segments_deduped = dedup.segments;
-      report.dedup_bytes_saved = dedup.bytes_saved;
-      // `uploaded` carries one record per fed segment, dedup hits
-      // included; clamp so a result subset can never underflow size_t.
-      report.segments_uploaded = uploaded.size() >= dedup.segments
-                                     ? uploaded.size() - dedup.segments
-                                     : 0;
-    } else {
-      report.segments_uploaded = uploaded.size();
     }
 
     // Build v_l = v_o + epsilon (+ fresh segment records).

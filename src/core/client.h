@@ -41,7 +41,7 @@
 #include "repair/durability.h"
 #include "sched/monitor.h"
 #include "sched/rebalance.h"
-#include "sched/threaded_driver.h"
+#include "sched/streaming_driver.h"
 
 namespace unidrive::core {
 
@@ -58,9 +58,8 @@ struct ClientConfig {
   std::size_t theta = 4 << 20;  // target segment size
   lock::LockConfig lock;
   sched::DriverConfig driver;
-  // Staged sync write path: shared executor width, encode stage, bounded
-  // in-flight bytes. pipeline.enabled = false reverts to the monolithic
-  // scan-then-upload round.
+  // Staged data plane (upload and restore): shared executor width, encode
+  // stage, bounded in-flight bytes.
   PipelineConfig pipeline;
   metadata::DeltaPolicy delta_policy;
   // Sharded metadata plane: shard count, per-shard compaction bound, cache.
@@ -240,8 +239,7 @@ class UniDriveClient {
 
  private:
   // Data plane: a staged UploadPipeline wired to this client's executor,
-  // guarded clouds and observability (also runs the monolithic fallback
-  // when config_.pipeline.enabled is false).
+  // guarded clouds and observability.
   [[nodiscard]] std::unique_ptr<UploadPipeline> make_pipeline(
       const sched::CodeParams& params);
   // Restore mirror: a streaming DownloadPipeline over the same executor,
@@ -251,10 +249,8 @@ class UniDriveClient {
       const sched::CodeParams& params);
 
   // Downloads + decodes the segments of `snapshot` (resolved against
-  // `image`) and writes the file. Streams through the DownloadPipeline
-  // when config_.pipeline.enabled, otherwise fetches segment by segment
-  // into a LocalFs::FileWriter — either way peak memory is bounded and a
-  // failed restore never leaves a partial file behind.
+  // `image`) and writes the file through a DownloadPipeline: peak memory is
+  // bounded and a failed restore never leaves a partial file behind.
   Status materialize_file(const metadata::FileSnapshot& snapshot,
                           const metadata::SyncFolderImage& image);
 
@@ -350,8 +346,7 @@ class UniDriveClient {
 
   // Re-wraps clouds_ and rebuilds store_/lock_ after membership changes.
   void rebuild_guards();
-  // Builds the async twins of guarded_ (and the dedicated I/O pool when
-  // config_.pipeline.io_threads asks for one).
+  // Builds the async twins of guarded_ over executor_.
   void rebuild_async_clouds();
 
   // State persistence (no-ops when config_.state_file is empty).
@@ -369,15 +364,13 @@ class UniDriveClient {
   std::shared_ptr<repair::DurabilityTracker> durability_;
   std::shared_ptr<cloud::CloudHealthRegistry> health_;
   cloud::MultiCloud guarded_;  // clouds_, each wrapped in a RetryingCloud
-  // Shared thread pool for the sync pipeline and the transfer drivers;
-  // sized for clouds * connections unless config_.pipeline.threads (or
-  // UNIDRIVE_PIPELINE_THREADS) overrides. Rebuilt on membership changes.
+  // Shared thread pool for the sync pipeline, the transfer drivers and the
+  // async runtime's SyncAdapter leaf RPCs; sized for clouds * connections
+  // unless config_.pipeline.threads (or UNIDRIVE_PIPELINE_THREADS)
+  // overrides. Rebuilt on membership changes.
   std::shared_ptr<Executor> executor_;
-  // Async completion runtime: the I/O pool running SyncAdapter leaf RPCs
-  // (executor_ unless config_.pipeline.io_threads carves out a dedicated
-  // pool) and the completion-based twin of each guarded cloud. The twins
-  // share breaker/counter/quota/link state with their blocking halves.
-  std::shared_ptr<Executor> io_executor_;
+  // The completion-based twin of each guarded cloud. The twins share
+  // breaker/counter/quota/link state with their blocking halves.
   cloud::AsyncMultiCloud async_clouds_;
 
   metadata::SyncFolderImage image_;  // v_o: last known committed state

@@ -49,30 +49,23 @@ Result<Bytes> decode_verified(const erasure::RsCode& code,
 DownloadPipeline::DownloadPipeline(
     std::size_t k, erasure::RsCode code, std::vector<cloud::CloudId> clouds,
     sched::DriverConfig driver_config, sched::ThroughputMonitor& monitor,
-    std::shared_ptr<Executor> executor, FindCloudFn find_cloud,
+    std::shared_ptr<Executor> executor, FindAsyncCloudFn find_cloud,
     PipelineConfig pipeline_config, LocalFs& fs,
-    std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs,
-    FindAsyncCloudFn find_async)
+    std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs)
     : k_(k),
       code_(std::move(code)),
       executor_(std::move(executor)),
       find_cloud_(std::move(find_cloud)),
-      find_async_(std::move(find_async)),
       config_(pipeline_config),
       fs_(fs),
       obs_(std::move(obs)) {
-  sched::AsyncTransferFn async;
-  if (find_async_ != nullptr && config_.async_transfers) {
-    async = [this](const sched::BlockTask& task, sched::TransferDoneFn done) {
-      return transfer_async(task, std::move(done));
-    };
-  }
   driver_ = std::make_unique<sched::StreamingDownloadDriver>(
       k_, std::move(clouds), driver_config, monitor, executor_,
-      [this](const sched::BlockTask& task) { return transfer(task); }, health,
-      obs_,
-      [this](const std::string& id, bool ok) { on_segment_fetched(id, ok); },
-      std::move(async));
+      [this](const sched::BlockTask& task, sched::TransferDoneFn done) {
+        return transfer_async(task, std::move(done));
+      },
+      std::move(health), obs_,
+      [this](const std::string& id, bool ok) { on_segment_fetched(id, ok); });
 }
 
 DownloadPipeline::~DownloadPipeline() {
@@ -226,24 +219,6 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
   advance_file_locked(fi);
 }
 
-Status DownloadPipeline::transfer(const sched::BlockTask& task) {
-  if (cancelled_.load()) {
-    return make_error(ErrorCode::kUnavailable, "restore pipeline cancelled");
-  }
-  cloud::CloudProvider* provider = find_cloud_(task.cloud);
-  if (provider == nullptr) {
-    return make_error(ErrorCode::kInternal, "unknown cloud");
-  }
-  auto data = provider->download(
-      metadata::block_path(task.segment_id, task.block_index));
-  if (!data.is_ok()) return data.status();
-  std::lock_guard<std::mutex> cache(cache_mutex_);
-  auto& blocks = shard_cache_[task.segment_id];
-  // Keep the first copy (a hedge duplicate may land second).
-  blocks.emplace(task.block_index, std::move(data).take());
-  return Status::ok();
-}
-
 cloud::AsyncHandle DownloadPipeline::transfer_async(
     const sched::BlockTask& task, sched::TransferDoneFn done) {
   if (cancelled_.load()) {
@@ -252,7 +227,7 @@ cloud::AsyncHandle DownloadPipeline::transfer_async(
     });
     return {};
   }
-  cloud::AsyncCloud* provider = find_async_(task.cloud);
+  cloud::AsyncCloud* provider = find_cloud_(task.cloud);
   if (provider == nullptr) {
     executor_->submit([done = std::move(done)] {
       done(make_error(ErrorCode::kInternal, "unknown cloud"));

@@ -57,10 +57,9 @@
 
 #include "cloud/async.h"
 #include "cloud/health.h"
-#include "cloud/provider.h"
 #include "common/executor.h"
 #include "core/local_fs.h"
-#include "core/upload_pipeline.h"  // PipelineConfig, Find{,Async}CloudFn
+#include "core/upload_pipeline.h"  // PipelineConfig, FindAsyncCloudFn
 #include "crypto/sha1.h"
 #include "erasure/rs.h"
 #include "metadata/store.h"
@@ -92,10 +91,11 @@ class DownloadPipeline {
                    std::vector<cloud::CloudId> clouds,
                    sched::DriverConfig driver_config,
                    sched::ThroughputMonitor& monitor,
-                   std::shared_ptr<Executor> executor, FindCloudFn find_cloud,
-                   PipelineConfig pipeline_config, LocalFs& fs,
+                   std::shared_ptr<Executor> executor,
+                   FindAsyncCloudFn find_cloud, PipelineConfig pipeline_config,
+                   LocalFs& fs,
                    std::shared_ptr<cloud::CloudHealthRegistry> health,
-                   obs::ObsPtr obs, FindAsyncCloudFn find_async = nullptr);
+                   obs::ObsPtr obs);
   ~DownloadPipeline();
 
   DownloadPipeline(const DownloadPipeline&) = delete;
@@ -154,10 +154,9 @@ class DownloadPipeline {
   void on_segment_fetched(const std::string& id, bool ok);
   // Executor task: decode + verify (ok) or fail (not ok) one segment.
   void process_segment(const std::string& id, bool ok);
-  Status transfer(const sched::BlockTask& task);
-  // Completion-based launcher handed to the driver (called under its
-  // lock). The fetched bytes land in shard_cache_ before `done` fires;
-  // fast-fail paths defer the completion via the executor.
+  // Transfer launcher handed to the driver (called under its lock). The
+  // fetched bytes land in shard_cache_ before `done` fires; fast-fail paths
+  // defer the completion via the executor.
   cloud::AsyncHandle transfer_async(const sched::BlockTask& task,
                                     sched::TransferDoneFn done);
 
@@ -175,8 +174,7 @@ class DownloadPipeline {
   std::size_t k_;
   erasure::RsCode code_;
   std::shared_ptr<Executor> executor_;
-  FindCloudFn find_cloud_;
-  FindAsyncCloudFn find_async_;
+  FindAsyncCloudFn find_cloud_;
   PipelineConfig config_;
   LocalFs& fs_;
   obs::ObsPtr obs_;
@@ -189,7 +187,7 @@ class DownloadPipeline {
   std::atomic<bool> cancelled_{false};
 
   // Fetched shard bytes, keyed by segment id then block index. Written by
-  // transfer() on executor threads, consumed by decode tasks.
+  // transfer completions, consumed by decode tasks.
   mutable std::mutex cache_mutex_;
   std::map<std::string, std::map<std::uint32_t, Bytes>> shard_cache_;
 

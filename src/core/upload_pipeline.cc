@@ -5,8 +5,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "crypto/convergent.h"
-#include "sched/threaded_driver.h"
-#include "sched/upload_scheduler.h"
 
 namespace unidrive::core {
 
@@ -18,46 +16,32 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
                                sched::DriverConfig driver_config,
                                sched::ThroughputMonitor& monitor,
                                std::shared_ptr<Executor> executor,
-                               FindCloudFn find_cloud,
+                               FindAsyncCloudFn find_cloud,
                                PipelineConfig pipeline_config,
                                std::shared_ptr<cloud::CloudHealthRegistry> health,
-                               obs::ObsPtr obs, FindAsyncCloudFn find_async,
-                               dedup::PoolIndexPtr pool, std::string folder)
+                               obs::ObsPtr obs, dedup::PoolIndexPtr pool,
+                               std::string folder)
     : params_(params),
       code_(std::move(code)),
-      clouds_(std::move(clouds)),
-      driver_config_(driver_config),
-      monitor_(monitor),
       executor_(std::move(executor)),
       find_cloud_(std::move(find_cloud)),
-      find_async_(std::move(find_async)),
       pool_(std::move(pool)),
       folder_(std::move(folder)),
       config_(pipeline_config),
-      health_(std::move(health)),
       obs_(std::move(obs)),
-      queue_(config_.encode_queue_capacity) {
-  if (config_.enabled) {
-    sched::AsyncTransferFn async;
-    if (find_async_ != nullptr && config_.async_transfers) {
-      async = [this](const sched::BlockTask& task,
-                     sched::TransferDoneFn done) {
-        return transfer_async(task, std::move(done));
-      };
-    }
-    driver_ = std::make_unique<sched::StreamingUploadDriver>(
-        params_, clouds_, driver_config_, monitor_, executor_,
-        [this](const sched::BlockTask& task) { return transfer(task); },
-        sched::UploadOptions{}, health_, obs_,
-        [this](const std::string& id) { on_segment_settled(id); },
-        std::move(async));
-  }
-}
+      queue_(config_.encode_queue_capacity),
+      driver_(
+          params_, std::move(clouds), driver_config, monitor, executor_,
+          [this](const sched::BlockTask& task, sched::TransferDoneFn done) {
+            return transfer_async(task, std::move(done));
+          },
+          sched::UploadOptions{}, std::move(health), obs_,
+          [this](const std::string& id) { on_segment_settled(id); }) {}
 
 UploadPipeline::~UploadPipeline() {
   cancel();
   join_encode_workers();
-  // driver_ (if any) cancels and drains in its own destructor.
+  // driver_ cancels and drains in its own destructor.
 }
 
 std::size_t UploadPipeline::inflight_bytes() const {
@@ -89,7 +73,7 @@ void UploadPipeline::feed(const std::string& id, Bytes bytes) {
     // keeps cross-folder GC from freeing the blocks before our commit; it
     // is rolled back if the round aborts. pool_'s mutex is a leaf under
     // mem_mutex_.
-    if (config_.dedup && pool_ != nullptr) {
+    if (pool_ != nullptr) {
       auto probe = pool_->probe_and_retain(folder_, id, plain, params_.k);
       obs::add_counter(obs_.get(), probe.hit ? "dedup.hit" : "dedup.miss");
       if (probe.hit) {
@@ -105,22 +89,6 @@ void UploadPipeline::feed(const std::string& id, Bytes bytes) {
         deduped_.emplace(id, std::move(probe.blocks));
         return;
       }
-    }
-    if (!config_.enabled) {
-      // Monolithic baseline: hold everything, count only the plaintext
-      // (shards are produced per block on demand during the batch round).
-      fed_ids_.insert(id);
-      fed_.emplace_back(id, plain);
-      inflight_ += plain;
-      peak_inflight_ = std::max(peak_inflight_, inflight_);
-      obs::set_gauge(obs_.get(), "pipeline.inflight_bytes",
-                     static_cast<double>(inflight_));
-      obs::set_gauge(obs_.get(), "pipeline.inflight_bytes_peak",
-                     static_cast<double>(peak_inflight_));
-      lock.unlock();
-      std::lock_guard<std::mutex> cache(cache_mutex_);
-      pending_.emplace(id, std::move(bytes));
-      return;
     }
     // Admission gate: wait for room. An oversized segment (footprint >
     // cap) is admitted once the pipeline is empty, so it cannot wedge.
@@ -201,7 +169,7 @@ void UploadPipeline::encode_worker() {
       sched::UploadFileSpec spec;
       spec.path = job->id;  // data-plane job: one pseudo-file per segment
       spec.segments.push_back({job->id, plain});
-      driver_->add_file(std::move(spec));
+      driver_.add_file(std::move(spec));
     }
   }
 }
@@ -218,29 +186,6 @@ void UploadPipeline::on_segment_settled(const std::string& id) {
   if (it == footprint_.end()) return;
   release_bytes_locked(it->second);
   footprint_.erase(it);
-}
-
-Status UploadPipeline::transfer(const sched::BlockTask& task) {
-  std::shared_ptr<const Bytes> shard;
-  {
-    std::lock_guard<std::mutex> cache(cache_mutex_);
-    const auto it = shards_.find(task.segment_id);
-    if (it != shards_.end() && task.block_index < it->second.size()) {
-      shard = it->second[task.block_index];
-    }
-  }
-  if (shard == nullptr) {
-    return make_error(ErrorCode::kInternal,
-                      "shard bytes unavailable for segment " +
-                          task.segment_id);
-  }
-  cloud::CloudProvider* provider = find_cloud_(task.cloud);
-  if (provider == nullptr) {
-    return make_error(ErrorCode::kInternal, "unknown cloud");
-  }
-  return provider->upload(
-      metadata::block_path(task.segment_id, task.block_index),
-      ByteSpan(*shard));
 }
 
 cloud::AsyncHandle UploadPipeline::transfer_async(
@@ -261,7 +206,7 @@ cloud::AsyncHandle UploadPipeline::transfer_async(
     });
     return {};
   }
-  cloud::AsyncCloud* provider = find_async_(task.cloud);
+  cloud::AsyncCloud* provider = find_cloud_(task.cloud);
   if (provider == nullptr) {
     executor_->submit([done = std::move(done)] {
       done(make_error(ErrorCode::kInternal, "unknown cloud"));
@@ -286,7 +231,7 @@ void UploadPipeline::cancel() {
     mem_cv_.notify_all();
   }
   queue_.cancel();
-  if (driver_ != nullptr) driver_->cancel();
+  driver_.cancel();
   release_retained_pins();
 }
 
@@ -316,10 +261,7 @@ void UploadPipeline::join_encode_workers() {
   encode_threads_.clear();
 }
 
-Result<std::vector<SegmentInfo>> UploadPipeline::build_results(
-    const std::function<std::vector<metadata::BlockLocation>(
-        const std::string&)>& locations,
-    std::size_t overprovisioned) {
+Result<std::vector<SegmentInfo>> UploadPipeline::build_results() {
   // Per-round placement accounting: where the availability-first scheduler
   // actually put the blocks, and how many were over-provisioned extras.
   std::size_t placed = 0;
@@ -338,7 +280,7 @@ Result<std::vector<SegmentInfo>> UploadPipeline::build_results(
       out.push_back(std::move(info));
       continue;
     }
-    info.blocks = locations(id);
+    info.blocks = driver_.locations(id);
     for (const metadata::BlockLocation& b : info.blocks) {
       obs::add_counter(obs_.get(),
                        "sched.blocks.cloud" + std::to_string(b.cloud));
@@ -347,7 +289,8 @@ Result<std::vector<SegmentInfo>> UploadPipeline::build_results(
     out.push_back(std::move(info));
   }
   obs::add_counter(obs_.get(), "sched.blocks.placed", placed);
-  obs::add_counter(obs_.get(), "sched.overprovisioned", overprovisioned);
+  obs::add_counter(obs_.get(), "sched.overprovisioned",
+                   driver_.overprovisioned_blocks().size());
   obs::add_counter(obs_.get(), "sched.segments", fed_.size());
 
   for (const SegmentInfo& info : out) {
@@ -366,90 +309,13 @@ Result<std::vector<SegmentInfo>> UploadPipeline::build_results(
   return out;
 }
 
-Result<std::vector<SegmentInfo>> UploadPipeline::finish_monolithic() {
-  std::vector<SegmentInfo> empty;
-  std::map<std::string, Bytes> segments;
-  {
-    std::lock_guard<std::mutex> cache(cache_mutex_);
-    segments.swap(pending_);
-  }
-  const auto drop_all = [&] {
-    std::lock_guard<std::mutex> lock(mem_mutex_);
-    release_bytes_locked(inflight_);
-  };
-  if (cancelled_.load()) {
-    drop_all();
-    if (fed_.empty()) return empty;
-    return make_error(ErrorCode::kUnavailable, "upload pipeline cancelled");
-  }
-  if (segments.empty()) {
-    drop_all();
-    if (fed_.empty()) return empty;
-    // Nothing to upload but fed_ is not empty: every fed segment was a
-    // pool hit. Their SegmentInfos must still be emitted, or the caller
-    // would commit file changes referencing segments that never get an
-    // upsert_segment record — blockless, dangling refs whose probe pin is
-    // later released without a committed reference backing it.
-    return build_results(
-        [](const std::string&) { return std::vector<metadata::BlockLocation>{}; },
-        0);
-  }
-
-  // Seal once up front; the per-block transfer lambda below re-encodes from
-  // these buffers on every task, so they must already be coded ciphertext.
-  for (auto& [id, data] : segments) {
-    crypto::convergent_seal_inplace(id, data);
-  }
-
-  // Batch all segments as one upload job (the two-phase scheduler treats
-  // each segment's file position by insertion order).
-  std::vector<sched::UploadFileSpec> specs;
-  for (const auto& [id, data] : segments) {
-    sched::UploadFileSpec spec;
-    spec.path = id;
-    spec.segments.push_back({id, data.size()});
-    specs.push_back(std::move(spec));
-  }
-  sched::UploadScheduler scheduler(params_, clouds_, specs);
-
-  const auto transfer = [&](const sched::BlockTask& task) -> Status {
-    const auto it = segments.find(task.segment_id);
-    if (it == segments.end()) {
-      return make_error(ErrorCode::kInternal, "unknown segment");
-    }
-    const std::vector<erasure::Shard> shards =
-        code_.encode_shards(ByteSpan(it->second), {task.block_index});
-    cloud::CloudProvider* provider = find_cloud_(task.cloud);
-    if (provider == nullptr) {
-      return make_error(ErrorCode::kInternal, "unknown cloud");
-    }
-    return provider->upload(
-        metadata::block_path(task.segment_id, task.block_index),
-        ByteSpan(shards.front().data));
-  };
-
-  sched::ThreadedTransferDriver driver(clouds_, driver_config_, monitor_,
-                                       health_, obs_, executor_);
-  driver.run_upload(scheduler, transfer);
-  drop_all();
-
-  return build_results(
-      [&](const std::string& id) { return scheduler.locations(id); },
-      scheduler.overprovisioned_blocks().size());
-}
-
 Result<std::vector<SegmentInfo>> UploadPipeline::finish() {
-  if (!config_.enabled) {
-    queue_.close();
-    return finish_monolithic();
-  }
-
   // Drain stage by stage: no more scan input -> encode workers exit once
   // the queue empties -> no more add_file -> the driver drains.
   queue_.close();
   join_encode_workers();
-  driver_->close();
-  driver_->wait();
+  driver_.close();
+  driver_.wait();
 
   // Anything still charged (cancelled mid-flight, or segments whose
   // settle callback never fired) is released now; the driver is drained,
@@ -468,9 +334,7 @@ Result<std::vector<SegmentInfo>> UploadPipeline::finish() {
     if (fed_.empty()) return std::vector<SegmentInfo>{};
     return make_error(ErrorCode::kUnavailable, "upload pipeline cancelled");
   }
-  return build_results(
-      [&](const std::string& id) { return driver_->locations(id); },
-      driver_->overprovisioned_blocks().size());
+  return build_results();
 }
 
 }  // namespace unidrive::core

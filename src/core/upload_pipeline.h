@@ -19,17 +19,16 @@
 // than the whole cap is admitted alone (the gate opens when the pipeline
 // is empty) so progress is always possible.
 //
-// finish() closes the stream, drains every stage, and returns the
-// SegmentInfo records exactly like the old monolithic upload_segments()
-// did — including the availability floor (>= k distinct blocks placed, or
-// kUnavailable). cancel() aborts all stages without deadlocking even when
-// a cloud call hangs: queued work is dropped, running transfers finish
-// their current request, and all reserved bytes are released.
+// Block transfers launch through the completion-based AsyncCloud twins of
+// the guarded clouds, so no executor thread is held while a request is on
+// the wire.
 //
-// With PipelineConfig::enabled = false the same object runs the legacy
-// monolithic path (hold all segments, then one batch scheduler round with
-// per-block on-demand encoding) — the baseline the pipeline benchmark
-// compares against.
+// finish() closes the stream, drains every stage, and returns one
+// SegmentInfo record per fed segment — including the availability floor
+// (>= k distinct blocks placed, or kUnavailable). cancel() aborts all
+// stages without deadlocking even when a cloud call hangs: queued work is
+// dropped, running transfers finish their current request, and all
+// reserved bytes are released.
 #pragma once
 
 #include <atomic>
@@ -47,7 +46,6 @@
 
 #include "cloud/async.h"
 #include "cloud/health.h"
-#include "cloud/provider.h"
 #include "common/executor.h"
 #include "dedup/pool_index.h"
 #include "erasure/rs.h"
@@ -60,8 +58,6 @@
 namespace unidrive::core {
 
 struct PipelineConfig {
-  // false = legacy monolithic round (scan fully, then encode+upload batch).
-  bool enabled = true;
   // Shared executor width; 0 = max(clouds * connections, hardware). The
   // UNIDRIVE_PIPELINE_THREADS environment variable overrides either.
   std::size_t threads = 0;
@@ -72,41 +68,26 @@ struct PipelineConfig {
   std::size_t encode_queue_capacity = 4;
   // Admission cap on plaintext + shard bytes resident in the pipeline.
   std::size_t max_inflight_bytes = 256u << 20;
-  // Completion-based transfers: when an async cloud resolver is supplied,
-  // block RPCs launch through the AsyncCloud layer and re-enter the
-  // scheduler from their completion — no executor thread is held while a
-  // request is on the wire, so in-flight transfers are bounded by the
-  // per-cloud connection budget, not the thread count. false forces the
-  // blocking one-thread-per-RPC path even when a resolver exists.
-  bool async_transfers = true;
-  // Width of the dedicated async I/O pool used for the SyncAdapter leaf
-  // (blocking RPCs of providers with no native async). 0 = share the
-  // pipeline executor.
-  std::size_t io_threads = 0;
-  // Probe the content-addressed segment pool before encode: a hit skips
-  // encode + transfer entirely and only a file→segment reference is
-  // committed. Requires a pool index wired through the constructor; off is
-  // the dedup-free baseline the dedup benchmark compares against.
-  bool dedup = true;
 };
 
-// Resolves a cloud id to its guarded provider (never the raw cloud).
-using FindCloudFn = std::function<cloud::CloudProvider*(cloud::CloudId)>;
-
-// Resolves a cloud id to its async (completion-based) twin, or nullptr.
+// Resolves a cloud id to the async (completion-based) twin of its guarded
+// provider, or nullptr.
 using FindAsyncCloudFn = std::function<cloud::AsyncCloud*(cloud::CloudId)>;
 
+// With a non-null `pool`, feed() probes the content-addressed segment pool
+// before encode: a hit skips encode + transfer entirely and only a
+// file→segment reference is committed.
 class UploadPipeline {
  public:
   UploadPipeline(const sched::CodeParams& params, erasure::RsCode code,
                  std::vector<cloud::CloudId> clouds,
                  sched::DriverConfig driver_config,
                  sched::ThroughputMonitor& monitor,
-                 std::shared_ptr<Executor> executor, FindCloudFn find_cloud,
-                 PipelineConfig pipeline_config,
+                 std::shared_ptr<Executor> executor,
+                 FindAsyncCloudFn find_cloud, PipelineConfig pipeline_config,
                  std::shared_ptr<cloud::CloudHealthRegistry> health,
-                 obs::ObsPtr obs, FindAsyncCloudFn find_async = nullptr,
-                 dedup::PoolIndexPtr pool = nullptr, std::string folder = {});
+                 obs::ObsPtr obs, dedup::PoolIndexPtr pool = nullptr,
+                 std::string folder = {});
   ~UploadPipeline();
 
   UploadPipeline(const UploadPipeline&) = delete;
@@ -149,33 +130,24 @@ class UploadPipeline {
 
   void encode_worker();
   void on_segment_settled(const std::string& id);  // under the driver lock
-  Status transfer(const sched::BlockTask& task);
-  // Completion-based launcher handed to the driver (called under its
-  // lock). Fast-fail paths defer the completion via the executor — the
-  // AsyncCloud contract forbids running it on the caller's stack.
+  // Transfer launcher handed to the driver (called under its lock).
+  // Fast-fail paths defer the completion via the executor — the AsyncCloud
+  // contract forbids running it on the caller's stack.
   cloud::AsyncHandle transfer_async(const sched::BlockTask& task,
                                     sched::TransferDoneFn done);
   void release_bytes_locked(std::size_t n);  // mem_mutex_ held
   void release_retained_pins();  // roll back pool pins of an aborted round
   void join_encode_workers();
-  Result<std::vector<metadata::SegmentInfo>> finish_monolithic();
-  Result<std::vector<metadata::SegmentInfo>> build_results(
-      const std::function<std::vector<metadata::BlockLocation>(
-          const std::string&)>& locations,
-      std::size_t overprovisioned);
+  // Segment records in feed order, from the drained driver.
+  Result<std::vector<metadata::SegmentInfo>> build_results();
 
   sched::CodeParams params_;
   erasure::RsCode code_;
-  std::vector<cloud::CloudId> clouds_;
-  sched::DriverConfig driver_config_;
-  sched::ThroughputMonitor& monitor_;
   std::shared_ptr<Executor> executor_;
-  FindCloudFn find_cloud_;
-  FindAsyncCloudFn find_async_;
+  FindAsyncCloudFn find_cloud_;
   dedup::PoolIndexPtr pool_;
   std::string folder_;
   PipelineConfig config_;
-  std::shared_ptr<cloud::CloudHealthRegistry> health_;
   obs::ObsPtr obs_;
 
   // Admission gate + accounting. mem_mutex_ is a leaf lock everywhere
@@ -211,11 +183,9 @@ class UploadPipeline {
   std::mutex cache_mutex_;
   std::map<std::string, std::vector<std::shared_ptr<const Bytes>>> shards_;
 
-  // Transfer stage (pipelined mode only).
-  std::unique_ptr<sched::StreamingUploadDriver> driver_;
-
-  // Monolithic mode: segments held until finish().
-  std::map<std::string, Bytes> pending_;
+  // Transfer stage. Declared last, destroyed first: its destructor drains
+  // outstanding transfers that call back into this object.
+  sched::StreamingUploadDriver driver_;
 };
 
 }  // namespace unidrive::core

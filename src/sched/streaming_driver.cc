@@ -11,10 +11,9 @@ namespace unidrive::sched {
 StreamingUploadDriver::StreamingUploadDriver(
     CodeParams params, std::vector<cloud::CloudId> clouds,
     DriverConfig config, ThroughputMonitor& monitor,
-    std::shared_ptr<Executor> executor, TransferFn transfer,
+    std::shared_ptr<Executor> executor, AsyncTransferFn transfer,
     UploadOptions options, std::shared_ptr<cloud::CloudHealthRegistry> health,
-    obs::ObsPtr obs, SegmentSettledFn on_settled,
-    AsyncTransferFn async_transfer)
+    obs::ObsPtr obs, SegmentSettledFn on_settled)
     : clouds_(std::move(clouds)),
       config_(config),
       monitor_(monitor),
@@ -23,7 +22,6 @@ StreamingUploadDriver::StreamingUploadDriver(
       health_(std::move(health)),
       obs_(std::move(obs)),
       on_settled_(std::move(on_settled)),
-      async_transfer_(std::move(async_transfer)),
       scheduler_(params, clouds_, {}, options) {
   for (const cloud::CloudId c : clouds_) {
     free_conns_[c] = config_.connections_per_cloud;
@@ -43,9 +41,8 @@ StreamingUploadDriver::StreamingUploadDriver(
         &obs_->metrics.gauge("driver.up.rpcs_inflight_peak");
     threads_gauge_ = &obs_->metrics.gauge("driver.up.exec_threads_active");
   }
-  // Same up-front breaker gate as ThreadedTransferDriver: a cloud tripped
-  // in an earlier round starts this job disabled unless its probe timer
-  // expired.
+  // Up-front breaker gate: a cloud tripped in an earlier round starts this
+  // job disabled unless its probe timer expired.
   if (health_ != nullptr) {
     for (const cloud::CloudId c : clouds_) {
       if (!health_->admissible(c)) {
@@ -143,9 +140,9 @@ void StreamingUploadDriver::sweep_settled() {
 
 void StreamingUploadDriver::note_inflight() {
   if (inflight_gauge_ == nullptr) return;
-  inflight_gauge_->set(static_cast<double>(on_wire_));
-  if (on_wire_ > inflight_peak_) {
-    inflight_peak_ = on_wire_;
+  inflight_gauge_->set(static_cast<double>(outstanding_));
+  if (outstanding_ > inflight_peak_) {
+    inflight_peak_ = outstanding_;
     inflight_peak_gauge_->set(static_cast<double>(inflight_peak_));
   }
   threads_gauge_->set(static_cast<double>(executor_->active()));
@@ -155,30 +152,14 @@ void StreamingUploadDriver::launch(cloud::CloudId cloud,
                                    const BlockTask& task) {
   --free_conns_[cloud];
   ++outstanding_;
-  if (async_transfer_) {
-    // The RPC is issued right here, so it is on the wire from launch.
-    // Launched under lock_ — safe because async completions never run on
-    // the caller's stack (cloud/async.h invariant 1). The handle is
-    // deliberately dropped: the driver never cancels an in-flight RPC, so
-    // every launch is balanced by exactly one finish_transfer.
-    ++on_wire_;
-    note_inflight();
-    const TimePoint start = RealClock::instance().now();
-    async_transfer_(task, [this, task, cloud, start](Status status) {
-      finish_transfer(cloud, task, status, start);
-    });
-    return;
-  }
-  // Blocking path: the task may sit queued behind a busy pool; it only
-  // becomes an RPC when a worker picks it up, so count it there.
-  executor_->submit([this, task, cloud] {
-    {
-      std::lock_guard<std::mutex> guard(lock_);
-      ++on_wire_;
-      note_inflight();
-    }
-    const TimePoint start = RealClock::instance().now();
-    finish_transfer(cloud, task, transfer_(task), start);
+  note_inflight();
+  // Launched under lock_ — safe because completions never run on the
+  // caller's stack (cloud/async.h invariant 1). The handle is deliberately
+  // dropped: the driver never cancels an in-flight RPC, so every launch is
+  // balanced by exactly one finish_transfer.
+  const TimePoint start = RealClock::instance().now();
+  transfer_(task, [this, task, cloud, start](Status status) {
+    finish_transfer(cloud, task, status, start);
   });
 }
 
@@ -224,7 +205,6 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
   }
   ++free_conns_[cloud];
   --outstanding_;
-  --on_wire_;
   note_inflight();
   pump();
   sweep_settled();
@@ -237,9 +217,9 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
 StreamingDownloadDriver::StreamingDownloadDriver(
     std::size_t k, std::vector<cloud::CloudId> clouds, DriverConfig config,
     ThroughputMonitor& monitor, std::shared_ptr<Executor> executor,
-    TransferFn transfer, std::shared_ptr<cloud::CloudHealthRegistry> health,
-    obs::ObsPtr obs, SegmentFetchedFn on_fetched,
-    AsyncTransferFn async_transfer)
+    AsyncTransferFn transfer,
+    std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs,
+    SegmentFetchedFn on_fetched)
     : clouds_(std::move(clouds)),
       config_(config),
       monitor_(monitor),
@@ -248,7 +228,6 @@ StreamingDownloadDriver::StreamingDownloadDriver(
       health_(std::move(health)),
       obs_(std::move(obs)),
       on_fetched_(std::move(on_fetched)),
-      async_transfer_(std::move(async_transfer)),
       scheduler_(k, {}) {
   for (const cloud::CloudId c : clouds_) {
     free_conns_[c] = config_.connections_per_cloud;
@@ -383,9 +362,9 @@ void StreamingDownloadDriver::sweep_decided() {
 
 void StreamingDownloadDriver::note_inflight() {
   if (inflight_gauge_ == nullptr) return;
-  inflight_gauge_->set(static_cast<double>(on_wire_));
-  if (on_wire_ > inflight_peak_) {
-    inflight_peak_ = on_wire_;
+  inflight_gauge_->set(static_cast<double>(outstanding_));
+  if (outstanding_ > inflight_peak_) {
+    inflight_peak_ = outstanding_;
     inflight_peak_gauge_->set(static_cast<double>(inflight_peak_));
   }
   threads_gauge_->set(static_cast<double>(executor_->active()));
@@ -396,30 +375,14 @@ void StreamingDownloadDriver::launch(cloud::CloudId cloud,
   --free_conns_[cloud];
   ++outstanding_;
   if (is_hedge) obs::add_counter(obs_.get(), "driver.hedge_tasks");
-  if (async_transfer_) {
-    // The RPC is issued right here, so it is on the wire from launch.
-    // Launched under lock_ — safe because async completions never run on
-    // the caller's stack (cloud/async.h invariant 1). The handle is
-    // deliberately dropped: the driver never cancels an in-flight RPC, so
-    // every launch is balanced by exactly one finish_transfer.
-    ++on_wire_;
-    note_inflight();
-    const TimePoint start = RealClock::instance().now();
-    async_transfer_(task, [this, task, cloud, start](Status status) {
-      finish_transfer(cloud, task, status, start);
-    });
-    return;
-  }
-  // Blocking path: the task may sit queued behind a busy pool; it only
-  // becomes an RPC when a worker picks it up, so count it there.
-  executor_->submit([this, task, cloud] {
-    {
-      std::lock_guard<std::mutex> guard(lock_);
-      ++on_wire_;
-      note_inflight();
-    }
-    const TimePoint start = RealClock::instance().now();
-    finish_transfer(cloud, task, transfer_(task), start);
+  note_inflight();
+  // Launched under lock_ — safe because completions never run on the
+  // caller's stack (cloud/async.h invariant 1). The handle is deliberately
+  // dropped: the driver never cancels an in-flight RPC, so every launch is
+  // balanced by exactly one finish_transfer.
+  const TimePoint start = RealClock::instance().now();
+  transfer_(task, [this, task, cloud, start](Status status) {
+    finish_transfer(cloud, task, status, start);
   });
 }
 
@@ -465,7 +428,6 @@ void StreamingDownloadDriver::finish_transfer(cloud::CloudId cloud,
   }
   ++free_conns_[cloud];
   --outstanding_;
-  --on_wire_;
   note_inflight();
   pump();
   sweep_decided();

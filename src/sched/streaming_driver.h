@@ -1,18 +1,33 @@
 // Streaming transfer drivers — upload and download drivers that accept
 // files *incrementally* while transfers are already running, so the CPU
 // stages (encode / decode) overlap the network instead of the driver
-// draining a frozen plan.
+// draining a frozen plan. They are the only engine that moves data blocks.
 //
-// StreamingUploadDriver — the transfer stage of the upload pipeline.
+// Both drivers are event-driven: they track free connections per cloud
+// and, under one lock, "pump" the scheduler — assigning a block to every
+// free connection that can get one and launching it through the
+// completion-based AsyncTransferFn. A completion feeds the scheduler and
+// the throughput monitor (in-channel probing) and pumps again, because a
+// completion can unlock work for any cloud (e.g. over-provisioning kicks in
+// when the fast cloud finishes its fair share). No thread is held while a
+// request is on the wire, so in-flight transfers are bounded by the
+// per-cloud connection budget, not by a thread count.
 //
-// This is the transfer stage of the sync pipeline: the encode stage calls
-// add_file() as soon as a segment's shards exist, close() when the scan is
-// exhausted, and wait() for the drain. The embedded UploadScheduler keeps
-// the batch policy intact — files added later rank after earlier ones in
-// the availability-first order, over-provisioning and the per-cloud
-// security cap apply unchanged — because all policy still lives in the
-// scheduler; this class only feeds it and executes its decisions on a
-// shared Executor (same event-driven pump as ThreadedTransferDriver).
+// Fault handling: with a shared CloudHealthRegistry, a cloud whose circuit
+// breaker is open starts the job disabled in the scheduler (its blocks
+// reroute to the remaining clouds), and because the registry outlives the
+// job, a cloud tripped in round N starts round N+1 half-open. Per-job
+// consecutive-failure counting additionally disables clouds that fail
+// without looking unavailable (e.g. out of quota).
+//
+// StreamingUploadDriver — the transfer stage of the sync pipeline: the
+// encode stage calls add_file() as soon as a segment's shards exist,
+// close() when the scan is exhausted, and wait() for the drain. The
+// embedded UploadScheduler keeps the batch policy intact — files added
+// later rank after earlier ones in the availability-first order,
+// over-provisioning and the per-cloud security cap apply unchanged —
+// because all policy still lives in the scheduler; this class only feeds
+// it and executes its decisions.
 //
 // Memory release: when a segment "settles" (nothing in flight and no
 // future task can place another block — fully served, or every enabled
@@ -46,10 +61,16 @@
 #include "sched/download_scheduler.h"
 #include "sched/monitor.h"
 #include "sched/plan.h"
-#include "sched/threaded_driver.h"
 #include "sched/upload_scheduler.h"
 
 namespace unidrive::sched {
+
+struct DriverConfig {
+  std::size_t connections_per_cloud = 5;
+  // Consecutive failed transfers before a CLOUD is disabled for this run
+  // (per cloud, not per block — a flapping cloud must not livelock a job).
+  int max_consecutive_failures = 3;
+};
 
 // Invoked under the driver lock when a segment's shard bytes can be
 // released. Must not call back into the driver.
@@ -58,12 +79,11 @@ using SegmentSettledFn = std::function<void(const std::string& segment_id)>;
 // Completion of one async block transfer, invoked exactly once.
 using TransferDoneFn = std::function<void(Status)>;
 
-// Async transfer launcher: starts the block transfer and returns
-// immediately; `done` fires from the I/O runtime when it resolves. The
-// drivers call this UNDER their lock — implementations must follow the
-// AsyncCloud contract (cloud/async.h): never invoke `done` on the caller's
-// stack. When provided, in-flight transfers are bounded only by the
-// per-cloud connection budget, not by executor threads.
+// Transfer launcher: starts the block transfer (for uploads, PUT the
+// shard; for downloads, GET and store it) and returns immediately; `done`
+// fires from the I/O runtime when it resolves. The drivers call this UNDER
+// their lock — implementations must follow the AsyncCloud contract
+// (cloud/async.h invariant 1): never invoke `done` on the caller's stack.
 using AsyncTransferFn =
     std::function<cloud::AsyncHandle(const BlockTask&, TransferDoneFn)>;
 
@@ -73,12 +93,11 @@ class StreamingUploadDriver {
                         std::vector<cloud::CloudId> clouds,
                         DriverConfig config, ThroughputMonitor& monitor,
                         std::shared_ptr<Executor> executor,
-                        TransferFn transfer, UploadOptions options = {},
+                        AsyncTransferFn transfer, UploadOptions options = {},
                         std::shared_ptr<cloud::CloudHealthRegistry> health =
                             nullptr,
                         obs::ObsPtr obs = nullptr,
-                        SegmentSettledFn on_settled = nullptr,
-                        AsyncTransferFn async_transfer = nullptr);
+                        SegmentSettledFn on_settled = nullptr);
   // Cancels and waits for in-flight transfers if the job is still open.
   ~StreamingUploadDriver();
 
@@ -118,8 +137,8 @@ class StreamingUploadDriver {
   [[nodiscard]] bool done() const;
   void launch(cloud::CloudId cloud, const BlockTask& task);
   // Everything that happens once a transfer's Status is known: metering,
-  // monitor feedback, scheduler completion, pump. Shared by the blocking
-  // executor task and the async completion. Takes lock_ itself.
+  // monitor feedback, scheduler completion, pump. Runs from the
+  // completion; takes lock_ itself.
   void finish_transfer(cloud::CloudId cloud, const BlockTask& task,
                        const Status& status, TimePoint start);
   void note_inflight();
@@ -127,12 +146,11 @@ class StreamingUploadDriver {
   std::vector<cloud::CloudId> clouds_;
   DriverConfig config_;
   ThroughputMonitor& monitor_;
-  std::shared_ptr<Executor> executor_;
-  TransferFn transfer_;
+  std::shared_ptr<Executor> executor_;  // read only by the threads gauge
+  AsyncTransferFn transfer_;
   std::shared_ptr<cloud::CloudHealthRegistry> health_;
   obs::ObsPtr obs_;
   SegmentSettledFn on_settled_;
-  AsyncTransferFn async_transfer_;
 
   mutable std::mutex lock_;
   std::condition_variable cv_;
@@ -147,16 +165,12 @@ class StreamingUploadDriver {
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;
-  // "RPCs on the wire" (on_wire_) vs "threads in use" (Executor::active)
-  // — the decoupling the async path buys, made visible. on_wire_ counts
-  // only *issued* RPCs: the async path issues at launch, the blocking path
-  // only once an executor thread picks the task up (a queued task is not a
-  // network request). outstanding_ keeps counting both so drain logic in
-  // done()/wait() is unchanged.
+  // "RPCs on the wire" (outstanding_ — every launch issues its request at
+  // once) vs "threads in use" (Executor::active): the decoupling the
+  // completion-based launch buys, made visible.
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* inflight_peak_gauge_ = nullptr;
   obs::Gauge* threads_gauge_ = nullptr;
-  std::size_t on_wire_ = 0;
   std::size_t inflight_peak_ = 0;
 };
 
@@ -170,8 +184,8 @@ class StreamingUploadDriver {
 // moment any segment's k distinct blocks have landed — not when the whole
 // job drains.
 //
-// The transfer callback GETs the block and stores the shard (it runs on
-// the shared executor; must be thread-safe). When a segment reaches its
+// The transfer launcher GETs the block and stores the shard before its
+// completion fires (must be thread-safe). When a segment reaches its
 // distinct-block budget the SegmentFetchedFn fires with ok=true; when the
 // scheduler proves the budget unreachable (supply exhausted / clouds down)
 // it fires with ok=false. request_extra_block() raises the budget for the
@@ -194,12 +208,11 @@ class StreamingDownloadDriver {
   StreamingDownloadDriver(std::size_t k, std::vector<cloud::CloudId> clouds,
                           DriverConfig config, ThroughputMonitor& monitor,
                           std::shared_ptr<Executor> executor,
-                          TransferFn transfer,
+                          AsyncTransferFn transfer,
                           std::shared_ptr<cloud::CloudHealthRegistry> health =
                               nullptr,
                           obs::ObsPtr obs = nullptr,
-                          SegmentFetchedFn on_fetched = nullptr,
-                          AsyncTransferFn async_transfer = nullptr);
+                          SegmentFetchedFn on_fetched = nullptr);
   ~StreamingDownloadDriver();
 
   StreamingDownloadDriver(const StreamingDownloadDriver&) = delete;
@@ -232,8 +245,7 @@ class StreamingDownloadDriver {
   void sweep_decided();
   [[nodiscard]] bool done() const;
   void launch(cloud::CloudId cloud, const BlockTask& task, bool is_hedge);
-  // Post-transfer bookkeeping shared by the blocking executor task and the
-  // async completion. Takes lock_ itself.
+  // Post-transfer bookkeeping, run from the completion. Takes lock_ itself.
   void finish_transfer(cloud::CloudId cloud, const BlockTask& task,
                        const Status& status, TimePoint start);
   void note_inflight();
@@ -241,12 +253,11 @@ class StreamingDownloadDriver {
   std::vector<cloud::CloudId> clouds_;
   DriverConfig config_;
   ThroughputMonitor& monitor_;
-  std::shared_ptr<Executor> executor_;
-  TransferFn transfer_;
+  std::shared_ptr<Executor> executor_;  // read only by the threads gauge
+  AsyncTransferFn transfer_;
   std::shared_ptr<cloud::CloudHealthRegistry> health_;
   obs::ObsPtr obs_;
   SegmentFetchedFn on_fetched_;
-  AsyncTransferFn async_transfer_;
 
   mutable std::mutex lock_;
   std::condition_variable cv_;
@@ -263,11 +274,10 @@ class StreamingDownloadDriver {
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;
-  // Issued RPCs only — see the upload driver's note on on_wire_.
+  // RPCs on the wire vs threads in use — see the upload driver's note.
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* inflight_peak_gauge_ = nullptr;
   obs::Gauge* threads_gauge_ = nullptr;
-  std::size_t on_wire_ = 0;
   std::size_t inflight_peak_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // JobRunner — the virtual-time transfer driver shared by transfer_run.cc
 // (single synchronous jobs) and e2e.cc (concurrent uploaders/downloaders).
-// Mirrors sched::ThreadedTransferDriver: per-cloud connection slots, polls
+// Mirrors the sched streaming drivers: per-cloud connection slots, polls
 // idle slots fastest-cloud-first, feeds completions to the scheduler and
 // the throughput monitor, disables persistently failing clouds.
 #pragma once

@@ -14,7 +14,6 @@
 #include "cloud/memory_cloud.h"
 #include "cloud/path.h"
 #include "cloud/quota_cloud.h"
-#include "cloud/stats_cloud.h"
 #include "common/rng.h"
 
 namespace unidrive::cloud {
@@ -246,38 +245,6 @@ TEST(QuotaCloudTest, RemoveFreesSpace) {
   EXPECT_TRUE(quota.remove("/a").is_ok());
   EXPECT_EQ(quota.used_bytes(), 0u);
   EXPECT_TRUE(quota.upload("/b", ByteSpan(bytes("1234567890"))).is_ok());
-}
-
-// --- StatsCloud -----------------------------------------------------------------
-
-TEST(StatsCloudTest, CountsTraffic) {
-  auto inner = std::make_shared<MemoryCloud>(1, "m");
-  StatsCloud stats(inner, /*per_request_overhead=*/100);
-  ASSERT_TRUE(stats.upload("/f", ByteSpan(bytes("12345"))).is_ok());
-  ASSERT_TRUE(stats.download("/f").is_ok());
-  (void)stats.list("/");
-  const TrafficStats t = stats.stats();
-  EXPECT_EQ(t.requests, 3u);
-  EXPECT_EQ(t.payload_up, 5u);
-  EXPECT_EQ(t.payload_down, 5u);
-  EXPECT_GE(t.overhead_bytes, 300u);
-}
-
-TEST(StatsCloudTest, FailedTransfersNotCountedAsPayload) {
-  auto inner = std::make_shared<MemoryCloud>(1, "m");
-  StatsCloud stats(inner, 100);
-  EXPECT_FALSE(stats.download("/missing").is_ok());
-  const TrafficStats t = stats.stats();
-  EXPECT_EQ(t.payload_down, 0u);
-  EXPECT_EQ(t.requests, 1u);
-}
-
-TEST(StatsCloudTest, ResetClears) {
-  auto inner = std::make_shared<MemoryCloud>(1, "m");
-  StatsCloud stats(inner, 100);
-  ASSERT_TRUE(stats.upload("/f", ByteSpan(bytes("x"))).is_ok());
-  stats.reset_stats();
-  EXPECT_EQ(stats.stats().total_bytes(), 0u);
 }
 
 // --- DirectoryCloud ----------------------------------------------------------------

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <thread>
 
 #include "cloud/faulty_cloud.h"
 #include "cloud/memory_cloud.h"
-#include "cloud/stats_cloud.h"
 #include "common/rng.h"
 #include "core/change_scanner.h"
 #include "core/client.h"
@@ -81,20 +81,34 @@ TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
 
 // --- change scanner -------------------------------------------------------------
 
+// New segments in the order the scanner hands them to its sink (a segment
+// handed over twice would appear twice).
+using SunkSegments = std::vector<std::pair<std::string, Bytes>>;
+
+// Scans at theta = 64 KiB, collecting new segments into `sunk` when given.
+ScanResult scan(const LocalFs& fs, const metadata::SyncFolderImage& image,
+                ScanCache* cache = nullptr, SunkSegments* sunk = nullptr) {
+  return scan_local_changes(
+      fs, image, chunker::SegmenterParams{64 << 10}, "dev", cache,
+      [sunk](const std::string& id, Bytes bytes) {
+        if (sunk != nullptr) sunk->emplace_back(id, std::move(bytes));
+      });
+}
+
 TEST(ChangeScannerTest, DetectsAdditions) {
   MemoryLocalFs fs;
   Rng rng(1);
   const Bytes content = rng.bytes(100000);
   ASSERT_TRUE(fs.write("/new.bin", ByteSpan(content)).is_ok());
   metadata::SyncFolderImage image;
-  const ScanResult scan =
-      scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10}, "dev");
-  ASSERT_EQ(scan.touched.size(), 1u);
-  EXPECT_EQ(scan.touched[0].path, "/new.bin");
-  EXPECT_FALSE(scan.new_segments.empty());
+  SunkSegments sunk;
+  const ScanResult result = scan(fs, image, nullptr, &sunk);
+  ASSERT_EQ(result.touched.size(), 1u);
+  EXPECT_EQ(result.touched[0].path, "/new.bin");
+  EXPECT_FALSE(sunk.empty());
   // Segment bytes must reassemble the file.
   std::size_t total = 0;
-  for (const auto& [id, data] : scan.new_segments) total += data.size();
+  for (const auto& [id, data] : sunk) total += data.size();
   EXPECT_EQ(total, content.size());
 }
 
@@ -104,19 +118,18 @@ TEST(ChangeScannerTest, UnchangedFileNotReported) {
   const Bytes content = rng.bytes(50000);
   ASSERT_TRUE(fs.write("/f", ByteSpan(content)).is_ok());
   metadata::SyncFolderImage image;
-  const ScanResult first =
-      scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10}, "dev");
+  SunkSegments sunk;
+  const ScanResult first = scan(fs, image, nullptr, &sunk);
   for (const metadata::Change& c : first.changes.changes()) {
     apply_change(image, c);
   }
-  for (const auto& [id, data] : first.new_segments) {
+  for (const auto& [id, data] : sunk) {
     metadata::SegmentInfo seg;
     seg.id = id;
     seg.size = data.size();
     image.upsert_segment(seg);
   }
-  const ScanResult second =
-      scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10}, "dev");
+  const ScanResult second = scan(fs, image);
   EXPECT_TRUE(second.changes.empty());
 }
 
@@ -128,10 +141,10 @@ TEST(ChangeScannerTest, DetectsDeletions) {
   snap.size = 3;
   snap.content_hash = "x";
   image.upsert_file(snap);
-  const ScanResult scan =
-      scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10}, "dev");
-  ASSERT_EQ(scan.changes.size(), 1u);
-  EXPECT_EQ(scan.changes.changes()[0].kind, metadata::ChangeKind::kDeleteFile);
+  const ScanResult result = scan(fs, image);
+  ASSERT_EQ(result.changes.size(), 1u);
+  EXPECT_EQ(result.changes.changes()[0].kind,
+            metadata::ChangeKind::kDeleteFile);
 }
 
 TEST(ChangeScannerTest, DedupAcrossIdenticalFiles) {
@@ -141,11 +154,11 @@ TEST(ChangeScannerTest, DedupAcrossIdenticalFiles) {
   ASSERT_TRUE(fs.write("/a", ByteSpan(content)).is_ok());
   ASSERT_TRUE(fs.write("/b", ByteSpan(content)).is_ok());
   metadata::SyncFolderImage image;
-  const ScanResult scan =
-      scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10}, "dev");
-  EXPECT_EQ(scan.touched.size(), 2u);
-  // Identical content -> shared segments -> uploaded once.
-  EXPECT_EQ(scan.new_segments.size(), 1u);
+  SunkSegments sunk;
+  const ScanResult result = scan(fs, image, nullptr, &sunk);
+  EXPECT_EQ(result.touched.size(), 2u);
+  // Identical content -> shared segments -> handed to the sink once.
+  EXPECT_EQ(sunk.size(), 1u);
 }
 
 // --- end-to-end client -----------------------------------------------------------
@@ -518,16 +531,13 @@ TEST(ScanCacheTest, SecondScanReadsNothing) {
   metadata::SyncFolderImage image;
   ScanCache cache;
 
-  auto first = scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10},
-                                  "dev", &cache);
+  auto first = scan(fs, image, &cache);
   EXPECT_EQ(first.files_hashed, 2u);
   for (const metadata::Change& c : first.changes.changes()) {
     apply_change(image, c);
   }
 
-  auto second = scan_local_changes(fs, image,
-                                   chunker::SegmenterParams{64 << 10}, "dev",
-                                   &cache);
+  auto second = scan(fs, image, &cache);
   EXPECT_TRUE(second.changes.empty());
   EXPECT_EQ(second.files_hashed, 0u);  // pure fingerprint hits
   EXPECT_EQ(second.files_scanned, 2u);
@@ -538,17 +548,57 @@ TEST(ScanCacheTest, EditInvalidatesFingerprint) {
   ASSERT_TRUE(fs.write("/a", ByteSpan(bytes_from_string("v1"))).is_ok());
   metadata::SyncFolderImage image;
   ScanCache cache;
-  auto first = scan_local_changes(fs, image, chunker::SegmenterParams{64 << 10},
-                                  "dev", &cache);
+  auto first = scan(fs, image, &cache);
   for (const metadata::Change& c : first.changes.changes()) {
     apply_change(image, c);
   }
   ASSERT_TRUE(fs.write("/a", ByteSpan(bytes_from_string("v2"))).is_ok());
-  auto second = scan_local_changes(fs, image,
-                                   chunker::SegmenterParams{64 << 10}, "dev",
-                                   &cache);
+  auto second = scan(fs, image, &cache);
   EXPECT_EQ(second.files_hashed, 1u);
   ASSERT_EQ(second.touched.size(), 1u);
+}
+
+// Placement params that fail CodeParams::validate() (Kr = 6 > N = 5) only
+// matter once there is segment data to place: such a client still commits
+// rounds that carry none and restores what other devices committed
+// (restore needs only k).
+TEST_F(ClientTest, InvalidPlacementParamsFailOnlyRoundsWithNewData) {
+  auto fs_w = std::make_shared<MemoryLocalFs>();
+  auto writer = make_client("writer", fs_w);
+  ASSERT_TRUE(fs_w->write("/keep", ByteSpan(text("from writer"))).is_ok());
+  ASSERT_TRUE(fs_w->write("/drop", ByteSpan(text("doomed"))).is_ok());
+  ASSERT_TRUE(writer->sync().is_ok());
+
+  ClientConfig cfg = test_config("invalid");
+  cfg.kr = 6;
+  auto fs = std::make_shared<MemoryLocalFs>();
+  UniDriveClient client(clouds_, fs, cfg);
+  ASSERT_FALSE(client.code_params().validate().is_ok());
+
+  const auto pulled = client.sync();
+  ASSERT_TRUE(pulled.is_ok()) << pulled.status().to_string();
+  EXPECT_EQ(fs->read("/keep").value(), text("from writer"));
+
+  ASSERT_TRUE(fs->remove("/drop").is_ok());
+  const auto deleted = client.sync();
+  ASSERT_TRUE(deleted.is_ok()) << deleted.status().to_string();
+  EXPECT_TRUE(deleted.value().committed);
+
+  ASSERT_TRUE(fs->make_dir("/docs").is_ok());
+  const auto dir_added = client.sync();
+  ASSERT_TRUE(dir_added.is_ok()) << dir_added.status().to_string();
+  EXPECT_TRUE(dir_added.value().committed);
+
+  ASSERT_TRUE(fs->write("/new", ByteSpan(text("fresh bytes"))).is_ok());
+  const auto rejected = client.sync();
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.code(), ErrorCode::kInvalidArgument);
+
+  // The commits that carried no segment data reached the other device.
+  ASSERT_TRUE(writer->sync().is_ok());
+  EXPECT_FALSE(fs_w->read("/drop").is_ok());
+  const std::vector<std::string> dirs = fs_w->list_dirs();
+  EXPECT_NE(std::find(dirs.begin(), dirs.end(), "/docs"), dirs.end());
 }
 
 TEST_F(ClientTest, ConflictResolutionKeepMine) {

@@ -490,13 +490,13 @@ TEST(SharedPoolTest, SecondFolderShortCircuitsEncodeAndUpload) {
   EXPECT_EQ(fs_b2->read("/same-movie").value(), content);
 }
 
-TEST(SharedPoolTest, MonolithicRoundWithOnlyPoolHitsStillCommitsReferences) {
-  // Regression: with the staged pipeline disabled, the monolithic batch
-  // path used to return an empty result when every fed segment was a pool
-  // hit (nothing ever reached the pending upload map). The client then
-  // committed file snapshots referencing segments with no upsert_segment
-  // record — dangling refs whose probe pin was later released unbacked, so
-  // another folder's GC could delete the blocks from under them.
+TEST(SharedPoolTest, RoundWithOnlyPoolHitsStillCommitsReferences) {
+  // A round where every fed segment is a pool hit uploads nothing, yet it
+  // must still emit an upsert_segment record per referenced segment.
+  // Without them the client would commit file snapshots referencing
+  // segments that have no block map — dangling refs whose probe pin is
+  // later released unbacked, so another folder's GC could delete the
+  // blocks from under them.
   auto rig = make_rig(5);
   Rng rng(111);
   const Bytes content = rng.bytes(180000);
@@ -507,14 +507,9 @@ TEST(SharedPoolTest, MonolithicRoundWithOnlyPoolHitsStillCommitsReferences) {
   ASSERT_TRUE(a->sync().is_ok());
   const std::size_t blocks_after_a = rig.data_file_count();
 
-  // Folder B runs the monolithic path and hits the pool on EVERY segment.
+  // Folder B hits the pool on EVERY segment.
   auto fs_b = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg_b = small_config("devB");
-  cfg_b.pipeline.enabled = false;
-  cfg_b.pool = rig.pool;
-  cfg_b.folder_id = "folderB";
-  auto b = std::make_unique<UniDriveClient>(rig.folder_clouds("fb"), fs_b,
-                                            cfg_b);
+  auto b = rig.make_client("folderB", "devB", fs_b, rig.folder_clouds("fb"));
   ASSERT_TRUE(fs_b->write("/same-movie", ByteSpan(content)).is_ok());
   const auto report_b = b->sync();
   ASSERT_TRUE(report_b.is_ok()) << report_b.status().to_string();

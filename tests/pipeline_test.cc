@@ -17,7 +17,6 @@
 #include "cloud/memory_cloud.h"
 #include "common/executor.h"
 #include "common/rng.h"
-#include "core/change_scanner.h"
 #include "core/client.h"
 #include "core/local_fs.h"
 #include "core/upload_pipeline.h"
@@ -174,6 +173,29 @@ TEST(ParallelEncodeTest, MatchesSerialEncodeForEveryShard) {
 
 // --- StreamingUploadDriver --------------------------------------------------
 
+// Test transfer launcher: computes each transfer's outcome with `outcome`
+// on `executor` and completes from there — never on the launching stack,
+// as the AsyncCloud contract requires (cloud/async.h invariant 1).
+sched::AsyncTransferFn complete_on(
+    Executor& executor,
+    std::function<Status(const sched::BlockTask&)> outcome) {
+  return [&executor, outcome = std::move(outcome)](
+             const sched::BlockTask& task, sched::TransferDoneFn done) {
+    executor.submit([outcome, task, done = std::move(done)] {
+      done(outcome(task));
+    });
+    return cloud::AsyncHandle{};
+  };
+}
+
+// One single-segment upload job per name, like the scheduler tests use.
+sched::UploadFileSpec one_file(const std::string& name) {
+  sched::UploadFileSpec f;
+  f.path = "/" + name;
+  f.segments.push_back({name + "_seg", 3000});
+  return f;
+}
+
 TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
   const sched::CodeParams params{4, 3, 2, 3};
   ASSERT_TRUE(params.validate().is_ok());
@@ -183,16 +205,16 @@ TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
 
   std::mutex mu;
   std::map<std::string, std::set<std::uint32_t>> uploaded;
-  const sched::TransferFn transfer = [&](const sched::BlockTask& task) {
-    std::lock_guard<std::mutex> g(mu);
-    uploaded[task.segment_id].insert(task.block_index);
-    return Status::ok();
-  };
-
   std::mutex settled_mu;
   std::set<std::string> settled;
   sched::StreamingUploadDriver driver(
-      params, clouds, sched::DriverConfig{2, 3}, monitor, executor, transfer,
+      params, clouds, sched::DriverConfig{2, 3}, monitor, executor,
+      complete_on(*executor,
+                  [&](const sched::BlockTask& task) {
+                    std::lock_guard<std::mutex> g(mu);
+                    uploaded[task.segment_id].insert(task.block_index);
+                    return Status::ok();
+                  }),
       sched::UploadOptions{}, nullptr, nullptr,
       [&](const std::string& id) {
         std::lock_guard<std::mutex> g(settled_mu);
@@ -233,6 +255,57 @@ TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
   }
 }
 
+TEST(StreamingDriverTest, ToleratesFailuresAndStillCompletes) {
+  const sched::CodeParams params;  // paper defaults: N=5, k=3, Ks=2, Kr=3
+  const std::vector<cloud::CloudId> clouds{0, 1, 2, 3, 4};
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  Rng rng(3);
+  std::mutex rng_mutex;
+  sched::StreamingUploadDriver driver(
+      params, clouds, sched::DriverConfig{}, monitor, executor,
+      complete_on(*executor, [&](const sched::BlockTask&) -> Status {
+        std::lock_guard<std::mutex> g(rng_mutex);
+        if (rng.bernoulli(0.3)) {
+          return make_error(ErrorCode::kUnavailable, "flaky");
+        }
+        return Status::ok();
+      }));
+  for (const char* name : {"a", "b", "c"}) driver.add_file(one_file(name));
+  driver.close();
+  driver.wait();
+
+  // Failed blocks return to the pool and are reassigned: every segment
+  // still reaches availability (>= k distinct blocks placed).
+  for (const char* name : {"a", "b", "c"}) {
+    std::set<std::uint32_t> distinct;
+    for (const auto& b : driver.locations(std::string(name) + "_seg")) {
+      distinct.insert(b.block_index);
+    }
+    EXPECT_GE(distinct.size(), params.k) << name;
+  }
+}
+
+TEST(StreamingDriverTest, RecordsThroughputSamples) {
+  const std::vector<cloud::CloudId> clouds{0, 1, 2, 3, 4};
+  sched::ThroughputMonitor monitor(123.0);
+  auto executor = std::make_shared<Executor>(4);
+  sched::StreamingUploadDriver driver(
+      sched::CodeParams{}, clouds, sched::DriverConfig{}, monitor, executor,
+      complete_on(*executor,
+                  [](const sched::BlockTask&) { return Status::ok(); }));
+  driver.add_file(one_file("a"));
+  driver.close();
+  driver.wait();
+  // In-channel probing: at least one cloud's estimate moved off the
+  // default.
+  bool moved = false;
+  for (const cloud::CloudId c : clouds) {
+    if (monitor.estimate(c, sched::Direction::kUpload) != 123.0) moved = true;
+  }
+  EXPECT_TRUE(moved);
+}
+
 // --- UploadPipeline: cancellation under a hanging cloud ---------------------
 
 // Blocks every injected hang until the test opens the gate.
@@ -253,75 +326,10 @@ struct HangGate {
   }
 };
 
-TEST(UploadPipelineTest, CancelUnderHangingCloudReleasesProducerAndBytes) {
-  const sched::CodeParams params{2, 2, 1, 2};
-  ASSERT_TRUE(params.validate().is_ok());
+// --- UploadPipeline: completion-based transfers -----------------------------
 
-  HangGate gate;
-  cloud::FaultProfile hang_profile;
-  hang_profile.hang_rate = 1.0;
-  hang_profile.hang_seconds = 1.0;
-  std::vector<std::shared_ptr<cloud::FaultyCloud>> faulty;
-  for (int i = 0; i < 2; ++i) {
-    faulty.push_back(std::make_shared<cloud::FaultyCloud>(
-        std::make_shared<cloud::MemoryCloud>(static_cast<cloud::CloudId>(i),
-                                             "c" + std::to_string(i)),
-        hang_profile, /*seed=*/i + 1,
-        [&gate](Duration) { gate.wait(); }));
-  }
-
-  sched::ThroughputMonitor monitor;
-  auto executor = std::make_shared<Executor>(4);
-  PipelineConfig pipeline_config;
-  pipeline_config.encode_queue_capacity = 2;
-  // One 64 KiB segment's footprint (plaintext + 4 shards of 32 KiB) fits;
-  // a second does not, so its producer blocks on the admission gate.
-  pipeline_config.max_inflight_bytes = 200 << 10;
-
-  UploadPipeline pipeline(
-      params, erasure::RsCode(16, params.k), {0, 1}, sched::DriverConfig{2, 3},
-      monitor, executor,
-      [&](cloud::CloudId id) -> cloud::CloudProvider* {
-        return faulty[id].get();
-      },
-      pipeline_config, nullptr, nullptr);
-
-  Rng rng(11);
-  pipeline.feed("hang-seg", rng.bytes(64 << 10));
-
-  // Wait until a transfer is actually stuck inside the injected hang.
-  for (int spin = 0; spin < 5000; ++spin) {
-    if (faulty[0]->hangs() + faulty[1]->hangs() > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(faulty[0]->hangs() + faulty[1]->hangs(), 0u);
-
-  // A second segment cannot be admitted while the first is wedged: its
-  // producer must block, and cancel() must release it.
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    pipeline.feed("blocked-seg", rng.bytes(64 << 10));
-    producer_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(producer_done.load());
-
-  pipeline.cancel();
-  producer.join();  // released without the cloud ever answering
-  EXPECT_TRUE(producer_done.load());
-
-  gate.release();  // let the stuck transfers finish their current request
-  const auto result = pipeline.finish();
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_EQ(result.code(), ErrorCode::kUnavailable);
-  // No queued segment bytes leaked past the drain.
-  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
-}
-
-// --- UploadPipeline: completion-based (async) transfer mode ------------------
-
-// Builds async twins of `providers` over `io` and returns a resolver for
-// the pipeline's FindAsyncCloudFn slot. The twins must outlive the
+// Builds async twins of `providers` over `io`; async_lookup() turns them
+// into the pipeline's FindAsyncCloudFn. The twins must outlive the
 // pipeline, so the caller keeps the returned vector alive.
 cloud::AsyncMultiCloud async_twins(const cloud::MultiCloud& providers,
                                    Executor* io) {
@@ -347,13 +355,10 @@ TEST(UploadPipelineTest, AsyncTransfersRoundTripDirectly) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
 
-  UploadPipeline pipeline(
-      params, erasure::RsCode(16, params.k), {0, 1, 2, 3},
-      sched::DriverConfig{2, 3}, monitor, executor,
-      [&](cloud::CloudId id) -> cloud::CloudProvider* {
-        return clouds[id].get();
-      },
-      PipelineConfig{}, nullptr, nullptr, async_lookup(twins));
+  UploadPipeline pipeline(params, erasure::RsCode(16, params.k),
+                          {0, 1, 2, 3}, sched::DriverConfig{2, 3}, monitor,
+                          executor, async_lookup(twins), PipelineConfig{},
+                          nullptr, nullptr);
 
   Rng rng(21);
   for (int i = 0; i < 6; ++i) {
@@ -374,10 +379,9 @@ TEST(UploadPipelineTest, AsyncTransfersRoundTripDirectly) {
   EXPECT_GT(stored, 0u);
 }
 
-// The async analog of the hang-cancellation test: cancelling mid-flight
-// with completion-based transfers must release the blocked producer and
-// every reserved byte, and finish() must drain without the cloud ever
-// answering promptly.
+// Cancelling mid-flight while a cloud hangs must release the blocked
+// producer and every reserved byte, and finish() must drain without the
+// cloud ever answering promptly.
 TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   const sched::CodeParams params{2, 2, 1, 2};
   ASSERT_TRUE(params.validate().is_ok());
@@ -402,16 +406,15 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   cloud::AsyncMultiCloud twins = async_twins(faulty, executor.get());
   PipelineConfig pipeline_config;
   pipeline_config.encode_queue_capacity = 2;
+  // One 64 KiB segment's footprint (plaintext + 4 shards of 32 KiB) fits;
+  // a second does not, so its producer blocks on the admission gate.
   pipeline_config.max_inflight_bytes = 200 << 10;
 
   {
-    UploadPipeline pipeline(
-        params, erasure::RsCode(16, params.k), {0, 1},
-        sched::DriverConfig{2, 3}, monitor, executor,
-        [&](cloud::CloudId id) -> cloud::CloudProvider* {
-          return faulty[id].get();
-        },
-        pipeline_config, nullptr, nullptr, async_lookup(twins));
+    UploadPipeline pipeline(params, erasure::RsCode(16, params.k), {0, 1},
+                            sched::DriverConfig{2, 3}, monitor, executor,
+                            async_lookup(twins), pipeline_config, nullptr,
+                            nullptr);
 
     Rng rng(12);
     pipeline.feed("hang-seg", rng.bytes(64 << 10));
@@ -469,28 +472,6 @@ TEST(PipelineSyncTest, RoundTripsAcrossDevices) {
   EXPECT_EQ(fs_b->read("/note.txt").value(), text("hello"));
 }
 
-TEST(PipelineSyncTest, MonolithicModeMatchesPipelinedResult) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.enabled = false;  // legacy batch round
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(4);
-  const Bytes data = rng.bytes(300 << 10);
-  ASSERT_TRUE(fs_a->write("/data.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-  EXPECT_GT(report.value().segments_uploaded, 0u);
-
-  // A pipelined reader reconstructs the batch-uploaded data.
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/data.bin").value(), data);
-}
-
 TEST(PipelineSyncTest, InflightBytesStayUnderCapAndDrainToZero) {
   cloud::MultiCloud clouds = make_clouds(4);
   auto fs = std::make_shared<MemoryLocalFs>();
@@ -532,54 +513,8 @@ TEST(PipelineSyncTest, SingleThreadedDegradationStillRoundTrips) {
   EXPECT_EQ(fs_b->read("/one.bin").value(), data);
 }
 
-// The SyncAdapter fallback contract: forcing the blocking one-thread-per-
-// RPC path (async_transfers = false) must leave every roundtrip intact.
-TEST(PipelineSyncTest, BlockingTransferFallbackStillRoundTrips) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.async_transfers = false;
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(7);
-  const Bytes data = rng.bytes(256 << 10);
-  ASSERT_TRUE(fs_a->write("/fallback.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-
-  // An async-mode reader reconstructs what the blocking writer uploaded.
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/fallback.bin").value(), data);
-}
-
-// A dedicated I/O pool (pipeline.io_threads > 0) carves the SyncAdapter
-// leaf RPCs out of the pipeline executor; the roundtrip must be unchanged.
-TEST(PipelineSyncTest, DedicatedIoPoolRoundTrips) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.io_threads = 3;
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(8);
-  const Bytes data = rng.bytes(256 << 10);
-  ASSERT_TRUE(fs_a->write("/dedicated.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/dedicated.bin").value(), data);
-}
-
-// Async transfers are the default: the in-flight RPC gauges must report
-// launches, proving the completion-based path (not the blocking fallback)
-// actually carried the round.
+// The in-flight RPC gauges must report launches during the round and
+// drain to zero by its end.
 TEST(PipelineSyncTest, AsyncModeReportsInflightRpcGauges) {
   cloud::MultiCloud clouds = make_clouds(4);
   auto fs = std::make_shared<MemoryLocalFs>();
@@ -653,33 +588,6 @@ TEST(PipelineSyncTest, DirectoryFailuresSurfaceInReport) {
   EXPECT_FALSE(report.value().materialize.is_ok());
   // Files still materialized despite the directory failure.
   EXPECT_EQ(fs_b->read("/readme").value(), text("root file"));
-}
-
-// --- scan sink --------------------------------------------------------------
-
-TEST(ScanSinkTest, SinkReceivesExactlyTheNewSegments) {
-  MemoryLocalFs fs;
-  Rng rng(9);
-  const Bytes content = rng.bytes(150 << 10);
-  ASSERT_TRUE(fs.write("/f.bin", ByteSpan(content)).is_ok());
-  metadata::SyncFolderImage image;
-  const chunker::SegmenterParams params{64 << 10};
-
-  const ScanResult batch = scan_local_changes(fs, image, params, "dev");
-
-  std::map<std::string, Bytes> sunk;
-  const ScanResult streamed = scan_local_changes(
-      fs, image, params, "dev", nullptr,
-      [&](const std::string& id, Bytes bytes) {
-        sunk.emplace(id, std::move(bytes));
-      });
-  // With a sink, segments stream out instead of accumulating in the result.
-  EXPECT_TRUE(streamed.new_segments.empty());
-  ASSERT_EQ(sunk.size(), batch.new_segments.size());
-  for (const auto& [id, bytes] : batch.new_segments) {
-    ASSERT_EQ(sunk.count(id), 1u);
-    EXPECT_EQ(sunk[id], bytes);
-  }
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // the verified k-subset search, the incremental StreamingDownloadDriver,
 // LocalFs::FileWriter semantics, and the end-to-end DownloadPipeline —
 // bounded-memory admission under slow clouds, cancellation under injected
-// hangs, corrupt-shard search convergence with out-of-order arrivals, and
-// the monolithic (pipeline-disabled) fallback.
+// hangs, and corrupt-shard search convergence with out-of-order arrivals.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,10 +119,35 @@ metadata::FileSnapshot publish_file(const std::string& path,
   return snap;
 }
 
-// find_cloud over an explicit provider table (wrapped or raw).
-FindCloudFn table_lookup(const std::vector<cloud::CloudProvider*>& table) {
-  return [&table](cloud::CloudId id) -> cloud::CloudProvider* {
-    return table[id];
+// Builds async twins of `providers` over `io`; the caller keeps the
+// returned vector alive for the pipeline's lifetime.
+cloud::AsyncMultiCloud async_twins(const cloud::MultiCloud& providers,
+                                   Executor* io) {
+  cloud::AsyncContext ctx;
+  ctx.io = io;
+  cloud::AsyncMultiCloud twins;
+  for (const auto& p : providers) twins.push_back(cloud::to_async(p, ctx));
+  return twins;
+}
+
+FindAsyncCloudFn async_lookup(const cloud::AsyncMultiCloud& twins) {
+  return [&twins](cloud::CloudId id) -> cloud::AsyncCloud* {
+    return twins[id].get();
+  };
+}
+
+// Test transfer launcher: computes each fetch's outcome with `outcome` on
+// `executor` and completes from there — never on the launching stack, as
+// the AsyncCloud contract requires (cloud/async.h invariant 1).
+sched::AsyncTransferFn complete_on(
+    Executor& executor,
+    std::function<Status(const sched::BlockTask&)> outcome) {
+  return [&executor, outcome = std::move(outcome)](
+             const sched::BlockTask& task, sched::TransferDoneFn done) {
+    executor.submit([outcome, task, done = std::move(done)] {
+      done(outcome(task));
+    });
+    return cloud::AsyncHandle{};
   };
 }
 
@@ -228,17 +252,17 @@ TEST(StreamingDownloadDriverTest, IncrementalFeedSettlesEverySegment) {
 
   std::mutex mu;
   std::map<std::string, std::set<std::uint32_t>> fetched;
-  const sched::TransferFn transfer = [&](const sched::BlockTask& task) {
-    std::lock_guard<std::mutex> g(mu);
-    fetched[task.segment_id].insert(task.block_index);
-    return Status::ok();
-  };
-
   std::mutex settled_mu;
   std::map<std::string, bool> settled;
   sched::StreamingDownloadDriver driver(
       /*k=*/2, {0, 1, 2}, sched::DriverConfig{2, 3}, monitor, executor,
-      transfer, nullptr, nullptr, [&](const std::string& id, bool ok) {
+      complete_on(*executor,
+                  [&](const sched::BlockTask& task) {
+                    std::lock_guard<std::mutex> g(mu);
+                    fetched[task.segment_id].insert(task.block_index);
+                    return Status::ok();
+                  }),
+      nullptr, nullptr, [&](const std::string& id, bool ok) {
         std::lock_guard<std::mutex> g(settled_mu);
         settled[id] = ok;
       });
@@ -277,17 +301,17 @@ TEST(StreamingDownloadDriverTest, CancelFailsPendingSegmentsWithoutDeadlock) {
   std::condition_variable gate_cv;
   bool gate_open = false;
   std::atomic<int> entered{0};
-  const sched::TransferFn transfer = [&](const sched::BlockTask&) {
-    entered.fetch_add(1);
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-    return Status::ok();
-  };
-
   std::mutex settled_mu;
   std::map<std::string, bool> settled;
   sched::StreamingDownloadDriver driver(
-      /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor, transfer,
+      /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+      complete_on(*executor,
+                  [&](const sched::BlockTask&) {
+                    entered.fetch_add(1);
+                    std::unique_lock<std::mutex> lock(gate_mu);
+                    gate_cv.wait(lock, [&] { return gate_open; });
+                    return Status::ok();
+                  }),
       nullptr, nullptr, [&](const std::string& id, bool ok) {
         std::lock_guard<std::mutex> g(settled_mu);
         settled[id] = ok;
@@ -416,14 +440,13 @@ TEST(RestorePipelineTest, RestoresMultiFileBatchBitExact) {
   const auto snap_empty =
       publish_file("/empty", empty, theta, code, 5, clouds, image);
 
-  std::vector<cloud::CloudProvider*> table;
-  for (const auto& c : clouds) table.push_back(c.get());
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   auto obs = std::make_shared<obs::Observability>();
   MemoryLocalFs fs;
   DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table),
+                            monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, obs);
   pipeline.add_file(snap_big, image);
   pipeline.add_file(snap_dup, image);
@@ -458,15 +481,14 @@ TEST(RestorePipelineTest, InflightBytesStayUnderCapUnderSlowClouds) {
 
   // Every download takes a few milliseconds, so the producer runs far
   // ahead of the fetch stage and leans on the admission gate.
-  std::vector<std::unique_ptr<SlowCloud>> slow;
-  std::vector<cloud::CloudProvider*> table;
+  cloud::MultiCloud slow;
   for (const auto& c : clouds) {
-    slow.push_back(std::make_unique<SlowCloud>(c, milliseconds(3)));
-    table.push_back(slow.back().get());
+    slow.push_back(std::make_shared<SlowCloud>(c, milliseconds(3)));
   }
 
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(slow, executor.get());
   auto obs = std::make_shared<obs::Observability>();
   MemoryLocalFs fs;
   PipelineConfig config;
@@ -474,7 +496,7 @@ TEST(RestorePipelineTest, InflightBytesStayUnderCapUnderSlowClouds) {
   // plus the plaintext): at most four segments fit in flight at once.
   config.max_inflight_bytes = 512 << 10;
   DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table), config,
+                            monitor, executor, async_lookup(twins), config,
                             fs, nullptr, obs);
   pipeline.add_file(snap, image);
   const auto results = pipeline.finish();
@@ -509,90 +531,6 @@ struct HangGate {
   }
 };
 
-TEST(RestorePipelineTest, CancelUnderHangingCloudReleasesProducerAndBytes) {
-  const std::size_t k = 2;
-  const std::size_t theta = 64 << 10;
-  const erasure::RsCode code(16, k);
-  cloud::MultiCloud clouds = make_clouds(2);
-  metadata::SyncFolderImage image;
-  Rng rng(43);
-
-  const Bytes content = rng.bytes(128 << 10);  // two 64 KiB segments
-  const auto snap =
-      publish_file("/hang.bin", content, theta, code, 2, clouds, image);
-
-  HangGate gate;
-  cloud::FaultProfile hang_profile;
-  hang_profile.hang_rate = 1.0;
-  hang_profile.hang_seconds = 1.0;
-  std::vector<std::shared_ptr<cloud::FaultyCloud>> faulty;
-  std::vector<cloud::CloudProvider*> table;
-  for (std::size_t i = 0; i < clouds.size(); ++i) {
-    faulty.push_back(std::make_shared<cloud::FaultyCloud>(
-        clouds[i], hang_profile, /*seed=*/i + 1,
-        [&gate](Duration) { gate.wait(); }));
-    table.push_back(faulty.back().get());
-  }
-
-  sched::ThroughputMonitor monitor;
-  auto executor = std::make_shared<Executor>(4);
-  MemoryLocalFs fs;
-  PipelineConfig config;
-  // One segment's footprint (128 KiB) fits, a second does not: the
-  // producer must block on the admission gate while the first is wedged.
-  config.max_inflight_bytes = 200 << 10;
-  DownloadPipeline pipeline(k, code, {0, 1}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table), config,
-                            fs, nullptr, nullptr);
-
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    pipeline.add_file(snap, image);
-    producer_done.store(true);
-  });
-
-  // Wait until a fetch is actually stuck inside the injected hang.
-  for (int spin = 0; spin < 5000; ++spin) {
-    if (faulty[0]->hangs() + faulty[1]->hangs() > 0) break;
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  ASSERT_GT(faulty[0]->hangs() + faulty[1]->hangs(), 0u);
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(producer_done.load());
-
-  pipeline.cancel();
-  producer.join();  // released without the cloud ever answering
-  EXPECT_TRUE(producer_done.load());
-
-  gate.release();  // let the stuck transfers finish their current request
-  const auto results = pipeline.finish();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].status.is_ok());
-  // No reserved bytes leaked and no partial file survived the abort.
-  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
-  EXPECT_FALSE(fs.read("/hang.bin").is_ok());
-  EXPECT_TRUE(fs.list_files().empty());
-}
-
-// --- completion-based (async) transfer mode ----------------------------------
-
-// Builds async twins of `providers` over `io`; the caller keeps the
-// returned vector alive for the pipeline's lifetime.
-cloud::AsyncMultiCloud async_twins(const cloud::MultiCloud& providers,
-                                   Executor* io) {
-  cloud::AsyncContext ctx;
-  ctx.io = io;
-  cloud::AsyncMultiCloud twins;
-  for (const auto& p : providers) twins.push_back(cloud::to_async(p, ctx));
-  return twins;
-}
-
-FindAsyncCloudFn async_lookup(const cloud::AsyncMultiCloud& twins) {
-  return [&twins](cloud::CloudId id) -> cloud::AsyncCloud* {
-    return twins[id].get();
-  };
-}
-
 TEST(RestorePipelineTest, AsyncTransfersRestoreBitExact) {
   const std::size_t k = 3;
   const std::size_t theta = 64 << 10;
@@ -605,16 +543,13 @@ TEST(RestorePipelineTest, AsyncTransfersRestoreBitExact) {
   const auto snap =
       publish_file("/async.bin", big, theta, code, 5, clouds, image);
 
-  std::vector<cloud::CloudProvider*> table;
-  for (const auto& c : clouds) table.push_back(c.get());
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
   DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table),
-                            PipelineConfig{}, fs, nullptr, nullptr,
-                            async_lookup(twins));
+                            monitor, executor, async_lookup(twins),
+                            PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
   const auto results = pipeline.finish();
 
@@ -645,14 +580,12 @@ TEST(RestorePipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   hang_profile.hang_seconds = 1.0;
   cloud::MultiCloud faulty;
   std::vector<std::shared_ptr<cloud::FaultyCloud>> handles;
-  std::vector<cloud::CloudProvider*> table;
   for (std::size_t i = 0; i < clouds.size(); ++i) {
     auto f = std::make_shared<cloud::FaultyCloud>(
         clouds[i], hang_profile, /*seed=*/i + 1,
         [&gate](Duration) { gate.wait(); });
     handles.push_back(f);
     faulty.push_back(f);
-    table.push_back(f.get());
   }
 
   sched::ThroughputMonitor monitor;
@@ -663,8 +596,8 @@ TEST(RestorePipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   config.max_inflight_bytes = 200 << 10;
   {
     DownloadPipeline pipeline(k, code, {0, 1}, sched::DriverConfig{2, 3},
-                              monitor, executor, table_lookup(table), config,
-                              fs, nullptr, nullptr, async_lookup(twins));
+                              monitor, executor, async_lookup(twins), config,
+                              fs, nullptr, nullptr);
 
     std::atomic<bool> producer_done{false};
     std::thread producer([&] {
@@ -720,18 +653,17 @@ TEST(RestorePipelineTest, CorruptShardSearchConvergesWithOutOfOrderBlocks) {
   // still assemble in order.
   const milliseconds delays[] = {milliseconds(12), milliseconds(1),
                                  milliseconds(2), milliseconds(3)};
-  std::vector<std::unique_ptr<SlowCloud>> slow;
-  std::vector<cloud::CloudProvider*> table;
+  cloud::MultiCloud slow;
   for (std::size_t i = 0; i < clouds.size(); ++i) {
-    slow.push_back(std::make_unique<SlowCloud>(clouds[i], delays[i]));
-    table.push_back(slow.back().get());
+    slow.push_back(std::make_shared<SlowCloud>(clouds[i], delays[i]));
   }
 
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(slow, executor.get());
   MemoryLocalFs fs;
   DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table),
+                            monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
   const auto results = pipeline.finish();
@@ -761,13 +693,12 @@ TEST(RestorePipelineTest, UnrecoverableCorruptionFailsWithoutPartialWrite) {
                   ->upload(metadata::block_path(first_seg, 2), ByteSpan(junk))
                   .is_ok());
 
-  std::vector<cloud::CloudProvider*> table;
-  for (const auto& c : clouds) table.push_back(c.get());
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
   DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table),
+                            monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
   const auto results = pipeline.finish();
@@ -798,13 +729,12 @@ TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
   snap_bad.content_hash = "0000000000000000000000000000000000000000";
   snap_bad.segment_ids = {"not-a-segment"};
 
-  std::vector<cloud::CloudProvider*> table;
-  for (const auto& c : clouds) table.push_back(c.get());
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
   DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
-                            monitor, executor, table_lookup(table),
+                            monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap_good, image);
   pipeline.add_file(snap_bad, image);
@@ -815,41 +745,6 @@ TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
   EXPECT_FALSE(results[1].status.is_ok());
   EXPECT_EQ(fs.read("/good.bin").value(), good);
   EXPECT_FALSE(fs.read("/bad.bin").is_ok());
-}
-
-// --- fallback: pipeline-disabled restores still stream ----------------------
-
-TEST(RestoreFallbackTest, MonolithicReaderMatchesPipelinedWriter) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg_a;
-  cfg_a.device = "a";
-  cfg_a.theta = 64 << 10;
-  cfg_a.lock.retry.backoff_base = 0.001;
-  cfg_a.lock.retry.backoff_cap = 0.01;
-  UniDriveClient a(clouds, fs_a, cfg_a);
-
-  Rng rng(47);
-  const Bytes data = rng.bytes(300 << 10);
-  ASSERT_TRUE(fs_a->write("/data.bin", ByteSpan(data)).is_ok());
-  ASSERT_TRUE(fs_a->write("/tiny", ByteSpan(bytes_from_string("t"))).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  ASSERT_TRUE(report.value().committed);
-
-  // The reader takes the segment-by-segment FileWriter path, which must
-  // produce byte-identical results to the streaming pipeline.
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg_b = cfg_a;
-  cfg_b.device = "b";
-  cfg_b.pipeline.enabled = false;
-  UniDriveClient b(clouds, fs_b, cfg_b);
-  const auto applied = b.sync();
-  ASSERT_TRUE(applied.is_ok());
-  EXPECT_TRUE(applied.value().applied_cloud);
-  EXPECT_TRUE(applied.value().materialize.is_ok());
-  EXPECT_EQ(fs_b->read("/data.bin").value(), data);
-  EXPECT_EQ(fs_b->read("/tiny").value(), bytes_from_string("t"));
 }
 
 }  // namespace

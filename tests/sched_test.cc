@@ -9,7 +9,6 @@
 #include "sched/monitor.h"
 #include "sched/plan.h"
 #include "sched/rebalance.h"
-#include "sched/threaded_driver.h"
 #include "sched/upload_scheduler.h"
 
 namespace unidrive::sched {
@@ -446,68 +445,6 @@ TEST(DownloadSchedulerTest, FetchedBlocksReported) {
   const auto blocks = s.fetched_blocks("a_seg");
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0], t->block_index);
-}
-
-// --- ThreadedTransferDriver ---------------------------------------------------------
-
-TEST(ThreadedDriverTest, CompletesUploadJob) {
-  ThroughputMonitor monitor;
-  DriverConfig cfg;
-  cfg.connections_per_cloud = 2;
-  ThreadedTransferDriver driver(five_clouds(), cfg, monitor);
-
-  UploadScheduler scheduler(paper_params(), five_clouds(),
-                            {one_file("a"), one_file("b"), one_file("c")});
-  std::atomic<int> transfers{0};
-  driver.run_upload(scheduler, [&](const BlockTask&) {
-    ++transfers;
-    return Status::ok();
-  });
-  EXPECT_TRUE(scheduler.finished());
-  EXPECT_TRUE(scheduler.all_reliable());
-  EXPECT_GE(transfers.load(), 15);  // 3 files x 5 normal blocks
-}
-
-TEST(ThreadedDriverTest, ToleratesFailuresAndStillCompletes) {
-  ThroughputMonitor monitor;
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  UploadScheduler scheduler(paper_params(), five_clouds(), {one_file("a")});
-  std::atomic<int> attempt{0};
-  Rng rng(3);
-  std::mutex rng_mutex;
-  driver.run_upload(scheduler, [&](const BlockTask&) -> Status {
-    ++attempt;
-    std::lock_guard<std::mutex> g(rng_mutex);
-    if (rng.bernoulli(0.3)) {
-      return make_error(ErrorCode::kUnavailable, "flaky");
-    }
-    return Status::ok();
-  });
-  EXPECT_TRUE(scheduler.finished());
-  EXPECT_TRUE(scheduler.all_available());
-}
-
-TEST(ThreadedDriverTest, RecordsThroughputSamples) {
-  ThroughputMonitor monitor(123.0);
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  UploadScheduler scheduler(paper_params(), five_clouds(), {one_file("a")});
-  driver.run_upload(scheduler, [](const BlockTask&) { return Status::ok(); });
-  // At least one cloud's estimate moved off the default.
-  bool moved = false;
-  for (const cloud::CloudId c : five_clouds()) {
-    if (monitor.estimate(c, Direction::kUpload) != 123.0) moved = true;
-  }
-  EXPECT_TRUE(moved);
-}
-
-TEST(ThreadedDriverTest, DownloadJobCompletes) {
-  ThroughputMonitor monitor;
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  DownloadScheduler scheduler(3, {downloadable_file("a"),
-                                  downloadable_file("b")});
-  driver.run_download(scheduler,
-                      [](const BlockTask&) { return Status::ok(); });
-  EXPECT_TRUE(scheduler.all_complete());
 }
 
 // --- Rebalancer -------------------------------------------------------------------
