@@ -1,18 +1,15 @@
-// bench_meta_scale — commit/catch-up cost of the metadata plane as the
-// folder grows: monolithic MetaStore (one image, O(folder) folds) vs the
-// sharded ShardedMetaStore (per-shard bases + delta logs, O(changed
-// subtree) commits), plus a concurrent-writer ladder over the sharded
-// store with per-shard locks.
+// bench_meta_scale — commit/catch-up cost of the sharded metadata plane
+// (ShardedMetaStore: per-shard bases + delta logs, O(changed subtree)
+// commits) as the folder grows, plus a concurrent-writer ladder with
+// per-shard locks.
 //
 // Ladder: 10k -> 100k -> 1M files (UNIDRIVE_META_SCALE_FILES appends an
 // extra point, e.g. 10000000). At each point we measure a ONE-FILE commit
 // at its amortized-worst moment — the fold the delta policy forces once
-// the log outgrows λ. Monolithic, that fold re-serializes, re-encrypts and
-// re-replicates the entire image; sharded, it folds one shard (shard count
-// scales with the folder, so the shard stays O(changed subtree)). Reader
-// catch-up after that commit is measured the same way: the monolithic
-// reader replays the full image, the sharded reader re-fetches exactly the
-// one advanced shard (version short-circuit serves the rest from cache).
+// the log outgrows λ. The fold touches one shard (shard count scales with
+// the folder, so the shard stays O(changed subtree)). Reader catch-up
+// after that commit re-fetches exactly the one advanced shard (version
+// short-circuit serves the rest from cache).
 //
 // Writer ladder: 1 -> 1000 writers, each committing one token file to its
 // own subtree through its own ShardedMetaStore + LockManager over shared
@@ -20,8 +17,6 @@
 // serializes.
 //
 // Emits BENCH_meta.json (CI artifact). Hard gates (exit 1):
-//   * sharded one-file fold commit at the 1M point is >= 10x faster than
-//     the monolithic equivalent;
 //   * sharded commit latency grows sublinearly across the ladder
 //     (O(changed subtree), not O(folder)): the 100x file-count span may
 //     cost at most 10x in commit latency;
@@ -41,7 +36,6 @@
 #include "metadata/changelist.h"
 #include "metadata/shard.h"
 #include "metadata/sharded_store.h"
-#include "metadata/store.h"
 
 namespace unidrive::bench {
 namespace {
@@ -49,7 +43,6 @@ namespace {
 using metadata::Change;
 using metadata::DeltaPolicy;
 using metadata::FileSnapshot;
-using metadata::MetaStore;
 using metadata::ShardConfig;
 using metadata::ShardedMetaStore;
 using metadata::ShardEntry;
@@ -119,8 +112,6 @@ std::uint32_t shards_for(std::size_t files) {
 
 struct PointResult {
   std::size_t files = 0;
-  double mono_commit_s = -1;    // 1-file commit, fold due (O(folder))
-  double mono_catchup_s = -1;   // reader replay after that commit
   double shard_commit_s = -1;   // 1-file commit, shard fold forced
   double shard_catchup_s = -1;  // warm reader: one shard re-fetched
   std::uint32_t num_shards = 0;
@@ -133,99 +124,71 @@ PointResult run_point(const SyncFolderImage& image, std::size_t files) {
   r.num_shards = shards_for(files);
 
   const std::string touched = file_path(files / 2);
-  // Fold ALWAYS due: this is the amortized-worst commit both designs pay
-  // once the delta log outgrows λ — the O(folder)-vs-O(subtree) moment.
+  // Fold ALWAYS due: the amortized-worst commit, paid once the delta log
+  // outgrows λ.
   const DeltaPolicy fold_now{.merge_ratio = 0.0, .merge_floor = 0};
 
-  // --- monolithic -----------------------------------------------------------
-  {
-    MetaStore store(make_clouds(), "bench-pass");
-    metadata::DeltaLog empty;
-    if (!store.publish(image, empty, /*upload_base=*/true).is_ok()) return r;
+  auto clouds = make_clouds();
+  ShardConfig cfg;
+  cfg.num_shards = r.num_shards;
+  ShardedMetaStore store(clouds, "bench-pass", cfg);
 
-    SyncFolderImage next = image;
-    FileSnapshot s = snapshot_of(touched);
-    s.content_hash = "sha-v2";
-    const double t0 = now_sec();
-    next.upsert_file(s);
-    next.set_version({"bench", 2, 0.0});
-    // The fold: the whole image re-serialized, re-encrypted, re-replicated.
-    if (!store.publish(next, empty, /*upload_base=*/true).is_ok()) return r;
-    r.mono_commit_s = now_sec() - t0;
-
-    // Reader that fetched v1 catches up to v2: full O(folder) replay (the
-    // version short-circuit only helps when NOTHING changed).
-    MetaStore reader(store.clouds(), "bench-pass");
-    const double t1 = now_sec();
-    auto fetched = reader.fetch_latest();
-    if (!fetched.is_ok()) return r;
-    r.mono_catchup_s = now_sec() - t1;
+  // Seed: one bulk commit of every file (O(folder), paid once at setup).
+  std::vector<Change> seed;
+  seed.reserve(files);
+  for (const auto& [path, snap] : image.files()) {
+    seed.push_back(Change::upsert_file(snap));
+  }
+  ShardManifest fenced;
+  fenced.num_shards = cfg.num_shards;
+  std::vector<ShardEntry> dirty;
+  for (const auto& slice :
+       split_changes_by_shard(seed, cfg.num_shards)) {
+    auto e = store.publish_shard(slice.shard, nullptr, slice.changes,
+                                 image, {"bench", 1, 0.0}, fold_now);
+    if (!e.is_ok()) return r;
+    dirty.push_back(std::move(e).take());
+  }
+  if (!store.commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
+    return r;
   }
 
-  // --- sharded --------------------------------------------------------------
-  {
-    auto clouds = make_clouds();
-    ShardConfig cfg;
-    cfg.num_shards = r.num_shards;
-    ShardedMetaStore store(clouds, "bench-pass", cfg);
+  // A warm reader holding v1 (cache primed).
+  ShardedMetaStore reader(clouds, "bench-pass", cfg);
+  if (!reader.fetch_latest().is_ok()) return r;
 
-    // Seed: one bulk commit of every file (O(folder), paid once at setup).
-    std::vector<Change> seed;
-    seed.reserve(files);
-    for (const auto& [path, snap] : image.files()) {
-      seed.push_back(Change::upsert_file(snap));
-    }
-    ShardManifest fenced;
-    fenced.num_shards = cfg.num_shards;
-    std::vector<ShardEntry> dirty;
-    for (const auto& slice :
-         split_changes_by_shard(seed, cfg.num_shards)) {
-      auto e = store.publish_shard(slice.shard, nullptr, slice.changes,
-                                   image, {"bench", 1, 0.0}, fold_now);
-      if (!e.is_ok()) return r;
-      dirty.push_back(std::move(e).take());
-    }
-    if (!store.commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
-      return r;
-    }
-
-    // A warm reader holding v1 (cache primed).
-    ShardedMetaStore reader(clouds, "bench-pass", cfg);
-    if (!reader.fetch_latest().is_ok()) return r;
-
-    // The measured 1-file commit, fold forced — but the fold touches ONE
-    // shard, whose size is bounded by the routing, not by the folder.
-    SyncFolderImage next = image;
-    FileSnapshot s = snapshot_of(touched);
-    s.content_hash = "sha-v2";
-    const double t0 = now_sec();
-    next.upsert_file(s);
-    next.set_version({"bench", 2, 0.0});
-    std::vector<Change> one{Change::upsert_file(s)};
-    auto fence = store.fetch_manifest();
-    if (!fence.is_ok()) return r;
-    const metadata::ShardId shard =
-        metadata::shard_of_path(touched, cfg.num_shards);
-    auto entry = store.publish_shard(shard, fence.value().find(shard), one,
-                                     next, {"bench", 2, 0.0}, fold_now);
-    if (!entry.is_ok()) return r;
-    if (!store.commit_manifest({entry.value()}, fence.value(),
-                               {"bench", 2, 0.0})
-             .is_ok()) {
-      return r;
-    }
-    r.shard_commit_s = now_sec() - t0;
-
-    // Warm reader catch-up: every clean shard short-circuits from cache,
-    // only the advanced shard is re-fetched and replayed.
-    const double t1 = now_sec();
-    auto caught = reader.fetch_latest();
-    if (!caught.is_ok() ||
-        caught.value().image.files().size() != files) {
-      return r;
-    }
-    r.shard_catchup_s = now_sec() - t1;
+  // The measured 1-file commit, fold forced — but the fold touches ONE
+  // shard, whose size is bounded by the routing, not by the folder.
+  SyncFolderImage next = image;
+  FileSnapshot s = snapshot_of(touched);
+  s.content_hash = "sha-v2";
+  const double t0 = now_sec();
+  next.upsert_file(s);
+  next.set_version({"bench", 2, 0.0});
+  std::vector<Change> one{Change::upsert_file(s)};
+  auto fence = store.fetch_manifest();
+  if (!fence.is_ok()) return r;
+  const metadata::ShardId shard =
+      metadata::shard_of_path(touched, cfg.num_shards);
+  auto entry = store.publish_shard(shard, fence.value().find(shard), one,
+                                   next, {"bench", 2, 0.0}, fold_now);
+  if (!entry.is_ok()) return r;
+  if (!store.commit_manifest({entry.value()}, fence.value(),
+                             {"bench", 2, 0.0})
+           .is_ok()) {
+    return r;
   }
+  r.shard_commit_s = now_sec() - t0;
+
+  // Warm reader catch-up: every clean shard short-circuits from cache,
+  // only the advanced shard is re-fetched and replayed.
+  const double t1 = now_sec();
+  auto caught = reader.fetch_latest();
+  if (!caught.is_ok() ||
+      caught.value().image.files().size() != files) {
+    return r;
+  }
+  r.shard_catchup_s = now_sec() - t1;
 
   r.ok = true;
   return r;
@@ -324,24 +287,18 @@ int run() {
     if (v > ladder.back()) ladder.push_back(v);
   }
 
-  std::printf("bench_meta_scale: monolithic vs sharded metadata plane, "
-              "%d clouds, %zu files/dir\n\n",
+  std::printf("bench_meta_scale: sharded metadata plane, %d clouds, "
+              "%zu files/dir\n\n",
               kClouds, kFilesPerDir);
-  std::printf("%10s %7s | %12s %12s | %12s %12s | %8s\n", "files", "shards",
-              "mono commit", "mono catchup", "shard commit", "shard catchup",
-              "speedup");
+  std::printf("%10s %7s | %12s %12s\n", "files", "shards", "commit",
+              "catchup");
 
   std::vector<PointResult> points;
   for (const std::size_t files : ladder) {
     const SyncFolderImage image = build_image(files);
     PointResult p = run_point(image, files);
-    const double speedup =
-        p.shard_commit_s > 0 ? p.mono_commit_s / p.shard_commit_s : -1;
-    std::printf("%10zu %7u | %10.1f ms %10.1f ms | %10.1f ms %10.1f ms | "
-                "%7.1fx\n",
-                p.files, p.num_shards, p.mono_commit_s * 1e3,
-                p.mono_catchup_s * 1e3, p.shard_commit_s * 1e3,
-                p.shard_catchup_s * 1e3, speedup);
+    std::printf("%10zu %7u | %10.1f ms %10.1f ms\n", p.files, p.num_shards,
+                p.shard_commit_s * 1e3, p.shard_catchup_s * 1e3);
     points.push_back(p);
   }
 
@@ -368,18 +325,7 @@ int run() {
       ++failures;
     }
   }
-  const PointResult& top = points.back().files >= 1'000'000
-                               ? points.back()
-                               : points[points.size() - 1];
-  const double top_speedup =
-      top.shard_commit_s > 0 ? top.mono_commit_s / top.shard_commit_s : 0;
-  if (top.ok && top_speedup < 10.0) {
-    std::fprintf(stderr,
-                 "GATE: sharded 1-file commit at %zu files must be >= 10x "
-                 "faster than monolithic, got %.1fx\n",
-                 top.files, top_speedup);
-    ++failures;
-  }
+  const PointResult& top = points.back();
   // O(changed subtree): 100x more files may cost at most 10x commit latency
   // (it should be near-flat; the bound only absorbs timer noise on tiny
   // absolute numbers).
@@ -412,12 +358,8 @@ int run() {
       std::fprintf(
           json,
           "    {\"files\": %zu, \"num_shards\": %u, "
-          "\"mono_commit_s\": %.6f, \"mono_catchup_s\": %.6f, "
-          "\"shard_commit_s\": %.6f, \"shard_catchup_s\": %.6f, "
-          "\"speedup\": %.2f}%s\n",
-          p.files, p.num_shards, p.mono_commit_s, p.mono_catchup_s,
-          p.shard_commit_s, p.shard_catchup_s,
-          p.shard_commit_s > 0 ? p.mono_commit_s / p.shard_commit_s : -1.0,
+          "\"shard_commit_s\": %.6f, \"shard_catchup_s\": %.6f}%s\n",
+          p.files, p.num_shards, p.shard_commit_s, p.shard_catchup_s,
           i + 1 < points.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"writer_ladder\": [\n");
@@ -431,9 +373,9 @@ int run() {
                    i + 1 < writer_results.size() ? "," : "");
     }
     std::fprintf(json,
-                 "  ],\n  \"top_speedup\": %.2f,\n"
-                 "  \"peak_rss_mib\": %.1f,\n  \"gate_failures\": %d\n}\n",
-                 top_speedup, rss, failures);
+                 "  ],\n  \"peak_rss_mib\": %.1f,\n"
+                 "  \"gate_failures\": %d\n}\n",
+                 rss, failures);
     std::fclose(json);
   }
 
@@ -441,7 +383,7 @@ int run() {
     std::fprintf(stderr, "bench_meta_scale: %d gate failure(s)\n", failures);
     return 1;
   }
-  std::printf("\nall gates passed (top speedup %.1fx)\n", top_speedup);
+  std::printf("\nall gates passed\n");
   return 0;
 }
 

@@ -1,7 +1,6 @@
 #include "cloud/async.h"
 
 #include <atomic>
-#include <type_traits>
 #include <utility>
 
 #include "cloud/faulty_cloud.h"
@@ -162,21 +161,6 @@ bool chain_delay(const ChainPtr& chain, TimerWheel* wheel, Duration delay,
   return true;
 }
 
-const Status& status_of(const Status& s) { return s; }
-template <typename T>
-Status status_of(const Result<T>& r) {
-  return r.status();
-}
-
-template <typename R>
-R error_result(Status s) {
-  if constexpr (std::is_same_v<R, Status>) {
-    return s;
-  } else {
-    return R(std::move(s));
-  }
-}
-
 }  // namespace
 
 // --- SyncAdapter ------------------------------------------------------------
@@ -242,93 +226,73 @@ AsyncHandle SyncAdapter::remove_async(const std::string& path, StatusCb done) {
 
 namespace {
 
-// Same counters/histograms as MeteredCloud, recorded from the completion.
-// The closures are self-contained (no back-pointer to the decorator), so
-// in-flight ops never dangle even if the decorator is destroyed first.
+// Records into its MeteredCloud's registry through the same record_request,
+// from the completion. The closures are self-contained (no back-pointer to
+// the decorator), so in-flight ops never dangle even if the decorator is
+// destroyed first.
 class AsyncMeteredCloud final : public AsyncCloud {
  public:
-  AsyncMeteredCloud(AsyncCloudPtr inner, obs::ObsPtr obs)
+  AsyncMeteredCloud(const MeteredCloud& metered, AsyncCloudPtr inner)
       : inner_(std::move(inner)),
-        obs_(std::move(obs)),
-        prefix_("cloud." + inner_->name() + ".") {}
+        obs_(metered.obs()),
+        prefix_(metered.prefix()) {}
 
   [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
   AsyncHandle upload_async(const std::string& path, ByteSpan data,
                            StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->upload_async(
         path, data,
-        [obs = obs_, prefix = prefix_, path, t0, size = data.size(),
-         done = std::move(done)](Status s) {
-          account(obs, prefix, "upload", path, s, obs->clock().now() - t0);
-          if (s.is_ok()) {
-            obs->metrics.counter(prefix + "bytes_up").add(size);
-          }
+        [obs = obs_, prefix = prefix_, path, t0 = obs_->clock().now(),
+         size = data.size(), done = std::move(done)](Status s) {
+          record_request(*obs, prefix, "upload", path, s, t0, "bytes_up",
+                         size);
           done(std::move(s));
         });
   }
 
   AsyncHandle download_async(const std::string& path, BytesCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->download_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
+        path, [obs = obs_, prefix = prefix_, path, t0 = obs_->clock().now(),
                done = std::move(done)](Result<Bytes> r) {
-          account(obs, prefix, "download", path, r.status(),
-                  obs->clock().now() - t0);
-          if (r.is_ok()) {
-            obs->metrics.counter(prefix + "bytes_down").add(r.value().size());
-          }
+          record_request(*obs, prefix, "download", path, r.status(), t0,
+                         "bytes_down", r.is_ok() ? r.value().size() : 0);
           done(std::move(r));
         });
   }
 
   AsyncHandle create_dir_async(const std::string& path,
                                StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->create_dir_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
+        path, [obs = obs_, prefix = prefix_, path, t0 = obs_->clock().now(),
                done = std::move(done)](Status s) {
-          account(obs, prefix, "create_dir", path, s, obs->clock().now() - t0);
+          record_request(*obs, prefix, "create_dir", path, s, t0);
           done(std::move(s));
         });
   }
 
   AsyncHandle list_async(const std::string& dir, ListCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->list_async(
-        dir, [obs = obs_, prefix = prefix_, dir, t0,
+        dir, [obs = obs_, prefix = prefix_, dir, t0 = obs_->clock().now(),
               done = std::move(done)](Result<std::vector<FileInfo>> r) {
-          account(obs, prefix, "list", dir, r.status(),
-                  obs->clock().now() - t0);
+          record_request(*obs, prefix, "list", dir, r.status(), t0);
           done(std::move(r));
         });
   }
 
   AsyncHandle remove_async(const std::string& path, StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->remove_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
+        path, [obs = obs_, prefix = prefix_, path, t0 = obs_->clock().now(),
                done = std::move(done)](Status s) {
-          account(obs, prefix, "remove", path, s, obs->clock().now() - t0);
+          record_request(*obs, prefix, "remove", path, s, t0);
           done(std::move(s));
         });
   }
 
  private:
-  static void account(const obs::ObsPtr& obs, const std::string& prefix,
-                      const char* verb, const std::string& path,
-                      const Status& status, Duration elapsed) {
-    obs->metrics
-        .counter(prefix + verb + "." + request_area(path) +
-                 (status.is_ok() ? ".ok" : ".err"))
-        .add();
-    obs->metrics.histogram(prefix + verb + ".latency").observe(elapsed);
-  }
-
   AsyncCloudPtr inner_;
-  obs::ObsPtr obs_;      // never null
+  obs::ObsPtr obs_;      // the MeteredCloud's registry, never null
   std::string prefix_;   // "cloud.<name>."
 };
 
@@ -387,12 +351,6 @@ class AsyncQuotaCloud final : public AsyncCloud {
   AsyncContext ctx_;
 };
 
-Status fault_status(bool outage, const std::string& name) {
-  return outage ? make_error(ErrorCode::kOutage, name + ": cloud outage")
-                : make_error(ErrorCode::kUnavailable,
-                             name + ": transient request failure");
-}
-
 // Injects the blocking FaultyCloud's decisions (same RNG stream, same
 // counters) on the async surface. Hangs run the injected sleep on the I/O
 // pool — a hung RPC legitimately pins an I/O thread, and gated/virtual
@@ -418,7 +376,7 @@ class AsyncFaultyCloud final : public AsyncCloud {
     auto proceed = [name = faulty_->name(), inner = inner_, chain, state,
                     path, data, done = std::move(done), d] {
       if (d.fail) {
-        complete(state, done, fault_status(d.outage, name));
+        complete(state, done, fail_status(d.outage, name));
         return;
       }
       if (d.torn) {
@@ -444,8 +402,7 @@ class AsyncFaultyCloud final : public AsyncCloud {
         // Corrupted at rest: one flipped byte lands, the client sees
         // success. The rotted buffer rides in the completion closure
         // (upload invariant 3: the span must outlive the request).
-        auto rotted = std::make_shared<Bytes>(data.begin(), data.end());
-        if (!rotted->empty()) (*rotted)[rotted->size() / 2] ^= 0x01;
+        auto rotted = std::make_shared<Bytes>(rot_bytes(data));
         chain_step(chain, [&] {
           return inner->upload_async(path, ByteSpan(*rotted),
                                      [state, done, rotted](Status s) {
@@ -480,7 +437,7 @@ class AsyncFaultyCloud final : public AsyncCloud {
                            r = std::move(r), d]() mutable {
               if (d.fail) {
                 complete(state, done,
-                         Result<Bytes>(fault_status(d.outage, name)));
+                         Result<Bytes>(fail_status(d.outage, name)));
               } else {
                 complete(state, done, std::move(r));
               }
@@ -514,7 +471,7 @@ class AsyncFaultyCloud final : public AsyncCloud {
                     done = std::move(done), d] {
       if (d.fail) {
         complete(state, done,
-                 Result<std::vector<FileInfo>>(fault_status(d.outage, name)));
+                 Result<std::vector<FileInfo>>(fail_status(d.outage, name)));
         return;
       }
       chain_step(chain, [&] {
@@ -544,7 +501,7 @@ class AsyncFaultyCloud final : public AsyncCloud {
     auto proceed = [name = faulty_->name(), inner = inner_, chain, state,
                     done = std::move(done), launch = std::move(launch), d] {
       if (d.fail) {
-        complete(state, done, fault_status(d.outage, name));
+        complete(state, done, fail_status(d.outage, name));
         return;
       }
       chain_step(chain, [&] {
@@ -696,82 +653,44 @@ class AsyncLatentCloud final : public AsyncCloud {
 
 // --- AsyncRetryingCloud -----------------------------------------------------
 
-// One retrying async call. Attempt bookkeeping (attempt, backoff, rng,
-// timestamps) is touched sequentially — each attempt is armed from the
-// previous one's completion — so only `chain` needs synchronization.
+// One retrying async call: the blocking half's RetryCall, driven from each
+// completion. Attempts are armed one after another, each from the previous
+// one's completion, so only `chain` needs synchronization.
 template <typename R>
 struct RetryOp {
-  RetryOp(const RetryPolicy& p, Rng rng_in)
-      : policy(p), backoff(p), rng(rng_in) {}
+  RetryOp(std::shared_ptr<RetryingCloud> cloud, Rng rng)
+      : blocking(std::move(cloud)), retry(*blocking, rng) {}
 
+  // Keeps the RetryCall's policy, breaker and counters alive.
+  std::shared_ptr<RetryingCloud> blocking;
+  RetryCall retry;
   OpStatePtr state = std::make_shared<AsyncOpState>();
   ChainPtr chain;
   AsyncCloudPtr inner;
   std::function<AsyncHandle(AsyncCloud&, std::function<void(R)>)> launch;
   std::function<void(R)> done;
-  RetryPolicy policy;
-  std::shared_ptr<CloudHealthRegistry> health;  // may be null
   AsyncContext ctx;
-  CloudId cloud_id = 0;
-  std::string cloud_name;
-  // Real sleeps become thread-free wheel re-arms; injected (virtual-time)
-  // sleeps must be CALLED for their side effects, so they run on the pool.
-  bool wheel_backoff = true;
-  obs::Counter* attempts = nullptr;
-  obs::Counter* retries = nullptr;
-  obs::Counter* transient_failures = nullptr;
-  obs::Histogram* backoff_hist = nullptr;
-
-  int attempt = 0;
-  TimePoint started = 0;
-  TimePoint attempt_start = 0;
-  BackoffState backoff;
-  Rng rng;
 };
 
 template <typename R>
 void retry_attempt(const std::shared_ptr<RetryOp<R>>& op);
 
-// Mirrors RetryingCloud::call / retry_call exactly: same deadline mapping,
-// same health recording, same counter semantics, same messages.
 template <typename R>
 void retry_on_result(const std::shared_ptr<RetryOp<R>>& op, R r) {
   Status status = status_of(r);
-  const Duration elapsed = op->ctx.clock->now() - op->attempt_start;
-  if (status.is_ok() && op->policy.attempt_deadline > 0 &&
-      elapsed > op->policy.attempt_deadline) {
-    status = make_error(ErrorCode::kTimeout,
-                        op->cloud_name + ": attempt exceeded deadline");
-    r = error_result<R>(status);
-  }
-  if (op->health) op->health->record(op->cloud_id, status, elapsed);
-  if (op->attempts) {
-    op->attempts->add();
-    if (op->attempt > 1) op->retries->add();
-    if (!status.is_ok() && status.is_transient()) {
-      op->transient_failures->add();
-    }
-  }
-  if (status.is_ok() || !status.is_transient() ||
-      op->attempt >= op->policy.max_attempts) {
-    complete(op->state, op->done, std::move(r));
+  const std::optional<Duration> pause = op->retry.settle(status);
+  if (!pause) {
+    complete(op->state, op->done, status.is_ok() ? std::move(r) : R(status));
     return;
   }
-  const Duration pause = op->backoff.next(op->rng);
-  if (op->policy.total_deadline > 0 &&
-      op->ctx.clock->now() - op->started + pause > op->policy.total_deadline) {
-    complete(op->state, op->done,
-             error_result<R>(make_error(
-                 ErrorCode::kTimeout,
-                 "retry budget exhausted: " + status.message())));
-    return;
-  }
-  if (op->backoff_hist) op->backoff_hist->observe(pause);
-  if (op->wheel_backoff) {
-    chain_delay(op->chain, op->ctx.wheel, pause, [op] { retry_attempt(op); });
+  const SleepFn& sleep = op->blocking->sleep_fn();
+  if (is_real_sleep(sleep)) {
+    // A real pause is a thread-free wheel re-arm.
+    chain_delay(op->chain, op->ctx.wheel, *pause, [op] { retry_attempt(op); });
   } else {
-    op->ctx.io->submit([op, pause] {
-      op->ctx.sleep(pause);
+    // An injected (virtual-time) sleep must be CALLED for its side effects.
+    op->ctx.io->submit([op, pause = *pause] {
+      op->blocking->sleep_fn()(pause);
       retry_attempt(op);
     });
   }
@@ -779,29 +698,19 @@ void retry_on_result(const std::shared_ptr<RetryOp<R>>& op, R r) {
 
 template <typename R>
 void retry_attempt(const std::shared_ptr<RetryOp<R>>& op) {
-  ++op->attempt;
-  if (op->health && !op->health->allow_request(op->cloud_id)) {
-    // kOutage is non-transient: surface at once instead of spinning the
-    // backoff against an open breaker. Not recorded as health — the request
-    // never went out.
-    Status refused =
-        make_error(ErrorCode::kOutage, op->cloud_name + ": circuit open");
-    if (op->attempts) {
-      op->attempts->add();
-      if (op->attempt > 1) op->retries->add();
-    }
-    complete(op->state, op->done, error_result<R>(std::move(refused)));
+  Status admitted = op->retry.admit();
+  if (!admitted.is_ok()) {
+    complete(op->state, op->done, R(std::move(admitted)));
     return;
   }
-  op->attempt_start = op->ctx.clock->now();
   chain_step(op->chain, [&] {
     return op->launch(*op->inner,
                       [op](R r) { retry_on_result(op, std::move(r)); });
   });
 }
 
-// Retry/backoff/deadline/breaker for the async surface, built from (and
-// sharing health + policy with) the blocking RetryingCloud it mirrors.
+// The retry rule of its blocking RetryingCloud (policy, breaker, counters),
+// with backoff re-armed on the timer wheel instead of a sleeping thread.
 class AsyncRetryingCloud final : public AsyncCloud {
  public:
   AsyncRetryingCloud(std::shared_ptr<RetryingCloud> blocking,
@@ -810,16 +719,7 @@ class AsyncRetryingCloud final : public AsyncCloud {
         inner_(std::move(inner)),
         ctx_(std::move(ctx)),
         rng_(0x41535952ULL ^  // "ASYR"
-             (0x9e3779b9ULL * (blocking_->id() + 1))) {
-    if (ctx_.obs) {
-      const std::string prefix = "retry." + blocking_->name() + ".";
-      attempts_ = &ctx_.obs->metrics.counter(prefix + "attempts");
-      retries_ = &ctx_.obs->metrics.counter(prefix + "retries");
-      transient_failures_ =
-          &ctx_.obs->metrics.counter(prefix + "transient_failures");
-      backoff_hist_ = &ctx_.obs->metrics.histogram(prefix + "backoff");
-    }
-  }
+             (0x9e3779b9ULL * (blocking_->id() + 1))) {}
 
   [[nodiscard]] CloudId id() const noexcept override {
     return blocking_->id();
@@ -830,76 +730,54 @@ class AsyncRetryingCloud final : public AsyncCloud {
 
   AsyncHandle upload_async(const std::string& path, ByteSpan data,
                            StatusCb done) override {
-    auto op = make_op<Status>(std::move(done));
-    op->launch = [path, data](AsyncCloud& c, std::function<void(Status)> cb) {
+    return start<Status>(std::move(done), [path, data](AsyncCloud& c,
+                                                      StatusCb cb) {
       return c.upload_async(path, data, std::move(cb));
-    };
-    return start(op);
+    });
   }
 
   AsyncHandle download_async(const std::string& path, BytesCb done) override {
-    auto op = make_op<Result<Bytes>>(std::move(done));
-    op->launch = [path](AsyncCloud& c,
-                        std::function<void(Result<Bytes>)> cb) {
-      return c.download_async(path, std::move(cb));
-    };
-    return start(op);
+    return start<Result<Bytes>>(std::move(done),
+                                [path](AsyncCloud& c, BytesCb cb) {
+                                  return c.download_async(path, std::move(cb));
+                                });
   }
 
   AsyncHandle create_dir_async(const std::string& path,
                                StatusCb done) override {
-    auto op = make_op<Status>(std::move(done));
-    op->launch = [path](AsyncCloud& c, std::function<void(Status)> cb) {
+    return start<Status>(std::move(done), [path](AsyncCloud& c, StatusCb cb) {
       return c.create_dir_async(path, std::move(cb));
-    };
-    return start(op);
+    });
   }
 
   AsyncHandle list_async(const std::string& dir, ListCb done) override {
-    auto op = make_op<Result<std::vector<FileInfo>>>(std::move(done));
-    op->launch = [dir](AsyncCloud& c,
-                       std::function<void(Result<std::vector<FileInfo>>)> cb) {
-      return c.list_async(dir, std::move(cb));
-    };
-    return start(op);
+    return start<Result<std::vector<FileInfo>>>(
+        std::move(done), [dir](AsyncCloud& c, ListCb cb) {
+          return c.list_async(dir, std::move(cb));
+        });
   }
 
   AsyncHandle remove_async(const std::string& path, StatusCb done) override {
-    auto op = make_op<Status>(std::move(done));
-    op->launch = [path](AsyncCloud& c, std::function<void(Status)> cb) {
+    return start<Status>(std::move(done), [path](AsyncCloud& c, StatusCb cb) {
       return c.remove_async(path, std::move(cb));
-    };
-    return start(op);
+    });
   }
 
  private:
-  template <typename R>
-  std::shared_ptr<RetryOp<R>> make_op(std::function<void(R)> done) {
+  template <typename R, typename Launch>
+  AsyncHandle start(std::function<void(R)> done, Launch launch) {
     Rng fork;
     {
       // Concurrent ops each retry with an independent jitter stream.
       std::lock_guard<std::mutex> lock(rng_mutex_);
       fork = rng_.fork();
     }
-    auto op = std::make_shared<RetryOp<R>>(blocking_->policy(), fork);
+    auto op = std::make_shared<RetryOp<R>>(blocking_, fork);
     op->chain = make_chain(op->state, ctx_.wheel);
     op->inner = inner_;
+    op->launch = std::move(launch);
     op->done = std::move(done);
-    op->health = blocking_->health();
     op->ctx = ctx_;
-    op->cloud_id = blocking_->id();
-    op->cloud_name = blocking_->name();
-    op->wheel_backoff = is_real_sleep(ctx_.sleep);
-    op->attempts = attempts_;
-    op->retries = retries_;
-    op->transient_failures = transient_failures_;
-    op->backoff_hist = backoff_hist_;
-    op->started = ctx_.clock->now();
-    return op;
-  }
-
-  template <typename R>
-  AsyncHandle start(const std::shared_ptr<RetryOp<R>>& op) {
     // The first attempt is deferred so a breaker fast-fail never completes
     // on the caller's stack.
     ctx_.io->submit([op] { retry_attempt(op); });
@@ -911,11 +789,6 @@ class AsyncRetryingCloud final : public AsyncCloud {
   AsyncContext ctx_;
   std::mutex rng_mutex_;
   Rng rng_;
-  // Cached instruments (owned by ctx_.obs->metrics); null when obs is null.
-  obs::Counter* attempts_ = nullptr;
-  obs::Counter* retries_ = nullptr;
-  obs::Counter* transient_failures_ = nullptr;
-  obs::Histogram* backoff_hist_ = nullptr;
 };
 
 }  // namespace
@@ -928,11 +801,7 @@ AsyncCloudPtr to_async(const CloudPtr& cloud, const AsyncContext& ctx) {
         rc, to_async(rc->inner(), ctx), ctx);
   }
   if (auto mc = std::dynamic_pointer_cast<MeteredCloud>(cloud)) {
-    // Without a registry in the context the async twin could not meter;
-    // keep the blocking meter in the loop via the adapter instead.
-    if (!ctx.obs) return std::make_shared<SyncAdapter>(cloud, ctx);
-    return std::make_shared<AsyncMeteredCloud>(to_async(mc->inner(), ctx),
-                                               ctx.obs);
+    return std::make_shared<AsyncMeteredCloud>(*mc, to_async(mc->inner(), ctx));
   }
   if (auto fc = std::dynamic_pointer_cast<FaultyCloud>(cloud)) {
     return std::make_shared<AsyncFaultyCloud>(fc, to_async(fc->inner(), ctx),

@@ -29,13 +29,15 @@
 // every provider, thread-bound per RPC. The native decorators mirror the
 // blocking stack without that bound:
 //
-//   AsyncRetryingCloud  retry/backoff/deadline/breaker semantics of
-//                       RetryingCloud, with backoff re-armed on the timer
+//   AsyncRetryingCloud  drives its blocking RetryingCloud's RetryCall —
+//                       one retry rule, breaker and counter set for both
+//                       surfaces — with backoff re-armed on the timer
 //                       wheel instead of a sleeping thread (injected
 //                       virtual-time sleeps are still honoured).
-//   AsyncMeteredCloud   same counter/histogram names as MeteredCloud.
-//   AsyncFaultyCloud /  share the decision RNG, counters and quota
-//   AsyncQuotaCloud     accounting with their blocking halves.
+//   AsyncMeteredCloud   records into its MeteredCloud's registry through
+//                       the same record_request.
+//   AsyncFaultyCloud /  share the decision RNG, counters, failure statuses
+//   AsyncQuotaCloud     and quota accounting with their blocking halves.
 //   AsyncLatentCloud    schedules its simulated latency/bandwidth delays
 //                       on the wheel — a 1-thread pool can have hundreds
 //                       of delayed requests outstanding.
@@ -54,11 +56,8 @@
 #include <thread>
 #include <vector>
 
-#include "cloud/health.h"
 #include "cloud/provider.h"
 #include "common/executor.h"
-#include "common/retry.h"
-#include "common/rng.h"
 #include "common/timer_wheel.h"
 #include "obs/obs.h"
 
@@ -125,7 +124,7 @@ using BytesCb = std::function<void(Result<Bytes>)>;
 using ListCb = std::function<void(Result<std::vector<FileInfo>>)>;
 
 // Shared runtime of the async layer: where blocking work runs, where
-// delays are parked, how time is read and paused, where metrics land.
+// delays are parked, where the adapter's gauges land.
 //
 // All pointers are NON-owning. The owner of the runtime (client, test)
 // must keep the pool and wheel alive until every operation launched with
@@ -136,10 +135,6 @@ using ListCb = std::function<void(Result<std::vector<FileInfo>>)>;
 struct AsyncContext {
   Executor* io = nullptr;                    // never null when used
   TimerWheel* wheel = &TimerWheel::shared();
-  Clock* clock = &RealClock::instance();
-  // Honoured by AsyncRetryingCloud when it is NOT the real sleep: virtual
-  // time tests drive retries/breakers by advancing a ManualClock inside it.
-  SleepFn sleep = real_sleep();
   obs::ObsPtr obs;                           // may be null
 };
 

@@ -51,23 +51,17 @@ FaultDecision FaultyCloud::draw_decision(std::size_t payload_bytes,
   return d;
 }
 
-namespace {
-// One flipped byte in the middle: size-preserving, so only a content check
-// (the scrubber's deep verify) can catch it.
 Bytes rot_bytes(ByteSpan data) {
   Bytes rotted(data.begin(), data.end());
   if (!rotted.empty()) rotted[rotted.size() / 2] ^= 0x01;
   return rotted;
 }
-}  // namespace
 
-namespace {
 Status fail_status(bool outage, const std::string& name) {
   return outage ? make_error(ErrorCode::kOutage, name + ": cloud outage")
                 : make_error(ErrorCode::kUnavailable,
                              name + ": transient request failure");
 }
-}  // namespace
 
 Status FaultyCloud::upload(const std::string& path, ByteSpan data) {
   const FaultDecision d = draw_decision(data.size(), /*is_upload=*/true);

@@ -56,6 +56,14 @@ struct FaultDecision {
   bool drop = false;          // upload only: store nothing, report OK
 };
 
+// What a request with `fail` set reports: kOutage during a whole-cloud
+// outage, kUnavailable otherwise. Shared with the async twin.
+[[nodiscard]] Status fail_status(bool outage, const std::string& name);
+
+// The payload with its middle byte flipped: size-preserving bit-rot, so
+// only a content check (the scrubber's deep verify) can catch it.
+[[nodiscard]] Bytes rot_bytes(ByteSpan data);
+
 class FaultyCloud final : public CloudProvider {
  public:
   FaultyCloud(CloudPtr inner, FaultProfile profile, std::uint64_t seed,

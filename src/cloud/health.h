@@ -78,7 +78,7 @@ class CloudHealthRegistry {
                                obs::ObsPtr obs = nullptr)
       : config_(config), clock_(&clock), obs_(std::move(obs)) {}
 
-  // Gate for anyone about to issue a request. false = circuit open: fail
+  // Gate for anyone about to issue a request. false = breaker open: fail
   // fast without touching the network. May transition open -> half-open
   // when the probe timer expired; the caller that receives `true` in that
   // state IS the probe and must report its outcome via record_*().

@@ -11,58 +11,60 @@ const char* request_area(const std::string& path) {
   return "other";
 }
 
+void record_request(obs::Observability& obs, const std::string& prefix,
+                    const char* verb, const std::string& path,
+                    const Status& status, TimePoint started,
+                    const char* bytes_counter, std::size_t bytes) {
+  obs.metrics
+      .counter(prefix + verb + "." + request_area(path) +
+               (status.is_ok() ? ".ok" : ".err"))
+      .add();
+  obs.metrics.histogram(prefix + verb + ".latency")
+      .observe(obs.clock().now() - started);
+  if (status.is_ok() && bytes_counter != nullptr) {
+    obs.metrics.counter(prefix + bytes_counter).add(bytes);
+  }
+}
+
 MeteredCloud::MeteredCloud(CloudPtr inner, obs::ObsPtr obs)
     : inner_(std::move(inner)),
       obs_(std::move(obs)),
       prefix_("cloud." + inner_->name() + ".") {}
 
-void MeteredCloud::account(const char* verb, const std::string& path,
-                           const Status& status, Duration elapsed) {
-  obs_->metrics
-      .counter(prefix_ + verb + "." + request_area(path) +
-               (status.is_ok() ? ".ok" : ".err"))
-      .add();
-  obs_->metrics.histogram(prefix_ + verb + ".latency").observe(elapsed);
-}
-
 Status MeteredCloud::upload(const std::string& path, ByteSpan data) {
   const TimePoint t0 = obs_->clock().now();
   const Status status = inner_->upload(path, data);
-  account("upload", path, status, obs_->clock().now() - t0);
-  if (status.is_ok()) {
-    obs_->metrics.counter(prefix_ + "bytes_up").add(data.size());
-  }
+  record_request(*obs_, prefix_, "upload", path, status, t0, "bytes_up",
+                 data.size());
   return status;
 }
 
 Result<Bytes> MeteredCloud::download(const std::string& path) {
   const TimePoint t0 = obs_->clock().now();
   auto result = inner_->download(path);
-  account("download", path, result.status(), obs_->clock().now() - t0);
-  if (result.is_ok()) {
-    obs_->metrics.counter(prefix_ + "bytes_down").add(result.value().size());
-  }
+  record_request(*obs_, prefix_, "download", path, result.status(), t0,
+                 "bytes_down", result.is_ok() ? result.value().size() : 0);
   return result;
 }
 
 Status MeteredCloud::create_dir(const std::string& path) {
   const TimePoint t0 = obs_->clock().now();
   const Status status = inner_->create_dir(path);
-  account("create_dir", path, status, obs_->clock().now() - t0);
+  record_request(*obs_, prefix_, "create_dir", path, status, t0);
   return status;
 }
 
 Result<std::vector<FileInfo>> MeteredCloud::list(const std::string& dir) {
   const TimePoint t0 = obs_->clock().now();
   auto result = inner_->list(dir);
-  account("list", dir, result.status(), obs_->clock().now() - t0);
+  record_request(*obs_, prefix_, "list", dir, result.status(), t0);
   return result;
 }
 
 Status MeteredCloud::remove(const std::string& path) {
   const TimePoint t0 = obs_->clock().now();
   const Status status = inner_->remove(path);
-  account("remove", path, status, obs_->clock().now() - t0);
+  record_request(*obs_, prefix_, "remove", path, status, t0);
   return status;
 }
 

@@ -27,9 +27,19 @@ namespace unidrive::cloud {
 
 // Buckets request paths by what they carry, mirroring the layout the client
 // uses on every cloud (metadata/types.h): erasure-coded blocks under /data,
-// base/delta/version files under /meta, lock files under /lock. Shared by
-// the blocking and async metering surfaces so counter names stay identical.
+// the sharded metadata store's objects under /meta, lock files under /lock.
 [[nodiscard]] const char* request_area(const std::string& path);
+
+// Accounts one request that began at `started` into `obs`: its
+// <prefix><verb>.<area>.ok|err counter and <prefix><verb>.latency
+// histogram, plus, when it succeeded and `bytes_counter` is set, its
+// payload size on <prefix><bytes_counter>. The blocking MeteredCloud and
+// its async twin both record through it, so counter names stay identical.
+void record_request(obs::Observability& obs, const std::string& prefix,
+                    const char* verb, const std::string& path,
+                    const Status& status, TimePoint started,
+                    const char* bytes_counter = nullptr,
+                    std::size_t bytes = 0);
 
 class MeteredCloud final : public CloudProvider {
  public:
@@ -45,11 +55,10 @@ class MeteredCloud final : public CloudProvider {
   Status remove(const std::string& path) override;
 
   [[nodiscard]] const CloudPtr& inner() const noexcept { return inner_; }
+  [[nodiscard]] const obs::ObsPtr& obs() const noexcept { return obs_; }
+  [[nodiscard]] const std::string& prefix() const noexcept { return prefix_; }
 
  private:
-  void account(const char* verb, const std::string& path, const Status& status,
-               Duration elapsed);
-
   CloudPtr inner_;
   obs::ObsPtr obs_;  // never null
   std::string prefix_;  // "cloud.<name>."

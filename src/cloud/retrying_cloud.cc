@@ -1,125 +1,128 @@
 #include "cloud/retrying_cloud.h"
 
-#include <optional>
 #include <utility>
 
 #include "cloud/metered_cloud.h"
 
 namespace unidrive::cloud {
 
-// --- DeadlineCloud ----------------------------------------------------------
+// --- RetryCall --------------------------------------------------------------
 
-Status DeadlineCloud::check(TimePoint started, Status status) const {
-  if (status.is_ok() && deadline_ > 0 &&
-      clock_->now() - started > deadline_) {
-    return make_error(ErrorCode::kTimeout,
-                      name() + ": call exceeded deadline");
+RetryCall::RetryCall(const RetryingCloud& cloud, Rng rng)
+    : cloud_(&cloud),
+      backoff_(cloud.policy_),
+      rng_(rng),
+      started_(cloud.clock_->now()) {}
+
+void RetryCall::count_attempt(const Status& status) const {
+  if (cloud_->attempts_ == nullptr) return;
+  cloud_->attempts_->add();
+  if (attempt_ > 1) cloud_->retries_->add();
+  if (!status.is_ok() && status.is_transient()) {
+    cloud_->transient_failures_->add();
   }
-  return status;
 }
 
-Status DeadlineCloud::upload(const std::string& path, ByteSpan data) {
-  const TimePoint t0 = clock_->now();
-  return check(t0, inner_->upload(path, data));
+Status RetryCall::admit() {
+  ++attempt_;
+  const auto& health = cloud_->health_;
+  if (health && !health->allow_request(cloud_->id())) {
+    Status refused =
+        make_error(ErrorCode::kOutage, cloud_->name() + ": circuit open");
+    count_attempt(refused);
+    return refused;
+  }
+  attempt_started_ = cloud_->clock_->now();
+  return Status::ok();
 }
 
-Result<Bytes> DeadlineCloud::download(const std::string& path) {
-  const TimePoint t0 = clock_->now();
-  auto result = inner_->download(path);
-  const Status status = check(t0, result.status());
-  if (!status.is_ok()) return status;
-  return result;
-}
-
-Status DeadlineCloud::create_dir(const std::string& path) {
-  const TimePoint t0 = clock_->now();
-  return check(t0, inner_->create_dir(path));
-}
-
-Result<std::vector<FileInfo>> DeadlineCloud::list(const std::string& dir) {
-  const TimePoint t0 = clock_->now();
-  auto result = inner_->list(dir);
-  const Status status = check(t0, result.status());
-  if (!status.is_ok()) return status;
-  return result;
-}
-
-Status DeadlineCloud::remove(const std::string& path) {
-  const TimePoint t0 = clock_->now();
-  return check(t0, inner_->remove(path));
+std::optional<Duration> RetryCall::settle(Status& status) {
+  const RetryPolicy& policy = cloud_->policy_;
+  const Duration elapsed = cloud_->clock_->now() - attempt_started_;
+  if (status.is_ok() && policy.attempt_deadline > 0 &&
+      elapsed > policy.attempt_deadline) {
+    // The call came back, but only after the caller had given up on it.
+    status = make_error(ErrorCode::kTimeout,
+                        cloud_->name() + ": attempt exceeded deadline");
+  }
+  if (cloud_->health_) cloud_->health_->record(cloud_->id(), status, elapsed);
+  count_attempt(status);
+  if (status.is_ok() || !status.is_transient() ||
+      attempt_ >= policy.max_attempts) {
+    return std::nullopt;
+  }
+  const Duration pause = backoff_.next(rng_);
+  if (policy.total_deadline > 0 &&
+      cloud_->clock_->now() - started_ + pause > policy.total_deadline) {
+    status = make_error(ErrorCode::kTimeout,
+                        "retry budget exhausted: " + status.message());
+    return std::nullopt;
+  }
+  if (cloud_->backoff_hist_ != nullptr) cloud_->backoff_hist_->observe(pause);
+  return pause;
 }
 
 // --- RetryingCloud ----------------------------------------------------------
 
-Status RetryingCloud::call(const std::function<Status()>& op) {
-  RetryEnv env;
-  env.clock = clock_;
-  env.sleep = sleep_;
+RetryingCloud::RetryingCloud(CloudPtr inner, RetryPolicy policy,
+                             std::shared_ptr<CloudHealthRegistry> health,
+                             Clock& clock, SleepFn sleep, Rng rng,
+                             obs::ObsPtr obs)
+    : inner_(std::move(inner)),
+      policy_(policy),
+      health_(std::move(health)),
+      clock_(&clock),
+      sleep_(std::move(sleep)),
+      rng_(rng),
+      obs_(std::move(obs)) {
+  if (obs_) {
+    // Resolved once: every attempt then increments plain atomics.
+    const std::string prefix = "retry." + inner_->name() + ".";
+    attempts_ = &obs_->metrics.counter(prefix + "attempts");
+    retries_ = &obs_->metrics.counter(prefix + "retries");
+    transient_failures_ = &obs_->metrics.counter(prefix + "transient_failures");
+    backoff_hist_ = &obs_->metrics.histogram(prefix + "backoff");
+  }
+}
+
+template <typename R, typename Op>
+R RetryingCloud::call(const Op& op) {
+  Rng rng;
   {
     // Concurrent callers each retry with an independent jitter stream.
     std::lock_guard<std::mutex> lock(rng_mutex_);
-    env.rng = rng_.fork();
+    rng = rng_.fork();
   }
-  if (obs_) {
-    env.on_attempt = [this](int attempt, const Status& s) {
-      attempts_->add();
-      if (attempt > 1) retries_->add();
-      if (!s.is_ok() && s.is_transient()) transient_failures_->add();
-    };
-    env.on_backoff = [this](Duration pause) {
-      backoff_hist_->observe(pause);
-    };
+  RetryCall retry(*this, rng);
+  for (;;) {
+    Status status = retry.admit();
+    if (!status.is_ok()) return status;
+    R result = op();
+    status = status_of(result);
+    const std::optional<Duration> pause = retry.settle(status);
+    if (!pause) return status.is_ok() ? std::move(result) : R(status);
+    sleep_(*pause);
   }
-  return retry_call(policy_, env, [&]() -> Status {
-    if (health_ && !health_->allow_request(id())) {
-      // kOutage is deliberately non-transient: retry_call returns at once
-      // instead of spinning its backoff against an open breaker.
-      return make_error(ErrorCode::kOutage, name() + ": circuit open");
-    }
-    const TimePoint t0 = clock_->now();
-    Status status = op();
-    const Duration elapsed = clock_->now() - t0;
-    if (status.is_ok() && policy_.attempt_deadline > 0 &&
-        elapsed > policy_.attempt_deadline) {
-      status = make_error(ErrorCode::kTimeout,
-                          name() + ": attempt exceeded deadline");
-    }
-    if (health_) health_->record(id(), status, elapsed);
-    return status;
-  });
-}
-
-template <typename T>
-Result<T> RetryingCloud::call_result(const std::function<Result<T>()>& op) {
-  std::optional<Result<T>> out;
-  const Status status = call([&]() -> Status {
-    out.emplace(op());
-    return out->status();
-  });
-  // `out` is empty when the breaker refused the very first attempt.
-  if (!status.is_ok() || !out.has_value()) return status;
-  return *std::move(out);
 }
 
 Status RetryingCloud::upload(const std::string& path, ByteSpan data) {
-  return call([&] { return inner_->upload(path, data); });
+  return call<Status>([&] { return inner_->upload(path, data); });
 }
 
 Result<Bytes> RetryingCloud::download(const std::string& path) {
-  return call_result<Bytes>([&] { return inner_->download(path); });
+  return call<Result<Bytes>>([&] { return inner_->download(path); });
 }
 
 Status RetryingCloud::create_dir(const std::string& path) {
-  return call([&] { return inner_->create_dir(path); });
+  return call<Status>([&] { return inner_->create_dir(path); });
 }
 
 Result<std::vector<FileInfo>> RetryingCloud::list(const std::string& dir) {
-  return call_result<std::vector<FileInfo>>(
-      [&] { return inner_->list(dir); });
+  return call<Result<std::vector<FileInfo>>>([&] { return inner_->list(dir); });
 }
 
 Status RetryingCloud::remove(const std::string& path) {
-  return call([&] { return inner_->remove(path); });
+  return call<Status>([&] { return inner_->remove(path); });
 }
 
 MultiCloud guard_clouds(const MultiCloud& clouds, const RetryPolicy& policy,

@@ -1,27 +1,31 @@
-// RetryingCloud / DeadlineCloud — the resilience decorators every
-// cloud-facing call path goes through.
+// RetryingCloud — the resilience decorator every cloud-facing call path
+// goes through, and RetryCall, the one implementation of its retry rule.
 //
 // RetryingCloud composes, around any CloudProvider:
 //   - the RetryPolicy (common/retry.h): transient failures retried with
 //     decorrelated-jitter backoff under per-attempt and total deadlines;
 //   - the CloudHealthRegistry (cloud/health.h): every attempt is gated by
 //     the cloud's circuit breaker and its outcome recorded. When the
-//     breaker is open, calls fail instantly with kOutage ("circuit open")
-//     so callers reroute to the remaining k-of-N clouds instead of burning
-//     a retry cycle against a dead provider;
+//     breaker is open, calls fail instantly with kOutage so callers
+//     reroute to the remaining k-of-N clouds instead of burning a retry
+//     cycle against a dead provider;
 //   - deadline mapping: an attempt that exceeds the policy's
 //     attempt_deadline is reported as kTimeout even if it eventually
 //     returned OK (consumer clouds stall for minutes; the paper's hang
 //     failures).
 //
-// DeadlineCloud is the standalone deadline-only wrapper for callers that
-// want timeout mapping without retry or breaker (e.g. baselines).
+// RetryCall holds one call's bookkeeping for that rule. RetryingCloud
+// loops over it and sleeps between attempts; its async twin (cloud/async.h)
+// drives the same object from each completion and re-arms the next attempt
+// on the timer wheel, so both surfaces share one breaker gate, one deadline
+// mapping and one set of retry.<name>.* counters.
 //
-// Both are thread-safe when the inner provider is.
+// Thread-safe when the inner provider is.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "cloud/health.h"
 #include "cloud/provider.h"
@@ -30,32 +34,40 @@
 
 namespace unidrive::cloud {
 
-// Maps calls that take longer than `deadline` to kTimeout. The inner call
-// still runs to completion (the five REST verbs are synchronous and cannot
-// be aborted mid-flight); the mapping makes the caller treat the result as
-// failed, mirroring a client-side HTTP timeout whose transfer the server
-// may still have applied.
-class DeadlineCloud final : public CloudProvider {
+class RetryingCloud;
+
+// One call under a RetryingCloud's policy, breaker, clock and counters. The
+// caller alternates admit() and, for each admitted attempt, settle(). The
+// attempts of one call run one after another, so the object needs no lock;
+// the RetryingCloud must outlive it.
+class RetryCall {
  public:
-  DeadlineCloud(CloudPtr inner, Duration deadline,
-                Clock& clock = RealClock::instance())
-      : inner_(std::move(inner)), deadline_(deadline), clock_(&clock) {}
+  // `rng` is the call's own jitter stream, forked from the decorator's.
+  RetryCall(const RetryingCloud& cloud, Rng rng);
 
-  [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  // The breaker gate, before each attempt. OK = send the attempt. kOutage
+  // when the cloud's breaker refuses it: that is the call's final status
+  // (kOutage is non-transient, so no backoff is spent against an open
+  // breaker). A refused attempt is counted but not recorded as health —
+  // no request went out.
+  [[nodiscard]] Status admit();
 
-  Status upload(const std::string& path, ByteSpan data) override;
-  Result<Bytes> download(const std::string& path) override;
-  Status create_dir(const std::string& path) override;
-  Result<std::vector<FileInfo>> list(const std::string& dir) override;
-  Status remove(const std::string& path) override;
+  // After each admitted attempt, with its outcome in `status`: maps a late
+  // success to kTimeout, records the outcome in the health registry and
+  // bumps the retry counters. Returns the pause before the next attempt,
+  // or nullopt when `status` is the call's final status — rewritten to
+  // kTimeout when the pause would overrun the total deadline.
+  [[nodiscard]] std::optional<Duration> settle(Status& status);
 
  private:
-  [[nodiscard]] Status check(TimePoint started, Status status) const;
+  void count_attempt(const Status& status) const;
 
-  CloudPtr inner_;
-  Duration deadline_;
-  Clock* clock_;
+  const RetryingCloud* cloud_;
+  BackoffState backoff_;
+  Rng rng_;
+  int attempt_ = 0;
+  TimePoint started_;
+  TimePoint attempt_started_ = 0;
 };
 
 class RetryingCloud final : public CloudProvider {
@@ -65,24 +77,7 @@ class RetryingCloud final : public CloudProvider {
                 Clock& clock = RealClock::instance(),
                 SleepFn sleep = real_sleep(),
                 Rng rng = Rng(0x52455452ULL),  // "RETR"
-                obs::ObsPtr obs = nullptr)
-      : inner_(std::move(inner)),
-        policy_(policy),
-        health_(std::move(health)),
-        clock_(&clock),
-        sleep_(std::move(sleep)),
-        rng_(rng),
-        obs_(std::move(obs)) {
-    if (obs_) {
-      // Resolved once: the retry loop then increments plain atomics.
-      const std::string prefix = "retry." + inner_->name() + ".";
-      attempts_ = &obs_->metrics.counter(prefix + "attempts");
-      retries_ = &obs_->metrics.counter(prefix + "retries");
-      transient_failures_ =
-          &obs_->metrics.counter(prefix + "transient_failures");
-      backoff_hist_ = &obs_->metrics.histogram(prefix + "backoff");
-    }
-  }
+                obs::ObsPtr obs = nullptr);
 
   [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
@@ -93,18 +88,17 @@ class RetryingCloud final : public CloudProvider {
   Result<std::vector<FileInfo>> list(const std::string& dir) override;
   Status remove(const std::string& path) override;
 
-  [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
-  [[nodiscard]] const std::shared_ptr<CloudHealthRegistry>& health()
-      const noexcept {
-    return health_;
-  }
   [[nodiscard]] const CloudPtr& inner() const noexcept { return inner_; }
+  // The pause between attempts; the async twin calls it on the I/O pool
+  // when it is not the real sleep (virtual time).
+  [[nodiscard]] const SleepFn& sleep_fn() const noexcept { return sleep_; }
 
  private:
-  // One policy-driven call: breaker gate, attempt timing, health recording.
-  Status call(const std::function<Status()>& op);
-  template <typename T>
-  Result<T> call_result(const std::function<Result<T>()>& op);
+  friend class RetryCall;
+
+  // Runs `op` under a fresh RetryCall, sleeping between attempts.
+  template <typename R, typename Op>
+  R call(const Op& op);
 
   CloudPtr inner_;
   RetryPolicy policy_;

@@ -22,31 +22,4 @@ bool is_real_sleep(const SleepFn& sleep) {
   return target != nullptr && *target == &real_sleep_impl;
 }
 
-Status retry_call(const RetryPolicy& policy, RetryEnv& env,
-                  const std::function<Status()>& op) {
-  const TimePoint start = env.clock->now();
-  BackoffState backoff(policy);
-  Status status;
-  for (int attempt = 1;; ++attempt) {
-    const TimePoint attempt_start = env.clock->now();
-    status = op();
-    if (status.is_ok() && policy.attempt_deadline > 0 &&
-        env.clock->now() - attempt_start > policy.attempt_deadline) {
-      // The call came back, but only after the caller had given up on it.
-      status = make_error(ErrorCode::kTimeout, "attempt exceeded deadline");
-    }
-    if (env.on_attempt) env.on_attempt(attempt, status);
-    if (status.is_ok() || !status.is_transient()) return status;
-    if (attempt >= policy.max_attempts) return status;
-    const Duration pause = backoff.next(env.rng);
-    if (policy.total_deadline > 0 &&
-        env.clock->now() - start + pause > policy.total_deadline) {
-      return make_error(ErrorCode::kTimeout,
-                        "retry budget exhausted: " + status.message());
-    }
-    if (env.on_backoff) env.on_backoff(pause);
-    env.sleep(pause);
-  }
-}
-
 }  // namespace unidrive

@@ -5,8 +5,9 @@
 // so UniDrive used to grow ad-hoc retry loops in every layer. This header
 // replaces them: a RetryPolicy describes HOW to retry (attempt budget,
 // exponential backoff with decorrelated jitter, per-attempt and total
-// deadlines) and retry_call() executes it against any Status-returning
-// operation. Time and sleeping are injected (RetryEnv) so tests and the
+// deadlines). cloud::RetryCall (cloud/retrying_cloud.h) executes it for
+// every cloud verb, blocking or async; the quorum lock reuses BackoffState
+// for its protocol rounds. Sleeping is injected (SleepFn) so tests and the
 // discrete-event simulator drive retries deterministically in virtual time.
 //
 // What retries, and what does not, is decided by Status::is_transient():
@@ -17,11 +18,9 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "common/clock.h"
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace unidrive {
 
@@ -66,7 +65,7 @@ struct RetryPolicy {
 // The decorrelated-jitter backoff sequence of one retrying call. Kept as a
 // separate object so callers with their own loop shape (e.g. the quorum
 // lock, whose "attempt" is a whole multi-cloud protocol round) reuse the
-// exact same backoff behaviour as retry_call().
+// exact same backoff behaviour as a retrying cloud call.
 class BackoffState {
  public:
   explicit BackoffState(const RetryPolicy& policy) noexcept
@@ -86,41 +85,5 @@ class BackoffState {
   Duration cap_;
   Duration prev_;
 };
-
-// Injectable time sources for one call site. Copy-cheap apart from the RNG
-// state; each concurrently retrying call should own its env (fork the RNG).
-struct RetryEnv {
-  Clock* clock = &RealClock::instance();
-  SleepFn sleep = real_sleep();
-  Rng rng{0x7265747279ULL};  // "retry"
-  // Optional observers, so callers (e.g. RetryingCloud) can meter retry
-  // behaviour without this layer depending on the obs library. on_attempt
-  // fires after every attempt with its 1-based number and outcome;
-  // on_backoff fires with each pause that is about to be slept. Null (the
-  // default) disables instrumentation.
-  std::function<void(int, const Status&)> on_attempt;
-  std::function<void(Duration)> on_backoff;
-};
-
-// Runs `op` until it returns OK or a non-transient error, the attempt budget
-// is exhausted, or a deadline is hit. Returns the last Status (or kTimeout
-// when a deadline cut the call short).
-Status retry_call(const RetryPolicy& policy, RetryEnv& env,
-                  const std::function<Status()>& op);
-
-// Result-returning flavour: the value of the last successful attempt.
-template <typename T>
-Result<T> retry_call(const RetryPolicy& policy, RetryEnv& env,
-                     const std::function<Result<T>()>& op) {
-  std::optional<Result<T>> last;
-  const Status status = retry_call(policy, env, [&]() -> Status {
-    last.emplace(op());
-    return last->status();
-  });
-  // A deadline can stop the call before (or after) an attempt ran; the
-  // Status from retry_call is then the authoritative outcome.
-  if (!status.is_ok() || !last.has_value()) return status;
-  return *std::move(last);
-}
 
 }  // namespace unidrive

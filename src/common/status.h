@@ -99,6 +99,15 @@ class Result {
   std::variant<T, Status> v_;
 };
 
+// The Status of either outcome type, for code generic over both.
+inline const Status& status_of(const Status& status) noexcept {
+  return status;
+}
+template <typename T>
+Status status_of(const Result<T>& result) {
+  return result.status();
+}
+
 // Propagate errors without exceptions:  UNI_RETURN_IF_ERROR(expr);
 #define UNI_RETURN_IF_ERROR(expr)                         \
   do {                                                    \

@@ -107,8 +107,6 @@ void UniDriveClient::rebuild_async_clouds() {
   async_clouds_.clear();
   cloud::AsyncContext ctx;
   ctx.io = executor_.get();
-  ctx.clock = &clock_;
-  ctx.sleep = config_.sleep;
   ctx.obs = obs_;
   async_clouds_.reserve(guarded_.size());
   for (const cloud::CloudPtr& c : guarded_) {

@@ -62,7 +62,7 @@
 #include "core/upload_pipeline.h"  // PipelineConfig, FindAsyncCloudFn
 #include "crypto/sha1.h"
 #include "erasure/rs.h"
-#include "metadata/store.h"
+#include "metadata/image.h"
 #include "metadata/types.h"
 #include "obs/obs.h"
 #include "sched/monitor.h"

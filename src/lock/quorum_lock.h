@@ -41,7 +41,6 @@ using ::unidrive::SleepFn;
 struct LockConfig {
   std::string lock_dir = "/lock";
   Duration stale_after = 120.0;      // dT: break locks seen for this long
-  Duration refresh_interval = 30.0;  // holder re-stamps its lock this often
   // Contention backoff between acquisition rounds reuses the unified retry
   // policy: max_attempts rounds, decorrelated-jitter pauses in
   // [backoff_base, backoff_cap], and an optional total_deadline budget on

@@ -11,13 +11,12 @@
 //              valid copy is THE object.
 //   * root:    the single mutable record (the pointer to the current
 //              manifest object). Written to a majority, read from ALL
-//              reachable clouds taking the newest — the same
-//              write-majority/read-all overlap argument as the monolithic
-//              MetaStore's version file. put_root() is version-fenced: the
-//              caller states the version it read, and the write is refused
-//              (kConflict) if any cloud already advertises a newer root, so
-//              a writer that lost the lock (or raced it) can never regress
-//              the pointer.
+//              reachable clouds taking the newest, so the newest committed
+//              root is found whenever a majority is reachable. put_root()
+//              is version-fenced: the caller states the version it read,
+//              and the write is refused (kConflict) if any cloud already
+//              advertises a newer root, so a writer that lost the lock (or
+//              raced it) can never regress the pointer.
 //
 // Atomic multi-key commits fall out of immutability: write every new object
 // with put(), then flip the root with put_root(). A crash before the root

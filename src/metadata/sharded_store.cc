@@ -68,7 +68,8 @@ Result<ShardManifest> ShardedMetaStore::fetch_manifest() {
   return manifest;
 }
 
-Result<SyncFolderImage> ShardedMetaStore::load_shard(const ShardEntry& entry) {
+Result<SyncFolderImage> ShardedMetaStore::fetch_shard(
+    const ShardEntry& entry) {
   const auto cached = cache_.find(entry.id);
   if (cached != cache_.end() && cached->second.entry == entry) {
     obs::add_counter(obs_.get(), "meta.shard.fetch.short_circuit");
@@ -114,11 +115,6 @@ Result<SyncFolderImage> ShardedMetaStore::load_shard(const ShardEntry& entry) {
     cache_[entry.id] = CachedShard{entry, image};
   }
   return image;
-}
-
-Result<SyncFolderImage> ShardedMetaStore::fetch_shard(
-    const ShardEntry& entry) {
-  return load_shard(entry);
 }
 
 Result<FetchedMetadata> ShardedMetaStore::fetch_latest() {

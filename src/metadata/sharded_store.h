@@ -27,8 +27,8 @@
 // for callers that genuinely need all shards.
 //
 // Write-to-majority / read-from-all is inherited from KvStore for every
-// object and the root pointer, so the recovery guarantees of the monolithic
-// MetaStore carry over shard by shard.
+// object and the root pointer: the newest committed state is found whenever
+// a majority of clouds is reachable.
 #pragma once
 
 #include <map>
@@ -37,9 +37,13 @@
 #include "metadata/codec.h"
 #include "metadata/kv.h"
 #include "metadata/shard.h"
-#include "metadata/store.h"
 
 namespace unidrive::metadata {
+
+struct FetchedMetadata {
+  SyncFolderImage image;   // every shard absorbed, refcounts rebuilt
+  VersionStamp version;    // == image.version()
+};
 
 struct ShardConfig {
   std::uint32_t num_shards = 16;
@@ -71,7 +75,8 @@ class ShardedMetaStore {
   Result<ShardManifest> fetch_manifest();
 
   // One shard's image (base + delta replay), served from the per-shard
-  // cache when the entry is unchanged. The returned image's version is the
+  // cache when the entry is unchanged; a cached prefix of the entry's chain
+  // replays only the delta suffix. The returned image's version is the
   // shard's own stamp. Segment refcounts are shard-local artifacts; callers
   // assembling multiple shards must rebuild_refcounts() at the end.
   Result<SyncFolderImage> fetch_shard(const ShardEntry& entry);
@@ -122,8 +127,6 @@ class ShardedMetaStore {
 
  private:
   Result<ShardManifest> decode_manifest(const std::string& key);
-  // Shard state WITHOUT consulting the cache beyond incremental replay.
-  Result<SyncFolderImage> load_shard(const ShardEntry& entry);
   // Best-effort removal of objects superseded by a committed fold, plus
   // manifest objects older than the previous generation.
   void prune_superseded(const std::vector<ShardEntry>& dirty,

@@ -82,9 +82,6 @@ struct SegmentInfo {
 inline constexpr const char* kDataDir = "/data";
 inline constexpr const char* kMetaDir = "/meta";
 inline constexpr const char* kLockDir = "/lock";
-inline constexpr const char* kBasePath = "/meta/base";
-inline constexpr const char* kDeltaPath = "/meta/delta";
-inline constexpr const char* kVersionPath = "/meta/version";
 
 // Cloud filename of a block: "<storage-address>_<block-index>". The address
 // is crypto::storage_address(segment_id) — a one-way fingerprint of the id,

@@ -14,10 +14,10 @@
 //   3. re-uploads in place (missing/corrupt on a reachable cloud) or onto
 //      a healthy cloud (kCloudLost re-homing, respecting the ks security
 //      cap max_per_cloud),
-//   4. commits placement changes through the quorum-locked MetaStore —
-//      blocks land BEFORE the commit, the same crash-safety order as the
-//      sync write path; a crash mid-repair leaves orphans, never dangling
-//      references.
+//   4. commits placement changes through the client's scope-locked
+//      ShardedMetaStore — blocks land BEFORE the commit, the same
+//      crash-safety order as the sync write path; a crash mid-repair
+//      leaves orphans, never dangling references.
 //
 // In-place repairs need no commit (the metadata already says exactly
 // where the block belongs) and are marked healed as soon as the upload

@@ -11,9 +11,10 @@
 //   - AsyncLatentCloud: a 1-thread I/O pool holds many delayed requests
 //     outstanding simultaneously — the multiplexing the async layer exists
 //     for.
-//   - AsyncRetryingCloud: success after transient failures, and the cancel
-//     guarantee mid-retry (a cancelled handle never invokes its completion
-//     after cancel() returns, even with a backoff timer armed).
+//   - AsyncRetryingCloud: success after transient failures, counting into
+//     the blocking halves' registry, and the cancel guarantee mid-retry (a
+//     cancelled handle never invokes its completion after cancel()
+//     returns, even with a backoff timer armed).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include "cloud/health.h"
 #include "cloud/latent_cloud.h"
 #include "cloud/memory_cloud.h"
+#include "cloud/metered_cloud.h"
 #include "cloud/retrying_cloud.h"
 #include "common/executor.h"
 #include "common/retry.h"
@@ -488,6 +490,38 @@ TEST(AsyncRetryingCloudTest, ExhaustedRetriesSurfaceTheTransientError) {
   ASSERT_TRUE(latch.wait());
   EXPECT_EQ(latch.status.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(mem->file_count(), 0u);
+}
+
+// The twins record into their blocking halves' registry, not the context's:
+// a context without obs still meters every attempt and counts the retries.
+TEST(AsyncRetryingCloudTest, CountsIntoBlockingHalfsRegistry) {
+  AsyncRig rig;
+  ASSERT_EQ(rig.ctx.obs, nullptr);
+  auto obs = std::make_shared<obs::Observability>();
+  auto mem = std::make_shared<MemoryCloud>(3, "flaky");
+  auto metered = std::make_shared<MeteredCloud>(
+      std::make_shared<FlakyCloud>(mem, /*failures=*/2), obs);
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.backoff_base = 0.002;
+  policy.backoff_cap = 0.01;
+  auto blocking = std::make_shared<RetryingCloud>(
+      metered, policy, nullptr, RealClock::instance(), real_sleep(),
+      Rng(1), obs);
+  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+
+  StatusLatch latch;
+  auto data = std::make_shared<const Bytes>(payload("counted"));
+  cloud->upload_async("/data/counted", ByteSpan(*data), latch.cb());
+  ASSERT_TRUE(latch.wait());
+  ASSERT_TRUE(latch.status.is_ok());
+  const auto snap = obs->metrics.snapshot();
+  EXPECT_EQ(snap.counter_value("retry.flaky.attempts"), 3u);
+  EXPECT_EQ(snap.counter_value("retry.flaky.retries"), 2u);
+  EXPECT_EQ(snap.counter_value("retry.flaky.transient_failures"), 2u);
+  EXPECT_EQ(snap.counter_value("cloud.flaky.upload.data.err"), 2u);
+  EXPECT_EQ(snap.counter_value("cloud.flaky.upload.data.ok"), 1u);
+  EXPECT_EQ(snap.counter_value("cloud.flaky.bytes_up"), data->size());
 }
 
 // The satellite guarantee: after cancel() returns, the completion never

@@ -6,8 +6,6 @@
 #include <filesystem>
 
 #include "cloud/directory_cloud.h"
-#include "cloud/rate_limited_cloud.h"
-#include "core/client.h"
 #include "lock/quorum_lock.h"
 #include "cloud/faulty_cloud.h"
 #include "cloud/latent_cloud.h"
@@ -328,65 +326,6 @@ TEST_F(DirectoryCloudTest, WorksAsQuorumLockSubstrate) {
   for (const auto& c : clouds) {
     EXPECT_TRUE(c->list("/lock").value().empty());
   }
-}
-
-// --- RateLimitedCloud -------------------------------------------------------------
-
-TEST(RateLimitedCloudTest, BurstThenThrottle) {
-  auto inner = std::make_shared<MemoryCloud>(1, "m");
-  ManualClock clock;
-  RateLimit limit;
-  limit.requests_per_second = 1;
-  limit.burst = 3;
-  RateLimitedCloud limited(inner, limit, clock);
-
-  // The burst allowance passes, the next request is throttled.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(limited.upload("/f" + std::to_string(i),
-                               ByteSpan(bytes("x"))).is_ok());
-  }
-  const Status throttled = limited.upload("/f3", ByteSpan(bytes("x")));
-  EXPECT_EQ(throttled.code(), ErrorCode::kUnavailable);
-  EXPECT_TRUE(throttled.is_transient());  // schedulers will retry
-  EXPECT_EQ(limited.throttled_requests(), 1u);
-}
-
-TEST(RateLimitedCloudTest, TokensRefillOverTime) {
-  auto inner = std::make_shared<MemoryCloud>(1, "m");
-  ManualClock clock;
-  RateLimit limit;
-  limit.requests_per_second = 2;
-  limit.burst = 1;
-  RateLimitedCloud limited(inner, limit, clock);
-  EXPECT_TRUE(limited.list("/").is_ok());
-  EXPECT_FALSE(limited.list("/").is_ok());
-  clock.advance(0.6);  // 1.2 tokens refilled
-  EXPECT_TRUE(limited.list("/").is_ok());
-}
-
-TEST(RateLimitedCloudTest, ClientSyncsThroughRateLimits) {
-  // End to end: a client over rate-limited clouds retries through 429s.
-  cloud::MultiCloud clouds;
-  for (cloud::CloudId id = 0; id < 5; ++id) {
-    auto memory =
-        std::make_shared<MemoryCloud>(id, "m" + std::to_string(id));
-    RateLimit limit;
-    limit.requests_per_second = 200;  // tight but survivable
-    limit.burst = 20;
-    clouds.push_back(std::make_shared<RateLimitedCloud>(
-        memory, limit, RealClock::instance()));
-  }
-  auto fs = std::make_shared<core::MemoryLocalFs>();
-  core::ClientConfig config;
-  config.device = "dev";
-  config.theta = 64 << 10;
-  config.lock.retry.backoff_base = 0.005;
-  config.lock.retry.backoff_cap = 0.015;
-  core::UniDriveClient client(clouds, fs, config);
-  Rng rng(77);
-  ASSERT_TRUE(fs->write("/f", ByteSpan(rng.bytes(100000))).is_ok());
-  auto report = client.sync();
-  EXPECT_TRUE(report.is_ok()) << report.status().to_string();
 }
 
 // --- LatentCloud -----------------------------------------------------------------

@@ -646,6 +646,39 @@ TEST(ShardedMetaStoreTest, HasCloudUpdateComparesRootVersion) {
   EXPECT_FALSE(store.has_cloud_update(stamp("devA", 1)));
 }
 
+// The metadata store's availability contract: no root before the first
+// commit is kNotFound, and a majority of clouds suffices to commit and read.
+
+TEST(MetaStoreTest, NoMetadataIsNotFound) {
+  auto clouds = make_clouds(5);
+  ShardedMetaStore store(clouds, "pass", small_shards());
+  EXPECT_EQ(store.fetch_remote_version().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.fetch_latest().code(), ErrorCode::kNotFound);
+}
+
+TEST(MetaStoreTest, SurvivesMinorityOutage) {
+  // Two of five clouds in permanent outage: the commit and a cold reader's
+  // fetch both succeed on the remaining majority.
+  cloud::MultiCloud wrapped;
+  for (const auto& c : make_clouds(5)) {
+    auto faulty =
+        std::make_shared<cloud::FaultyCloud>(c, cloud::FaultProfile{}, 1);
+    faulty->set_outage(wrapped.size() < 2);
+    wrapped.push_back(faulty);
+  }
+  ShardedMetaStore writer(wrapped, "pass", small_shards());
+  std::vector<Change> cs{Change::upsert_file(snapshot("/a", "devA")),
+                         Change::upsert_file(snapshot("/dir/b", "devA"))};
+  ASSERT_TRUE(
+      commit_changes(writer, cs, image_of(cs), stamp("devA", 1)).is_ok());
+
+  ShardedMetaStore reader(wrapped, "pass", small_shards());
+  auto fetched = reader.fetch_latest();
+  ASSERT_TRUE(fetched.is_ok()) << fetched.status().to_string();
+  EXPECT_EQ(fetched.value().version, stamp("devA", 1));
+  EXPECT_EQ(fetched.value().image.files().size(), 2u);
+}
+
 }  // namespace
 }  // namespace unidrive::metadata
 

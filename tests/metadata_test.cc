@@ -2,15 +2,11 @@
 
 #include <memory>
 
-#include "cloud/faulty_cloud.h"
-#include "cloud/memory_cloud.h"
 #include "common/rng.h"
 #include "metadata/codec.h"
 #include "metadata/delta.h"
 #include "metadata/diff.h"
 #include "metadata/image.h"
-#include "metadata/store.h"
-#include "metadata/version_file.h"
 
 namespace unidrive::metadata {
 namespace {
@@ -44,21 +40,6 @@ TEST(VersionStampTest, Ordering) {
   EXPECT_TRUE(b < c);  // device name tiebreak
   EXPECT_FALSE(c < b);
   EXPECT_TRUE(b == VersionStamp({"dev1", 2, 99}));  // timestamp ignored
-}
-
-TEST(VersionFileTest, RoundTrip) {
-  const VersionStamp v{"laptop", 42, 123.5};
-  const Bytes data = serialize_version_file(v);
-  EXPECT_LT(data.size(), 64u);  // "small version file"
-  auto parsed = parse_version_file(ByteSpan(data));
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_TRUE(parsed.value() == v);
-  EXPECT_DOUBLE_EQ(parsed.value().timestamp, 123.5);
-}
-
-TEST(VersionFileTest, RejectsGarbage) {
-  const Bytes junk = bytes_from_string("not a version file");
-  EXPECT_EQ(parse_version_file(ByteSpan(junk)).code(), ErrorCode::kCorrupt);
 }
 
 // --- SyncFolderImage ------------------------------------------------------------
@@ -366,6 +347,25 @@ TEST(MergeTest, BlockLocationsMergedPerSegment) {
   EXPECT_EQ(merged->blocks.size(), 4u);  // 3 originals + the new location
 }
 
+TEST(MergeTest, HistoryRetainedThroughMerge) {
+  // The cloud image's history must survive a merge; local edits applied on
+  // top push superseded snapshots into it.
+  SyncFolderImage base;
+  base.upsert_segment(make_segment("s0"));
+  base.upsert_file(make_snapshot("/f", "v0", {"s0"}));
+  SyncFolderImage cloud = base;
+  cloud.upsert_segment(make_segment("s1"));
+  cloud.upsert_file(make_snapshot("/f", "v1", {"s1"}));  // v0 -> history
+  SyncFolderImage local = base;  // unchanged locally
+
+  const MergeResult m = merge_images(base, local, cloud, "devA");
+  const auto hist = m.merged.history("/f");
+  ASSERT_EQ(hist.size(), 1u);
+  EXPECT_EQ(hist[0].content_hash, "v0");
+  // History's segments stay referenced after the merge's refcount rebuild.
+  EXPECT_GE(m.merged.find_segment("s0")->refcount, 1u);
+}
+
 // --- delta log -------------------------------------------------------------------
 
 TEST(DeltaLogTest, SerializeRoundTrip) {
@@ -601,228 +601,6 @@ TEST(CodecFuzzTest, DeltaLogSurvivesRoundTripAndRejectsCorruption) {
     }
     EXPECT_FALSE(codec.decode_delta(ByteSpan(corrupted)).is_ok());
   }
-}
-
-// --- MetaStore -------------------------------------------------------------------
-
-cloud::MultiCloud make_clouds(int n) {
-  cloud::MultiCloud clouds;
-  for (int i = 0; i < n; ++i) {
-    clouds.push_back(std::make_shared<cloud::MemoryCloud>(
-        static_cast<cloud::CloudId>(i), "cloud" + std::to_string(i)));
-  }
-  return clouds;
-}
-
-TEST(MetaStoreTest, PublishAndFetch) {
-  auto clouds = make_clouds(5);
-  MetaStore store(clouds, "pass");
-
-  SyncFolderImage image;
-  image.set_version({"dev", 1, 0.0});
-  image.upsert_file(make_snapshot("/a", "h"));
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(image, empty, /*upload_base=*/true).is_ok());
-
-  auto fetched = store.fetch_latest();
-  ASSERT_TRUE(fetched.is_ok());
-  EXPECT_TRUE(fetched.value().image == image);
-  EXPECT_EQ(fetched.value().version.counter, 1u);
-}
-
-TEST(MetaStoreTest, NoMetadataIsNotFound) {
-  auto clouds = make_clouds(5);
-  MetaStore store(clouds, "pass");
-  EXPECT_EQ(store.fetch_remote_version().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(store.fetch_latest().code(), ErrorCode::kNotFound);
-}
-
-TEST(MetaStoreTest, DeltaOnlyPublishAndReplay) {
-  auto clouds = make_clouds(5);
-  MetaStore store(clouds, "pass");
-
-  SyncFolderImage base;
-  base.set_version({"dev", 1, 0.0});
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(base, empty, true).is_ok());
-
-  DeltaLog delta;
-  CommitRecord r;
-  r.version = {"dev", 2, 0.0};
-  r.changes.push_back(Change::upsert_file(make_snapshot("/new", "h")));
-  delta.append(r);
-  ASSERT_TRUE(store.publish(base, delta, /*upload_base=*/false).is_ok());
-
-  auto fetched = store.fetch_latest();
-  ASSERT_TRUE(fetched.is_ok());
-  EXPECT_EQ(fetched.value().version.counter, 2u);
-  EXPECT_NE(fetched.value().image.find_file("/new"), nullptr);
-}
-
-TEST(MetaStoreTest, HasCloudUpdate) {
-  auto clouds = make_clouds(3);
-  MetaStore store(clouds, "pass");
-  SyncFolderImage image;
-  image.set_version({"dev", 5, 0.0});
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(image, empty, true).is_ok());
-
-  EXPECT_TRUE(store.has_cloud_update(VersionStamp{"dev", 4, 0.0}));
-  EXPECT_FALSE(store.has_cloud_update(VersionStamp{"dev", 5, 0.0}));
-  EXPECT_FALSE(store.has_cloud_update(VersionStamp{"dev", 6, 0.0}));
-}
-
-TEST(MetaStoreTest, SurvivesMinorityOutage) {
-  auto clouds = make_clouds(5);
-  // Wrap two clouds in permanent outage.
-  cloud::MultiCloud wrapped;
-  for (std::size_t i = 0; i < clouds.size(); ++i) {
-    if (i < 2) {
-      auto faulty = std::make_shared<cloud::FaultyCloud>(
-          clouds[i], cloud::FaultProfile{}, 1);
-      faulty->set_outage(true);
-      wrapped.push_back(faulty);
-    } else {
-      wrapped.push_back(clouds[i]);
-    }
-  }
-  MetaStore store(wrapped, "pass");
-  SyncFolderImage image;
-  image.set_version({"dev", 1, 0.0});
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(image, empty, true).is_ok());
-  ASSERT_TRUE(store.fetch_latest().is_ok());
-}
-
-TEST(MetaStoreTest, FailsWithMajorityDown) {
-  auto clouds = make_clouds(5);
-  cloud::MultiCloud wrapped;
-  for (std::size_t i = 0; i < clouds.size(); ++i) {
-    auto faulty = std::make_shared<cloud::FaultyCloud>(
-        clouds[i], cloud::FaultProfile{}, 1);
-    if (i < 3) faulty->set_outage(true);
-    wrapped.push_back(faulty);
-  }
-  MetaStore store(wrapped, "pass");
-  SyncFolderImage image;
-  DeltaLog empty;
-  EXPECT_FALSE(store.publish(image, empty, true).is_ok());
-}
-
-TEST(MetaStoreTest, FetchRawReturnsBaseAndDeltaSeparately) {
-  auto clouds = make_clouds(3);
-  MetaStore store(clouds, "pass");
-
-  SyncFolderImage base;
-  base.set_version({"dev", 1, 0.0});
-  base.upsert_file(make_snapshot("/in_base", "h"));
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(base, empty, true).is_ok());
-
-  DeltaLog delta;
-  CommitRecord record;
-  record.version = {"dev", 2, 0.0};
-  record.changes.push_back(Change::upsert_file(make_snapshot("/in_delta", "h2")));
-  delta.append(record);
-  ASSERT_TRUE(store.publish(base, delta, /*upload_base=*/false).is_ok());
-
-  auto raw = store.fetch_raw();
-  ASSERT_TRUE(raw.is_ok());
-  // The RAW pair preserves the separation: base has only the base file,
-  // the delta has the un-folded commit.
-  EXPECT_NE(raw.value().base.find_file("/in_base"), nullptr);
-  EXPECT_EQ(raw.value().base.find_file("/in_delta"), nullptr);
-  ASSERT_EQ(raw.value().delta.size(), 1u);
-  EXPECT_EQ(raw.value().delta.records()[0].version.counter, 2u);
-}
-
-TEST(MergeTest, HistoryRetainedThroughMerge) {
-  // The cloud image's history must survive a merge; local edits applied on
-  // top push superseded snapshots into it.
-  SyncFolderImage base;
-  base.upsert_segment(make_segment("s0"));
-  base.upsert_file(make_snapshot("/f", "v0", {"s0"}));
-  SyncFolderImage cloud = base;
-  cloud.upsert_segment(make_segment("s1"));
-  cloud.upsert_file(make_snapshot("/f", "v1", {"s1"}));  // v0 -> history
-  SyncFolderImage local = base;  // unchanged locally
-
-  const MergeResult m = merge_images(base, local, cloud, "devA");
-  const auto hist = m.merged.history("/f");
-  ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0].content_hash, "v0");
-  // History's segments stay referenced after the merge's refcount rebuild.
-  EXPECT_GE(m.merged.find_segment("s0")->refcount, 1u);
-}
-
-TEST(MetaStoreTest, ReadsNewestAmongClouds) {
-  auto clouds = make_clouds(3);
-  MetaStore store(clouds, "pass");
-  SyncFolderImage v1;
-  v1.set_version({"dev", 1, 0.0});
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(v1, empty, true).is_ok());
-
-  // A second store writes v2 but only cloud 0 accepts (others in outage).
-  cloud::MultiCloud partial;
-  partial.push_back(clouds[0]);
-  MetaStore store0(partial, "pass");
-  SyncFolderImage v2;
-  v2.set_version({"dev", 2, 0.0});
-  v2.upsert_file(make_snapshot("/newer", "h"));
-  ASSERT_TRUE(store0.publish(v2, empty, true).is_ok());
-
-  // Full store must find v2 via cloud 0's version file.
-  auto fetched = store.fetch_latest();
-  ASSERT_TRUE(fetched.is_ok());
-  EXPECT_EQ(fetched.value().version.counter, 2u);
-}
-
-TEST(MetaStoreTest, RefetchAtSameVersionShortCircuits) {
-  auto clouds = make_clouds(3);
-  ManualClock clock;
-  auto obs = std::make_shared<obs::Observability>(clock);
-  MetaStore store(clouds, "pass", obs);
-
-  SyncFolderImage image;
-  image.set_version({"dev", 1, 0.0});
-  image.upsert_file(make_snapshot("/a", "h"));
-  DeltaLog empty;
-  ASSERT_TRUE(store.publish(image, empty, true).is_ok());
-
-  ASSERT_TRUE(store.fetch_latest().is_ok());
-  const std::uint64_t before =
-      obs->metrics.snapshot().counter_value("meta.fetch.short_circuit");
-  // Nothing newer was advertised: answered from the cache, no replay.
-  auto again = store.fetch_latest();
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_TRUE(again.value().image == image);
-  EXPECT_EQ(obs->metrics.snapshot().counter_value("meta.fetch.short_circuit"),
-            before + 1);
-
-  // A newer publish invalidates the short circuit.
-  SyncFolderImage v2 = image;
-  v2.set_version({"dev", 2, 0.0});
-  v2.upsert_file(make_snapshot("/b", "h2"));
-  ASSERT_TRUE(store.publish(v2, empty, true).is_ok());
-  auto fresh = store.fetch_latest();
-  ASSERT_TRUE(fresh.is_ok());
-  EXPECT_EQ(fresh.value().version.counter, 2u);
-  EXPECT_EQ(obs->metrics.snapshot().counter_value("meta.fetch.short_circuit"),
-            before + 1);
-}
-
-TEST(MetaStoreTest, EmptyCloudSetIsRejectedNotTriviallySatisfied) {
-  MetaStore store(cloud::MultiCloud{}, "pass");
-  // majority() of zero clouds must be unreachable, not 0-out-of-0.
-  EXPECT_EQ(store.majority(), 1u);
-  SyncFolderImage image;
-  image.set_version({"dev", 1, 0.0});
-  DeltaLog empty;
-  EXPECT_FALSE(store.publish(image, empty, true).is_ok());
-  EXPECT_FALSE(store.fetch_latest().is_ok());
-  EXPECT_FALSE(store.fetch_remote_version().is_ok());
-  EXPECT_FALSE(store.has_cloud_update(VersionStamp{"dev", 0, 0.0}));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Unit tests for the unified resilience layer: RetryPolicy/retry_call
-// (common/retry.h), the CloudHealthRegistry circuit breaker (cloud/health.h)
-// and the RetryingCloud / DeadlineCloud decorators (cloud/retrying_cloud.h),
-// plus the torn-upload and hang fault injectors in FaultyCloud.
+// Unit tests for the unified resilience layer: the RetryPolicy backoff
+// (common/retry.h), the CloudHealthRegistry circuit breaker
+// (cloud/health.h) and the RetryingCloud decorator with its RetryCall
+// engine (cloud/retrying_cloud.h), plus the torn-upload and hang fault
+// injectors in FaultyCloud.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,153 +22,6 @@ namespace unidrive {
 namespace {
 
 Bytes text(const std::string& s) { return Bytes(s.begin(), s.end()); }
-
-// Deterministic retry environment: sleeping advances a manual clock and is
-// recorded, so tests assert on the exact backoff schedule.
-struct TestEnv {
-  ManualClock clock;
-  std::vector<Duration> sleeps;
-
-  RetryEnv env() {
-    RetryEnv e;
-    e.clock = &clock;
-    e.sleep = [this](Duration d) {
-      sleeps.push_back(d);
-      clock.advance(d);
-    };
-    e.rng = Rng(42);
-    return e;
-  }
-};
-
-// --- retry_call ---------------------------------------------------------------
-
-TEST(RetryCallTest, FirstAttemptSuccessDoesNotSleep) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy{}, env, [&] {
-    ++calls;
-    return Status::ok();
-  });
-  EXPECT_TRUE(s.is_ok());
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(t.sleeps.empty());
-}
-
-TEST(RetryCallTest, TransientFailuresRetriedUntilSuccess) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.backoff_base = 0.1;
-  policy.backoff_cap = 1.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&]() -> Status {
-    if (++calls < 3) return make_error(ErrorCode::kUnavailable, "flap");
-    return Status::ok();
-  });
-  EXPECT_TRUE(s.is_ok());
-  EXPECT_EQ(calls, 3);
-  ASSERT_EQ(t.sleeps.size(), 2u);
-  for (const Duration d : t.sleeps) {
-    EXPECT_GE(d, policy.backoff_base);
-    EXPECT_LE(d, policy.backoff_cap);
-  }
-}
-
-TEST(RetryCallTest, NonTransientErrorSurfacesImmediately) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy{}, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kNotFound, "gone");
-  });
-  EXPECT_EQ(s.code(), ErrorCode::kNotFound);
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(t.sleeps.empty());
-}
-
-TEST(RetryCallTest, AttemptBudgetExhaustedReturnsLastError) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.backoff_base = 0.01;
-  policy.backoff_cap = 0.05;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "still down");
-  });
-  EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(t.sleeps.size(), 2u);  // no sleep after the final attempt
-}
-
-TEST(RetryCallTest, SingleShotNeverRetries) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy::single_shot(), env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "down");
-  });
-  EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(RetryCallTest, TotalDeadlineStopsBeforeSleepingPastBudget) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  RetryPolicy policy;
-  policy.max_attempts = 100;
-  policy.backoff_base = 10.0;  // every pause is at least 10 s
-  policy.backoff_cap = 10.0;
-  policy.total_deadline = 5.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "down");
-  });
-  EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(calls, 1);  // the 10 s pause would overrun the 5 s budget
-  EXPECT_TRUE(t.sleeps.empty());
-}
-
-TEST(RetryCallTest, SlowSuccessMapsToTimeout) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base = 0.01;
-  policy.backoff_cap = 0.01;
-  policy.attempt_deadline = 1.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
-    t.clock.advance(5.0);  // the "request" stalls well past the deadline
-    return Status::ok();
-  });
-  // Both attempts came back OK but too late; the result is a timeout.
-  EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(RetryCallTest, ResultFlavourReturnsValueOfSuccessfulAttempt) {
-  TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Result<int> r =
-      retry_call<int>(RetryPolicy{}, env, [&]() -> Result<int> {
-        if (++calls < 2) return make_error(ErrorCode::kTimeout, "slow");
-        return 7;
-      });
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value(), 7);
-  EXPECT_EQ(calls, 2);
-}
 
 TEST(BackoffStateTest, StaysWithinBaseAndCap) {
   RetryPolicy policy;
@@ -310,13 +164,20 @@ TEST(CloudHealthRegistryTest, SnapshotReportsStats) {
   EXPECT_EQ(all[1].id, 5u);
 }
 
-// --- RetryingCloud / DeadlineCloud --------------------------------------------
+// --- RetryingCloud ------------------------------------------------------------
 
-// Fails the first `fail_first` requests with kUnavailable, then delegates.
+// Fails the first `fail_first` requests with `code`, then delegates. With a
+// clock, every request first stalls `stall` seconds on it.
 class FlakyCloud final : public cloud::CloudProvider {
  public:
-  FlakyCloud(cloud::CloudPtr inner, int fail_first)
-      : inner_(std::move(inner)), remaining_(fail_first) {}
+  FlakyCloud(cloud::CloudPtr inner, int fail_first,
+             ErrorCode code = ErrorCode::kUnavailable,
+             ManualClock* clock = nullptr, Duration stall = 0)
+      : inner_(std::move(inner)),
+        remaining_(fail_first),
+        code_(code),
+        clock_(clock),
+        stall_(stall) {}
 
   [[nodiscard]] cloud::CloudId id() const noexcept override {
     return inner_->id();
@@ -349,17 +210,130 @@ class FlakyCloud final : public cloud::CloudProvider {
  private:
   Status gate() {
     ++calls_;
+    if (clock_ != nullptr) clock_->advance(stall_);
     if (remaining_ > 0) {
       --remaining_;
-      return make_error(ErrorCode::kUnavailable, "flaky");
+      return make_error(code_, "flaky");
     }
     return Status::ok();
   }
 
   cloud::CloudPtr inner_;
   int remaining_;
+  ErrorCode code_;
+  ManualClock* clock_;
+  Duration stall_;
   int calls_ = 0;
 };
+
+// A RetryingCloud over a FlakyCloud in virtual time: each pause advances
+// the manual clock and is recorded, so tests assert on the exact backoff
+// schedule.
+struct RetryRig {
+  explicit RetryRig(int fail_first, RetryPolicy policy = {},
+                    ErrorCode code = ErrorCode::kUnavailable,
+                    Duration stall = 0)
+      : flaky(std::make_shared<FlakyCloud>(memory, fail_first, code, &clock,
+                                           stall)),
+        guarded(
+            flaky, policy, nullptr, clock,
+            [this](Duration d) {
+              pauses.push_back(d);
+              clock.advance(d);
+            },
+            Rng(42)) {}
+
+  ManualClock clock;
+  std::vector<Duration> pauses;
+  std::shared_ptr<cloud::MemoryCloud> memory =
+      std::make_shared<cloud::MemoryCloud>(1, "m");
+  std::shared_ptr<FlakyCloud> flaky;
+  cloud::RetryingCloud guarded;
+};
+
+TEST(RetryingCloudTest, FirstAttemptSuccessDoesNotSleep) {
+  RetryRig rig(/*fail_first=*/0);
+  EXPECT_TRUE(rig.guarded.upload("/f", ByteSpan(text("x"))).is_ok());
+  EXPECT_EQ(rig.flaky->calls(), 1);
+  EXPECT_TRUE(rig.pauses.empty());
+}
+
+TEST(RetryingCloudTest, TransientFailuresRetriedUntilSuccess) {
+  RetryPolicy policy;
+  policy.max_attempts = 5;
+  policy.backoff_base = 0.1;
+  policy.backoff_cap = 1.0;
+  RetryRig rig(/*fail_first=*/2, policy);
+  EXPECT_TRUE(rig.guarded.upload("/f", ByteSpan(text("x"))).is_ok());
+  EXPECT_EQ(rig.flaky->calls(), 3);
+  ASSERT_EQ(rig.pauses.size(), 2u);
+  for (const Duration d : rig.pauses) {
+    EXPECT_GE(d, policy.backoff_base);
+    EXPECT_LE(d, policy.backoff_cap);
+  }
+}
+
+TEST(RetryingCloudTest, NonTransientErrorSurfacesImmediately) {
+  RetryRig rig(/*fail_first=*/1, RetryPolicy{}, ErrorCode::kNotFound);
+  EXPECT_EQ(rig.guarded.remove("/gone").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(rig.flaky->calls(), 1);
+  EXPECT_TRUE(rig.pauses.empty());
+}
+
+TEST(RetryingCloudTest, AttemptBudgetExhaustedReturnsLastError) {
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff_base = 0.01;
+  policy.backoff_cap = 0.05;
+  RetryRig rig(/*fail_first=*/100, policy);
+  EXPECT_EQ(rig.guarded.create_dir("/d").code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(rig.flaky->calls(), 3);
+  EXPECT_EQ(rig.pauses.size(), 2u);  // no pause after the final attempt
+}
+
+TEST(RetryingCloudTest, SingleShotNeverRetries) {
+  RetryRig rig(/*fail_first=*/100, RetryPolicy::single_shot());
+  EXPECT_EQ(rig.guarded.list("/").code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(rig.flaky->calls(), 1);
+  EXPECT_TRUE(rig.pauses.empty());
+}
+
+TEST(RetryingCloudTest, TotalDeadlineStopsBeforeSleepingPastBudget) {
+  RetryPolicy policy;
+  policy.max_attempts = 100;
+  policy.backoff_base = 10.0;  // every pause is at least 10 s
+  policy.backoff_cap = 10.0;
+  policy.total_deadline = 5.0;
+  RetryRig rig(/*fail_first=*/100, policy);
+  EXPECT_EQ(rig.guarded.upload("/f", ByteSpan(text("x"))).code(),
+            ErrorCode::kTimeout);
+  EXPECT_EQ(rig.flaky->calls(), 1);  // the 10 s pause would overrun 5 s
+  EXPECT_TRUE(rig.pauses.empty());
+}
+
+TEST(RetryingCloudTest, SlowSuccessMapsToTimeout) {
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.backoff_base = 0.01;
+  policy.backoff_cap = 0.01;
+  policy.attempt_deadline = 1.0;
+  // Every request succeeds, but only after stalling well past the deadline.
+  RetryRig rig(/*fail_first=*/0, policy, ErrorCode::kUnavailable,
+               /*stall=*/5.0);
+  EXPECT_EQ(rig.guarded.upload("/f", ByteSpan(text("x"))).code(),
+            ErrorCode::kTimeout);
+  EXPECT_EQ(rig.flaky->calls(), 2);
+}
+
+TEST(RetryingCloudTest, DownloadReturnsBytesOfSuccessfulAttempt) {
+  RetryRig rig(/*fail_first=*/1);
+  ASSERT_TRUE(rig.memory->upload("/f", ByteSpan(text("seven"))).is_ok());
+  const Result<Bytes> r = rig.guarded.download("/f");
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value(), text("seven"));
+  EXPECT_EQ(rig.flaky->calls(), 2);
+  EXPECT_EQ(rig.pauses.size(), 1u);
+}
 
 TEST(RetryingCloudTest, RetriesThroughTransientFailures) {
   auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
@@ -454,23 +428,6 @@ TEST(RetryingCloudTest, AttemptDeadlineMapsHangToTimeout) {
   EXPECT_GE(faulty->hangs(), 1u);
   // The hang counts against the cloud's health.
   EXPECT_EQ(health->snapshot(1).failures, 1u);
-}
-
-TEST(DeadlineCloudTest, MapsOverlongCallToTimeout) {
-  auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
-  ManualClock clock;
-  cloud::FaultProfile profile;
-  profile.hang_rate = 1.0;
-  profile.hang_seconds = 9.0;
-  auto faulty = std::make_shared<cloud::FaultyCloud>(
-      memory, profile, 9, [&clock](Duration d) { clock.advance(d); });
-  cloud::DeadlineCloud deadline(faulty, 2.0, clock);
-
-  const Status s = deadline.upload("/f", ByteSpan(text("late")));
-  EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-  // The inner call DID complete (the verb cannot be aborted mid-flight);
-  // only the caller's view of it is a timeout.
-  EXPECT_EQ(memory->download("/f").value(), text("late"));
 }
 
 // --- FaultyCloud fault injectors ----------------------------------------------

@@ -11,7 +11,7 @@
 #include "metadata/codec.h"
 #include "metadata/delta.h"
 #include "metadata/image.h"
-#include "metadata/version_file.h"
+#include "metadata/kv.h"
 
 UNIDRIVE_REGISTER_SEED_LISTENER()
 
@@ -41,11 +41,26 @@ TEST(RobustnessTest, DeltaDeserializeSurvivesRandomBytes) {
   }
 }
 
-TEST(RobustnessTest, VersionFileSurvivesRandomBytes) {
+TEST(RobustnessTest, RootPointerSurvivesRandomBytes) {
+  // The root pointer is read from every cloud. Half the trials put a valid
+  // magic in front of the garbage, so the version and key decoders see it.
+  metadata::RootPointer valid;
+  valid.version = {"dev", 7, 1.5};
+  valid.manifest_key = "m/7_dev";
+  const Bytes wire = valid.serialize();
   Rng rng(test_seed(3));
   for (int trial = 0; trial < 300; ++trial) {
-    const Bytes junk = rng.bytes(rng.next_below(100));
-    (void)metadata::parse_version_file(ByteSpan(junk));
+    Bytes junk = rng.bytes(rng.next_below(100));
+    if (trial % 2 == 1) {
+      junk.insert(junk.begin(), wire.begin(), wire.begin() + 4);
+    }
+    (void)metadata::RootPointer::deserialize(ByteSpan(junk));
+  }
+  // Every strict prefix of a valid pointer is rejected, never half-read.
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    EXPECT_FALSE(metadata::RootPointer::deserialize(ByteSpan(wire.data(), n))
+                     .is_ok())
+        << "prefix of " << n << " bytes";
   }
 }
 
