@@ -8,14 +8,17 @@
 //   - CRC32C: hardware (sse4.2) vs slicing-by-8 software.
 //   - Ciphers: AES-128-CTR (dispatched vs scalar reference), ChaCha20, and
 //     the paper's DES-CBC baseline.
+//   - Hashes: SHA-1 and SHA-256, dispatched (SHA-NI) vs scalar reference.
 //
 // Emits BENCH_kernels.json (CI artifact). Hard gates (exit 1):
 //   - SIMD RS encode >= 3x the scalar reference when the CPU has SSSE3/AVX2.
 //   - Hardware CRC32C >= 5x software when the CPU has SSE4.2.
+//   - SHA-NI SHA-1 and SHA-256 each >= 4x their scalar twins when the CPU
+//     has SHA-NI.
 //   - On hosts without the ISA (or under UNIDRIVE_FORCE_SCALAR=1) the gates
 //     auto-relax to parity (ratio >= 0.9: dispatch overhead must be nil).
-// Correctness is asserted inline (encode output vs scalar twin) so a fast
-// but wrong kernel cannot pass.
+// Correctness is asserted inline (encode output and digests vs their scalar
+// twins) so a fast but wrong kernel cannot pass.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +32,8 @@
 #include "crypto/chacha20.h"
 #include "crypto/crc32.h"
 #include "crypto/des.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 
@@ -122,11 +127,15 @@ int run() {
   const CpuFeatures& f = cpu_features();
   const bool gf_simd = !f.force_scalar && (f.avx2 || f.ssse3);
   const bool crc_hw = !f.force_scalar && f.sse42;
+  const bool sha_hw = !f.force_scalar && f.sha;
 
-  std::printf("bench_kernels: gf=%s crc32c=%s aes=%s chacha20=%s%s\n",
-              Gf256::kernel_name(), crypto::crc32c_kernel_name(),
-              crypto::Aes128::kernel_name(), crypto::ChaCha20::kernel_name(),
-              f.force_scalar ? " (UNIDRIVE_FORCE_SCALAR)" : "");
+  std::printf(
+      "bench_kernels: gf=%s crc32c=%s aes=%s chacha20=%s sha1=%s "
+      "sha256=%s%s\n",
+      Gf256::kernel_name(), crypto::crc32c_kernel_name(),
+      crypto::Aes128::kernel_name(), crypto::ChaCha20::kernel_name(),
+      crypto::Sha1::kernel_name(), crypto::Sha256::kernel_name(),
+      f.force_scalar ? " (UNIDRIVE_FORCE_SCALAR)" : "");
 
   EncodeFixture fx;
   const std::size_t encode_bytes = kN * kShardBytes;  // rows written per pass
@@ -197,6 +206,33 @@ int run() {
     (void)s;
   });
 
+  // Hashes over an L2-resident buffer, like CRC: the compression kernels
+  // are compute-bound. Digest pin before timing.
+  const Bytes hash_buf = rng.bytes(512 << 10);
+  const ByteSpan hash_view(hash_buf);
+  if (crypto::Sha1::hash(hash_view) != crypto::Sha1::hash_scalar(hash_view) ||
+      crypto::Sha256::hash(hash_view) !=
+          crypto::Sha256::hash_scalar(hash_view)) {
+    std::fprintf(stderr, "FATAL: dispatched digest != scalar digest\n");
+    return 1;
+  }
+  volatile std::uint8_t digest_sink = 0;
+  const Measured sha1_fast = measure(hash_buf.size(), [&] {
+    digest_sink = crypto::Sha1::hash(hash_view)[0];
+  });
+  const Measured sha1_scalar = measure(hash_buf.size(), [&] {
+    digest_sink = crypto::Sha1::hash_scalar(hash_view)[0];
+  });
+  const Measured sha256_fast = measure(hash_buf.size(), [&] {
+    digest_sink = crypto::Sha256::hash(hash_view)[0];
+  });
+  const Measured sha256_scalar = measure(hash_buf.size(), [&] {
+    digest_sink = crypto::Sha256::hash_scalar(hash_view)[0];
+  });
+  (void)digest_sink;
+  const double sha1_ratio = sha1_fast.mbps / sha1_scalar.mbps;
+  const double sha256_ratio = sha256_fast.mbps / sha256_scalar.mbps;
+
   std::printf("  %-28s %10s\n", "kernel", "MB/s");
   std::printf("  %-28s %10.0f\n", "rs_encode(10,3) dispatched", enc_simd.mbps);
   std::printf("  %-28s %10.0f\n", "rs_encode(10,3) scalar", enc_scalar.mbps);
@@ -208,23 +244,32 @@ int run() {
   std::printf("  %-28s %10.0f\n", "aes128ctr scalar", aes_scalar.mbps);
   std::printf("  %-28s %10.0f\n", "chacha20", chacha_m.mbps);
   std::printf("  %-28s %10.0f\n", "des-cbc (paper baseline)", des_m.mbps);
+  std::printf("  %-28s %10.0f\n", "sha1 dispatched", sha1_fast.mbps);
+  std::printf("  %-28s %10.0f\n", "sha1 scalar", sha1_scalar.mbps);
+  std::printf("  %-28s %10.0f\n", "sha256 dispatched", sha256_fast.mbps);
+  std::printf("  %-28s %10.0f\n", "sha256 scalar", sha256_scalar.mbps);
   std::printf("  encode ratio %.2fx (gate %s), crc ratio %.2fx (gate %s)\n",
               enc_ratio, gf_simd ? ">=3" : ">=0.9 (parity)", crc_ratio,
               crc_hw ? ">=5" : ">=0.9 (parity)");
+  std::printf("  sha1 ratio %.2fx, sha256 ratio %.2fx (gate %s)\n",
+              sha1_ratio, sha256_ratio, sha_hw ? ">=4" : ">=0.9 (parity)");
 
   const double enc_gate = gf_simd ? 3.0 : 0.9;
   const double crc_gate = crc_hw ? 5.0 : 0.9;
+  const double sha_gate = sha_hw ? 4.0 : 0.9;
   const bool enc_pass = enc_ratio >= enc_gate;
   const bool crc_pass = crc_ratio >= crc_gate;
+  const bool sha1_pass = sha1_ratio >= sha_gate;
+  const bool sha256_pass = sha256_ratio >= sha_gate;
 
   if (FILE* json = std::fopen("BENCH_kernels.json", "w")) {
     std::fprintf(
         json,
         "{\n"
         "  \"cpu\": {\"ssse3\": %s, \"sse42\": %s, \"avx2\": %s, "
-        "\"aesni\": %s, \"force_scalar\": %s},\n"
+        "\"aesni\": %s, \"sha\": %s, \"force_scalar\": %s},\n"
         "  \"impl\": {\"gf\": \"%s\", \"crc32c\": \"%s\", \"aes\": \"%s\", "
-        "\"chacha20\": \"%s\"},\n"
+        "\"chacha20\": \"%s\", \"sha1\": \"%s\", \"sha256\": \"%s\"},\n"
         "  \"mbps\": {\n"
         "    \"rs_encode_dispatched\": %.1f,\n"
         "    \"rs_encode_scalar\": %.1f,\n"
@@ -235,28 +280,46 @@ int run() {
         "    \"aes128ctr_dispatched\": %.1f,\n"
         "    \"aes128ctr_scalar\": %.1f,\n"
         "    \"chacha20\": %.1f,\n"
-        "    \"des_cbc\": %.1f\n"
+        "    \"des_cbc\": %.1f,\n"
+        "    \"sha1_dispatched\": %.1f,\n"
+        "    \"sha1_scalar\": %.1f,\n"
+        "    \"sha256_dispatched\": %.1f,\n"
+        "    \"sha256_scalar\": %.1f\n"
         "  },\n"
         "  \"gates\": {\n"
         "    \"encode_ratio\": %.3f, \"encode_gate\": %.2f, "
         "\"encode_pass\": %s,\n"
-        "    \"crc_ratio\": %.3f, \"crc_gate\": %.2f, \"crc_pass\": %s\n"
+        "    \"crc_ratio\": %.3f, \"crc_gate\": %.2f, \"crc_pass\": %s,\n"
+        "    \"sha1_ratio\": %.3f, \"sha1_gate\": %.2f, \"sha1_pass\": %s,\n"
+        "    \"sha256_ratio\": %.3f, \"sha256_gate\": %.2f, "
+        "\"sha256_pass\": %s\n"
         "  }\n"
         "}\n",
         f.ssse3 ? "true" : "false", f.sse42 ? "true" : "false",
         f.avx2 ? "true" : "false", f.aesni ? "true" : "false",
-        f.force_scalar ? "true" : "false", Gf256::kernel_name(),
-        crypto::crc32c_kernel_name(), crypto::Aes128::kernel_name(),
-        crypto::ChaCha20::kernel_name(), enc_simd.mbps, enc_scalar.mbps,
-        enc_sweeps.mbps, dec_simd.mbps, crc_fast.mbps, crc_soft.mbps,
-        aes_fast.mbps, aes_scalar.mbps, chacha_m.mbps, des_m.mbps, enc_ratio,
-        enc_gate, enc_pass ? "true" : "false", crc_ratio, crc_gate,
-        crc_pass ? "true" : "false");
+        f.sha ? "true" : "false", f.force_scalar ? "true" : "false",
+        Gf256::kernel_name(), crypto::crc32c_kernel_name(),
+        crypto::Aes128::kernel_name(), crypto::ChaCha20::kernel_name(),
+        crypto::Sha1::kernel_name(), crypto::Sha256::kernel_name(),
+        enc_simd.mbps, enc_scalar.mbps, enc_sweeps.mbps, dec_simd.mbps,
+        crc_fast.mbps, crc_soft.mbps, aes_fast.mbps, aes_scalar.mbps,
+        chacha_m.mbps, des_m.mbps, sha1_fast.mbps, sha1_scalar.mbps,
+        sha256_fast.mbps, sha256_scalar.mbps, enc_ratio, enc_gate,
+        enc_pass ? "true" : "false", crc_ratio, crc_gate,
+        crc_pass ? "true" : "false", sha1_ratio, sha_gate,
+        sha1_pass ? "true" : "false", sha256_ratio, sha_gate,
+        sha256_pass ? "true" : "false");
     std::fclose(json);
   }
 
   if (!enc_pass) return fail("rs encode SIMD/scalar ratio", enc_ratio, enc_gate);
   if (!crc_pass) return fail("crc32c hw/sw ratio", crc_ratio, crc_gate);
+  if (!sha1_pass) {
+    return fail("sha1 dispatched/scalar ratio", sha1_ratio, sha_gate);
+  }
+  if (!sha256_pass) {
+    return fail("sha256 dispatched/scalar ratio", sha256_ratio, sha_gate);
+  }
   std::printf("  all gates passed\n");
   return 0;
 }

@@ -4,12 +4,15 @@
 // per-shard locks.
 //
 // Ladder: 10k -> 100k -> 1M files (UNIDRIVE_META_SCALE_FILES appends an
-// extra point, e.g. 10000000). At each point we measure a ONE-FILE commit
-// at its amortized-worst moment — the fold the delta policy forces once
+// extra point, e.g. 10000000). At each point we measure ONE-FILE commits
+// at their amortized-worst moment — the fold the delta policy forces once
 // the log outgrows λ. The fold touches one shard (shard count scales with
 // the folder, so the shard stays O(changed subtree)). Reader catch-up
-// after that commit re-fetches exactly the one advanced shard (version
-// short-circuit serves the rest from cache).
+// after each commit re-fetches exactly the one advanced shard (version
+// short-circuit serves the rest from cache). Each point reports the median
+// of kFoldCommits such commits and catch-ups, taken round-robin across the
+// points: one sample per point, taken one point after another, let a
+// shared host's drift swing the ladder ratio across its gate.
 //
 // Writer ladder: 1 -> 1000 writers, each committing one token file to its
 // own subtree through its own ShardedMetaStore + LockManager over shared
@@ -19,9 +22,10 @@
 // Emits BENCH_meta.json (CI artifact). Hard gates (exit 1):
 //   * sharded commit latency grows sublinearly across the ladder
 //     (O(changed subtree), not O(folder)): the 100x file-count span may
-//     cost at most 10x in commit latency;
+//     cost at most 10x in median commit latency;
 //   * every ladder commit succeeded, and the writer ladder lost ZERO
 //     updates (token oracle over the assembled image).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +56,7 @@ using metadata::VersionStamp;
 
 constexpr int kClouds = 3;
 constexpr std::size_t kFilesPerDir = 1024;
+constexpr int kFoldCommits = 5;  // samples per ladder point (median taken)
 
 double now_sec() {
   using namespace std::chrono;
@@ -110,88 +115,94 @@ std::uint32_t shards_for(std::size_t files) {
       16, static_cast<std::uint32_t>(files / 16384));
 }
 
-struct PointResult {
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// One ladder point, live for the whole ladder so its commits can interleave
+// with the other points'.
+struct Point {
   std::size_t files = 0;
-  double shard_commit_s = -1;   // 1-file commit, shard fold forced
-  double shard_catchup_s = -1;  // warm reader: one shard re-fetched
   std::uint32_t num_shards = 0;
+  std::unique_ptr<ShardedMetaStore> store;   // the committing writer
+  std::unique_ptr<ShardedMetaStore> reader;  // warm reader, cache primed
+  SyncFolderImage next;                      // image the next commit extends
+  std::vector<double> commit_s, catchup_s;
+  double shard_commit_s = -1;   // median 1-file commit, shard fold forced
+  double shard_catchup_s = -1;  // median warm reader: one shard re-fetched
   bool ok = false;
 };
 
-PointResult run_point(const SyncFolderImage& image, std::size_t files) {
-  PointResult r;
-  r.files = files;
-  r.num_shards = shards_for(files);
+// Fold ALWAYS due: the amortized-worst commit, paid once the delta log
+// outgrows λ.
+constexpr DeltaPolicy kFoldNow{.merge_ratio = 0.0, .merge_floor = 0};
 
-  const std::string touched = file_path(files / 2);
-  // Fold ALWAYS due: the amortized-worst commit, paid once the delta log
-  // outgrows λ.
-  const DeltaPolicy fold_now{.merge_ratio = 0.0, .merge_floor = 0};
-
-  auto clouds = make_clouds();
+// Seeds the point with one bulk commit of every file (O(folder), paid once
+// at setup) and primes a warm reader at v1.
+bool seed_point(Point& p) {
+  p.num_shards = shards_for(p.files);
+  const auto clouds = make_clouds();
   ShardConfig cfg;
-  cfg.num_shards = r.num_shards;
-  ShardedMetaStore store(clouds, "bench-pass", cfg);
+  cfg.num_shards = p.num_shards;
+  p.store = std::make_unique<ShardedMetaStore>(clouds, "bench-pass", cfg);
+  p.next = build_image(p.files);
 
-  // Seed: one bulk commit of every file (O(folder), paid once at setup).
   std::vector<Change> seed;
-  seed.reserve(files);
-  for (const auto& [path, snap] : image.files()) {
+  seed.reserve(p.files);
+  for (const auto& [path, snap] : p.next.files()) {
     seed.push_back(Change::upsert_file(snap));
   }
   ShardManifest fenced;
   fenced.num_shards = cfg.num_shards;
   std::vector<ShardEntry> dirty;
-  for (const auto& slice :
-       split_changes_by_shard(seed, cfg.num_shards)) {
-    auto e = store.publish_shard(slice.shard, nullptr, slice.changes,
-                                 image, {"bench", 1, 0.0}, fold_now);
-    if (!e.is_ok()) return r;
+  for (const auto& slice : split_changes_by_shard(seed, cfg.num_shards)) {
+    auto e = p.store->publish_shard(slice.shard, nullptr, slice.changes,
+                                    p.next, {"bench", 1, 0.0}, kFoldNow);
+    if (!e.is_ok()) return false;
     dirty.push_back(std::move(e).take());
   }
-  if (!store.commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
-    return r;
+  if (!p.store->commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
+    return false;
   }
+  p.reader = std::make_unique<ShardedMetaStore>(clouds, "bench-pass", cfg);
+  return p.reader->fetch_latest().is_ok();
+}
 
-  // A warm reader holding v1 (cache primed).
-  ShardedMetaStore reader(clouds, "bench-pass", cfg);
-  if (!reader.fetch_latest().is_ok()) return r;
-
-  // The measured 1-file commit, fold forced — but the fold touches ONE
-  // shard, whose size is bounded by the routing, not by the folder.
-  SyncFolderImage next = image;
-  FileSnapshot s = snapshot_of(touched);
-  s.content_hash = "sha-v2";
-  const double t0 = now_sec();
-  next.upsert_file(s);
-  next.set_version({"bench", 2, 0.0});
-  std::vector<Change> one{Change::upsert_file(s)};
-  auto fence = store.fetch_manifest();
-  if (!fence.is_ok()) return r;
+// One measured 1-file commit at version `counter`, fold forced — but the
+// fold touches ONE shard, whose size is bounded by the routing, not by the
+// folder — then the warm reader's catch-up.
+bool commit_once(Point& p, std::uint64_t counter) {
+  const VersionStamp stamp{"bench", counter, 0.0};
+  FileSnapshot s = snapshot_of(file_path(p.files / 2));
+  s.content_hash = "sha-v" + std::to_string(counter);
   const metadata::ShardId shard =
-      metadata::shard_of_path(touched, cfg.num_shards);
-  auto entry = store.publish_shard(shard, fence.value().find(shard), one,
-                                   next, {"bench", 2, 0.0}, fold_now);
-  if (!entry.is_ok()) return r;
-  if (!store.commit_manifest({entry.value()}, fence.value(),
-                             {"bench", 2, 0.0})
+      metadata::shard_of_path(s.path, p.num_shards);
+
+  const double t0 = now_sec();
+  p.next.upsert_file(s);
+  p.next.set_version(stamp);
+  std::vector<Change> one{Change::upsert_file(s)};
+  auto fence = p.store->fetch_manifest();
+  if (!fence.is_ok()) return false;
+  auto entry = p.store->publish_shard(shard, fence.value().find(shard), one,
+                                      p.next, stamp, kFoldNow);
+  if (!entry.is_ok()) return false;
+  if (!p.store->commit_manifest({entry.value()}, fence.value(), stamp)
            .is_ok()) {
-    return r;
+    return false;
   }
-  r.shard_commit_s = now_sec() - t0;
+  p.commit_s.push_back(now_sec() - t0);
 
   // Warm reader catch-up: every clean shard short-circuits from cache,
   // only the advanced shard is re-fetched and replayed.
   const double t1 = now_sec();
-  auto caught = reader.fetch_latest();
-  if (!caught.is_ok() ||
-      caught.value().image.files().size() != files) {
-    return r;
+  auto caught = p.reader->fetch_latest();
+  if (!caught.is_ok() || caught.value().image.files().size() != p.files) {
+    return false;
   }
-  r.shard_catchup_s = now_sec() - t1;
-
-  r.ok = true;
-  return r;
+  p.catchup_s.push_back(now_sec() - t1);
+  return true;
 }
 
 struct WriterResult {
@@ -288,18 +299,30 @@ int run() {
   }
 
   std::printf("bench_meta_scale: sharded metadata plane, %d clouds, "
-              "%zu files/dir\n\n",
-              kClouds, kFilesPerDir);
+              "%zu files/dir, median of %d fold commits per point\n\n",
+              kClouds, kFilesPerDir, kFoldCommits);
   std::printf("%10s %7s | %12s %12s\n", "files", "shards", "commit",
               "catchup");
 
-  std::vector<PointResult> points;
-  for (const std::size_t files : ladder) {
-    const SyncFolderImage image = build_image(files);
-    PointResult p = run_point(image, files);
+  std::vector<Point> points(ladder.size());
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    points[i].files = ladder[i];
+    points[i].ok = seed_point(points[i]);
+  }
+  // Round-robin over the points, so a host that slows down mid-ladder
+  // slows every point alike instead of skewing the gate's ratio.
+  for (int round = 0; round < kFoldCommits; ++round) {
+    for (Point& p : points) {
+      if (p.ok) p.ok = commit_once(p, 2 + static_cast<std::uint64_t>(round));
+    }
+  }
+  for (Point& p : points) {
+    if (p.ok) {
+      p.shard_commit_s = median(p.commit_s);
+      p.shard_catchup_s = median(p.catchup_s);
+    }
     std::printf("%10zu %7u | %10.1f ms %10.1f ms\n", p.files, p.num_shards,
                 p.shard_commit_s * 1e3, p.shard_catchup_s * 1e3);
-    points.push_back(p);
   }
 
   std::printf("\nwriter ladder (sharded store, per-shard locks):\n");
@@ -318,18 +341,18 @@ int run() {
 
   // --- gates ----------------------------------------------------------------
   int failures = 0;
-  for (const PointResult& p : points) {
+  for (const Point& p : points) {
     if (!p.ok) {
       std::fprintf(stderr, "GATE: ladder point %zu files failed to run\n",
                    p.files);
       ++failures;
     }
   }
-  const PointResult& top = points.back();
-  // O(changed subtree): 100x more files may cost at most 10x commit latency
-  // (it should be near-flat; the bound only absorbs timer noise on tiny
-  // absolute numbers).
-  const PointResult& base = points.front();
+  const Point& top = points.back();
+  // O(changed subtree): 100x more files may cost at most 10x median commit
+  // latency (it should be near-flat; the bound only absorbs timer noise on
+  // tiny absolute numbers).
+  const Point& base = points.front();
   if (top.ok && base.ok &&
       top.shard_commit_s > 10.0 * std::max(base.shard_commit_s, 1e-4)) {
     std::fprintf(stderr,
@@ -352,9 +375,11 @@ int run() {
 
   FILE* json = std::fopen("BENCH_meta.json", "w");
   if (json != nullptr) {
-    std::fprintf(json, "{\n  \"points\": [\n");
+    std::fprintf(json, "{\n  \"fold_commits_per_point\": %d,\n",
+                 kFoldCommits);
+    std::fprintf(json, "  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
-      const PointResult& p = points[i];
+      const Point& p = points[i];
       std::fprintf(
           json,
           "    {\"files\": %zu, \"num_shards\": %u, "

@@ -27,8 +27,11 @@ CpuFeatures probe_cpu() noexcept {
       __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
       ymm_enabled = (xcr0_lo & 0x6) == 0x6;
     }
-    if (ymm_enabled && __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
-      f.avx2 = (ebx & bit_AVX2) != 0;
+    const bool sse41 = (ecx & bit_SSE4_1) != 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+      f.avx2 = ymm_enabled && (ebx & bit_AVX2) != 0;
+      // The SHA-NI kernels also shuffle, align and blend with SSSE3/SSE4.1.
+      f.sha = (ebx & bit_SHA) != 0 && f.ssse3 && sse41;
     }
   }
 #endif

@@ -1,12 +1,12 @@
 // Runtime CPU feature probe and kernel-dispatch registry.
 //
 // Every byte-crunching kernel in the data plane (GF(2^8) multiply-accumulate,
-// CRC32C, AES-CTR) exists in at least two flavours: a portable scalar
-// fallback and one or more ISA-accelerated variants. Each kernel resolves a
-// function pointer ONCE (first use, thread-safe via static-local init) by
-// consulting cpu_features(); the chosen implementation is registered here so
-// observability can export what actually runs (`cpu.kernel.*` gauges) and
-// tests can assert the dispatch outcome.
+// CRC32C, AES-CTR, SHA-1, SHA-256) exists in at least two flavours: a
+// portable scalar fallback and one or more ISA-accelerated variants. Each
+// kernel resolves a function pointer ONCE (first use, thread-safe via
+// static-local init) by consulting cpu_features(); the chosen implementation
+// is registered here so observability can export what actually runs
+// (`cpu.kernel.*` gauges) and tests can assert the dispatch outcome.
 //
 // Setting UNIDRIVE_FORCE_SCALAR=1 in the environment masks every ISA bit, so
 // the whole process runs on the portable fallbacks — CI uses this to prove
@@ -24,6 +24,8 @@ struct CpuFeatures {
   bool sse42 = false;   // crc32 insn      -> hardware CRC32C
   bool avx2 = false;    // vpshufb (256b)  -> wide GF(2^8) kernels
   bool aesni = false;   // aesenc          -> AES-128-CTR
+  bool sha = false;     // sha1rnds4/sha256rnds2 (with SSSE3 and SSE4.1)
+                        //                 -> SHA-1, SHA-256
   bool force_scalar = false;  // UNIDRIVE_FORCE_SCALAR was set
 };
 

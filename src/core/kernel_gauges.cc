@@ -6,6 +6,8 @@
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
 #include "crypto/crc32.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 #include "erasure/gf256.h"
 
 namespace unidrive::core {
@@ -17,6 +19,8 @@ void export_kernel_gauges(obs::Observability* obs) {
   (void)crypto::crc32c_kernel_name();
   (void)crypto::Aes128::kernel_name();
   (void)crypto::ChaCha20::kernel_name();
+  (void)crypto::Sha1::kernel_name();
+  (void)crypto::Sha256::kernel_name();
 
   for (const ResolvedKernel& k : resolved_kernels()) {
     obs::set_gauge(obs, "cpu.kernel." + k.kernel, static_cast<double>(k.tier));

@@ -1,6 +1,14 @@
-// SHA-256 (FIPS 180-4). Used for block integrity checks: each stored data
-// block carries a digest so corruption introduced by a faulty cloud is
-// detected before erasure decoding.
+// SHA-256 (FIPS 180-4). A segment's id is the SHA-256 of its plaintext
+// (crypto/convergent.h): the id keys the convergent seal, domain-separated
+// SHA-256s of it give the seal nonce and the one-way storage address, and
+// restore re-hashes every opened segment against its id. The metadata
+// envelope (metadata/codec.h) carries a SHA-256 of its payload, and the
+// AES/ChaCha20 passphrase keys are SHA-256 truncations.
+//
+// Dispatch (common/cpu.h): SHA-NI (sha256rnds2 and the message-schedule
+// instructions) when the CPU has it, otherwise the portable FIPS compression
+// function. update() hands every whole run of 64-byte blocks to the kernel
+// in one call; digests are identical on both paths.
 #pragma once
 
 #include <array>
@@ -8,6 +16,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "crypto/block_hasher.h"
 
 namespace unidrive::crypto {
 
@@ -25,13 +34,18 @@ class Sha256 {
   static Digest hash(ByteSpan data) noexcept;
   static std::string hex(ByteSpan data);
 
- private:
-  void process_block(const std::uint8_t* block) noexcept;
+  // Portable reference twin of hash() (always the scalar compression
+  // function, independent of dispatch); the differential tests pin the
+  // SHA-NI path against it.
+  static Digest hash_scalar(ByteSpan data) noexcept;
 
-  std::uint32_t h_[8];
-  std::uint8_t buffer_[64];
-  std::size_t buffered_ = 0;
-  std::uint64_t total_bytes_ = 0;
+  // Resolved dispatch decision ("shani" or "scalar"); forces resolution, so
+  // the result is also visible via common/cpu.h's registry.
+  [[nodiscard]] static const char* kernel_name() noexcept;
+  [[nodiscard]] static int kernel_tier() noexcept;  // 0 scalar, 1 shani
+
+ private:
+  detail::BlockHasher<8> state_;
 };
 
 }  // namespace unidrive::crypto

@@ -1,14 +1,15 @@
 // Differential fuzz and dispatch coverage for the hardware-speed data plane.
 //
 // Every SIMD kernel (GF(2^8) multiply-accumulate / scale / fused dot,
-// CRC32C, AES-128-CTR) is pinned byte-for-byte against its portable scalar
-// reference twin over randomized lengths (zero, odd, large) and randomized
-// head alignments — including pointers deliberately offset from the 64-byte
-// allocation boundary — so unaligned heads and scalar tails are exercised.
-// Known-answer vectors (RFC 3720, FIPS-197, NIST SP 800-38A, RFC 8439) pin
-// the absolute semantics; the differential runs then transfer that anchor to
-// every dispatch variant. Under UNIDRIVE_FORCE_SCALAR=1 both sides resolve
-// to the same scalar code and the suite still passes (CI's degradation run).
+// CRC32C, AES-128-CTR, SHA-1, SHA-256) is pinned byte-for-byte against its
+// portable scalar reference twin over randomized lengths (zero, odd, large)
+// and randomized head alignments — including pointers deliberately offset
+// from the 64-byte allocation boundary — so unaligned heads and scalar tails
+// are exercised. Known-answer vectors (RFC 3720, FIPS-197, NIST SP 800-38A,
+// RFC 8439, FIPS 180) pin the absolute semantics; the differential runs
+// then transfer that anchor to every dispatch variant. Under
+// UNIDRIVE_FORCE_SCALAR=1 both sides resolve to the same scalar code and the
+// suite still passes (CI's degradation run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 #include "crypto/chacha20.h"
 #include "crypto/cipher.h"
 #include "crypto/crc32.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 #include "erasure/gf256.h"
 #include "metadata/codec.h"
 #include "obs/obs.h"
@@ -256,6 +259,110 @@ TEST(AesKernelTest, CtrRoundTripsInPlace) {
   EXPECT_EQ(data, original);
 }
 
+// --- SHA-1 / SHA-256 ----------------------------------------------------------
+
+TEST(ShaKernelTest, Fips180VectorsThroughDispatch) {
+  struct Vector {
+    std::string message;
+    const char* sha1;
+    const char* sha256;
+  };
+  const std::vector<Vector> vectors = {
+      {"", "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "a49b2446a02c645bf419f995b67091253a04a259",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f",
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  const auto hex = [](const auto& digest) {
+    return to_hex(ByteSpan(digest.data(), digest.size()));
+  };
+  for (const Vector& v : vectors) {
+    const Bytes in = bytes_from_string(v.message);
+    const ByteSpan view(in);
+    EXPECT_EQ(hex(crypto::Sha1::hash(view)), v.sha1) << "len=" << in.size();
+    EXPECT_EQ(hex(crypto::Sha1::hash_scalar(view)), v.sha1)
+        << "len=" << in.size();
+    EXPECT_EQ(hex(crypto::Sha256::hash(view)), v.sha256)
+        << "len=" << in.size();
+    EXPECT_EQ(hex(crypto::Sha256::hash_scalar(view)), v.sha256)
+        << "len=" << in.size();
+  }
+}
+
+// Both twins share the padding front end, so the differential tests cannot
+// see a padding bug. Anchor every length 0..199 (each side of the 55/56
+// and 64-byte edges, three times over) to an independent implementation:
+// the expected values are the hash of the concatenated digests of
+// pattern[0, n), computed with Python's hashlib.
+TEST(ShaKernelTest, PaddingBoundariesKnownAnswer) {
+  Bytes pattern(200);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  Bytes sha1_chain, sha256_chain;
+  for (std::size_t n = 0; n < pattern.size(); ++n) {
+    const auto d1 = crypto::Sha1::hash(ByteSpan(pattern).first(n));
+    const auto d256 = crypto::Sha256::hash(ByteSpan(pattern).first(n));
+    sha1_chain.insert(sha1_chain.end(), d1.begin(), d1.end());
+    sha256_chain.insert(sha256_chain.end(), d256.begin(), d256.end());
+  }
+  EXPECT_EQ(crypto::Sha1::hex(ByteSpan(sha1_chain)),
+            "65a89e3aacfbd0b7df374e2e2eba2705f2b60cbd");
+  EXPECT_EQ(crypto::Sha256::hex(ByteSpan(sha256_chain)),
+            "c35f81543da6e2384825e12b996f63d2d2a652971625973989db4ef4660e027b");
+}
+
+TEST(ShaKernelTest, MatchesScalarReference) {
+  Rng rng(test_seed(0x5a1));
+  for (int iter = 0; iter < 300; ++iter) {
+    const Arena a(rng, (20 << 10) + 1);  // 0..20 KiB
+    const Bytes buf = rng.bytes(a.offset + a.len);
+    const ByteSpan view = ByteSpan(buf).subspan(a.offset);
+    ASSERT_EQ(crypto::Sha1::hash(view), crypto::Sha1::hash_scalar(view))
+        << "len=" << a.len << " off=" << a.offset;
+    ASSERT_EQ(crypto::Sha256::hash(view), crypto::Sha256::hash_scalar(view))
+        << "len=" << a.len << " off=" << a.offset;
+  }
+}
+
+TEST(ShaKernelTest, IncrementalSplitsMatchScalarOneShot) {
+  Rng rng(test_seed(0x5a2));
+  for (int iter = 0; iter < 200; ++iter) {
+    const Bytes buf = rng.bytes(rng.next_below((20 << 10) + 1));
+    const ByteSpan all(buf);
+    crypto::Sha1 sha1;
+    crypto::Sha256 sha256;
+    std::string cuts;
+    std::size_t off = 0;
+    while (off < buf.size()) {
+      // Pieces of 0..130 bytes enter the 64-byte buffer at every fill level
+      // and straddle its edge; an occasional long piece hands the kernel a
+      // multi-block run between two partial blocks.
+      const std::size_t piece =
+          std::min(rng.next_below(8) == 0 ? rng.next_below(4096)
+                                          : rng.next_below(131),
+                   buf.size() - off);
+      sha1.update(all.subspan(off, piece));
+      sha256.update(all.subspan(off, piece));
+      off += piece;
+      cuts += std::to_string(off) + " ";
+    }
+    ASSERT_EQ(sha1.finish(), crypto::Sha1::hash_scalar(all))
+        << "size=" << buf.size() << " cuts=" << cuts;
+    ASSERT_EQ(sha256.finish(), crypto::Sha256::hash_scalar(all))
+        << "size=" << buf.size() << " cuts=" << cuts;
+  }
+}
+
 // --- ChaCha20 -----------------------------------------------------------------
 
 TEST(ChaChaKernelTest, Rfc8439Vector) {
@@ -403,15 +510,21 @@ TEST(DispatchTest, ResolvedKernelsConsistentWithCpuFeatures) {
   const std::string crc = crypto::crc32c_kernel_name();
   const std::string aes = crypto::Aes128::kernel_name();
   const std::string chacha = crypto::ChaCha20::kernel_name();
+  const std::string sha1 = crypto::Sha1::kernel_name();
+  const std::string sha256 = crypto::Sha256::kernel_name();
 
   if (f.force_scalar) {
     EXPECT_EQ(gf, "scalar");
     EXPECT_EQ(crc, "scalar");
     EXPECT_EQ(aes, "scalar");
+    EXPECT_EQ(sha1, "scalar");
+    EXPECT_EQ(sha256, "scalar");
   } else {
     EXPECT_EQ(gf, f.avx2 ? "avx2" : (f.ssse3 ? "ssse3" : "scalar"));
     EXPECT_EQ(crc, f.sse42 ? "sse4.2" : "scalar");
     EXPECT_EQ(aes, f.aesni ? "aesni" : "scalar");
+    EXPECT_EQ(sha1, f.sha ? "shani" : "scalar");
+    EXPECT_EQ(sha256, f.sha ? "shani" : "scalar");
   }
   EXPECT_EQ(chacha, "portable");
 
@@ -419,9 +532,12 @@ TEST(DispatchTest, ResolvedKernelsConsistentWithCpuFeatures) {
   EXPECT_EQ(crypto::crc32c_kernel_tier() == 0, crc == "scalar");
   EXPECT_EQ(crypto::Aes128::kernel_tier() == 0, aes == "scalar");
   EXPECT_EQ(crypto::ChaCha20::kernel_tier(), 0);
+  EXPECT_EQ(crypto::Sha1::kernel_tier() == 0, sha1 == "scalar");
+  EXPECT_EQ(crypto::Sha256::kernel_tier() == 0, sha256 == "scalar");
 
   // Registry carries every kernel with the same impl names.
   bool saw_gf = false, saw_crc = false, saw_aes = false, saw_chacha = false;
+  bool saw_sha1 = false, saw_sha256 = false;
   for (const ResolvedKernel& k : resolved_kernels()) {
     if (k.kernel == "gf_mul_add") { saw_gf = true; EXPECT_EQ(k.impl, gf); }
     if (k.kernel == "crc32c") { saw_crc = true; EXPECT_EQ(k.impl, crc); }
@@ -430,8 +546,14 @@ TEST(DispatchTest, ResolvedKernelsConsistentWithCpuFeatures) {
       saw_chacha = true;
       EXPECT_EQ(k.impl, chacha);
     }
+    if (k.kernel == "sha1") { saw_sha1 = true; EXPECT_EQ(k.impl, sha1); }
+    if (k.kernel == "sha256") {
+      saw_sha256 = true;
+      EXPECT_EQ(k.impl, sha256);
+    }
   }
   EXPECT_TRUE(saw_gf && saw_crc && saw_aes && saw_chacha);
+  EXPECT_TRUE(saw_sha1 && saw_sha256);
 }
 
 TEST(DispatchTest, KernelGaugesExported) {
@@ -448,6 +570,16 @@ TEST(DispatchTest, KernelGaugesExported) {
                            crypto::crc32c_kernel_name()),
             1.0);
   EXPECT_EQ(snap.gauges.at("cpu.kernel.chacha20.portable"), 1.0);
+  EXPECT_EQ(snap.gauges.at("cpu.kernel.sha1"),
+            static_cast<double>(crypto::Sha1::kernel_tier()));
+  EXPECT_EQ(snap.gauges.at(std::string("cpu.kernel.sha1.") +
+                           crypto::Sha1::kernel_name()),
+            1.0);
+  EXPECT_EQ(snap.gauges.at("cpu.kernel.sha256"),
+            static_cast<double>(crypto::Sha256::kernel_tier()));
+  EXPECT_EQ(snap.gauges.at(std::string("cpu.kernel.sha256.") +
+                           crypto::Sha256::kernel_name()),
+            1.0);
 }
 
 }  // namespace
