@@ -7,11 +7,11 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "core/kernel_gauges.h"
 #include "crypto/convergent.h"
-#include "crypto/sha1.h"
 #include "metadata/delta.h"
 #include "sched/rebalance.h"
 
@@ -315,17 +315,79 @@ Result<Bytes> UniDriveClient::fetch_segment(
   }
 }
 
-Status UniDriveClient::materialize_file(const FileSnapshot& snapshot,
-                                        const SyncFolderImage& image) {
-  auto pipeline = make_download_pipeline(code_params());
-  pipeline->add_file(snapshot, image);
-  return pipeline->finish().front().status;
-}
-
 Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
     const SyncFolderImage& target) {
   const metadata::ImageDiff diff = metadata::diff_images(image_, target);
   ApplyOutcome outcome;
+
+  // The folder already holds a file's target content when this device
+  // produced it. This round's scan fingerprinted every local file into the
+  // scan cache, so a lookup answers without reading the file again.
+  const auto holds_content = [this](const FileSnapshot& snapshot) {
+    const auto size = fs_->size(snapshot.path);
+    if (!size.is_ok()) return false;
+    const std::string* hash = scan_cache_.lookup(
+        snapshot.path, size.value(), fs_->mtime(snapshot.path).value_or(0.0));
+    return hash != nullptr && *hash == snapshot.content_hash;
+  };
+  std::vector<const FileSnapshot*> to_download;
+  std::vector<std::string> to_delete;
+  for (const auto& [path, change] : diff.files) {
+    if (change.kind == metadata::EntryChangeKind::kDeleted) {
+      to_delete.push_back(path);
+    } else if (!holds_content(*change.snapshot)) {
+      to_download.push_back(&*change.snapshot);
+    }
+  }
+
+  const auto remove_file = [&](const std::string& path) {
+    if (fs_->remove(path).is_ok()) ++outcome.removed;
+    scan_cache_.forget(path);
+  };
+  const auto remove_dir = [&](const std::string& d) {
+    const Status s = fs_->remove_dir(d);
+    // Already gone is the desired end state, not a failure.
+    if (!s.is_ok() && s.code() != ErrorCode::kNotFound) {
+      outcome.dir_failures.push_back(d);
+      UNI_LOG(kWarn) << "remove_dir " << d << " failed: " << s.to_string();
+    }
+  };
+
+  // Deletions wait for the batch (below), except the ones standing where
+  // it writes: a file replaced by a directory of the same name (/x by
+  // /x/y), or a directory replaced by a file, goes first.
+  std::set<std::string> incoming(diff.added_dirs.begin(),
+                                 diff.added_dirs.end());
+  for (const FileSnapshot* snapshot : to_download) {
+    incoming.insert(snapshot->path);
+  }
+  const auto under = [](const std::string& path, const std::string& dir) {
+    return path.size() > dir.size() && path[dir.size()] == '/' &&
+           path.compare(0, dir.size(), dir) == 0;
+  };
+  const auto in_the_way = [&](const std::string& gone) {
+    if (incoming.count(gone) != 0) return true;
+    const auto next = incoming.lower_bound(gone + "/");
+    return next != incoming.end() && under(*next, gone);
+  };
+  std::vector<std::string> early_dirs;
+  std::vector<std::string> later_dirs;
+  for (const std::string& d : diff.removed_dirs) {
+    (in_the_way(d) ? early_dirs : later_dirs).push_back(d);
+  }
+  std::vector<std::string> later_files;
+  for (const std::string& path : to_delete) {
+    const bool early =
+        in_the_way(path) ||
+        std::any_of(early_dirs.begin(), early_dirs.end(),
+                    [&](const std::string& d) { return under(path, d); });
+    if (early) {
+      remove_file(path);
+    } else {
+      later_files.push_back(path);
+    }
+  }
+  for (const std::string& d : early_dirs) remove_dir(d);
 
   // Directory failures must not be swallowed: a file materialized into a
   // missing directory fails too, and the caller needs to know the folder
@@ -338,51 +400,44 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
     }
   }
 
-  // First pass: deletions inline, downloads collected so the whole batch
-  // streams through ONE restore pipeline (connection pools and hedging
-  // span file boundaries; the prefetch window bounds memory).
-  std::vector<const FileSnapshot*> to_download;
-  for (const auto& [path, change] : diff.files) {
-    switch (change.kind) {
-      case metadata::EntryChangeKind::kAdded:
-      case metadata::EntryChangeKind::kModified: {
-        // Skip if the local file already matches (e.g. we produced it).
-        auto local = fs_->read(path);
-        if (local.is_ok() &&
-            crypto::Sha1::hex(ByteSpan(local.value())) ==
-                change.snapshot->content_hash) {
-          break;
-        }
-        to_download.push_back(&*change.snapshot);
-        break;
-      }
-      case metadata::EntryChangeKind::kDeleted:
-        if (fs_->remove(path).is_ok()) ++outcome.removed;
-        break;
-    }
-  }
-
+  Status batch = Status::ok();
   if (!to_download.empty()) {
-    // Restore needs only k, so it runs even when the placement params fail
-    // CodeParams::validate().
+    // The whole batch streams through ONE restore pipeline (connection
+    // pools and hedging span file boundaries; the prefetch window bounds
+    // memory). Segments the folder already holds, per image_, are read
+    // from it; only the rest are fetched. Restore needs only k, so it runs
+    // even when the placement params fail CodeParams::validate().
+    std::unordered_set<std::string> wanted;
+    for (const FileSnapshot* snapshot : to_download) {
+      wanted.insert(snapshot->segment_ids.begin(),
+                    snapshot->segment_ids.end());
+    }
+    const HeldSegments held(image_, *fs_, wanted);
     auto pipeline = make_download_pipeline(code_params());
     for (const FileSnapshot* snapshot : to_download) {
-      pipeline->add_file(*snapshot, target);
+      pipeline->add_file(*snapshot, target, &held);
     }
-    for (const DownloadPipeline::FileResult& r : pipeline->finish()) {
-      UNI_RETURN_IF_ERROR(r.status);
+    const std::vector<DownloadPipeline::FileResult> results =
+        pipeline->finish();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].status.is_ok()) {
+        if (batch.is_ok()) batch = results[i].status;
+        continue;
+      }
       ++outcome.downloaded;
+      // The restore checked these bytes against the snapshot's content
+      // hash: seed the scan cache so the next scan need not read them.
+      scan_cache_.update(results[i].path, to_download[i]->size,
+                         results[i].mtime, to_download[i]->content_hash);
     }
   }
 
-  for (const std::string& d : diff.removed_dirs) {
-    const Status s = fs_->remove_dir(d);
-    // Already gone is the desired end state, not a failure.
-    if (!s.is_ok() && s.code() != ErrorCode::kNotFound) {
-      outcome.dir_failures.push_back(d);
-      UNI_LOG(kWarn) << "remove_dir " << d << " failed: " << s.to_string();
-    }
-  }
+  // The other deletions run whether the batch succeeded or not: a moved
+  // file restores from its old path first, and a failed batch cannot
+  // leave deleted files behind for the next scan to re-commit.
+  for (const std::string& path : later_files) remove_file(path);
+  for (const std::string& d : later_dirs) remove_dir(d);
+  UNI_RETURN_IF_ERROR(batch);
 
   image_ = target;
   return outcome;
@@ -724,6 +779,7 @@ Result<SyncReport> UniDriveClient::sync() {
                                 }
                               });
   }
+  obs::add_counter(obs_.get(), "sync.files_hashed", scan.files_hashed);
 
   if (!scan.changes.empty()) {
     // --- local update path (Algorithm 1, lines 2-14) ---
@@ -951,57 +1007,35 @@ Status UniDriveClient::restore_previous_version(const std::string& path) {
   // Materialize the old content locally; the next sync() scans it as a
   // fresh local edit and commits it through the normal pipeline (so other
   // devices receive it like any other change). Segments are still in the
-  // pool — history snapshots keep them referenced.
-  UNI_RETURN_IF_ERROR(materialize_file(history.front(), image_));
-  return Status::ok();
+  // pool — history snapshots keep them referenced — and the ones the
+  // current version shares with the old one are read from the folder.
+  const FileSnapshot& previous = history.front();
+  const HeldSegments held(image_, *fs_,
+                          {previous.segment_ids.begin(),
+                           previous.segment_ids.end()});
+  auto pipeline = make_download_pipeline(code_params());
+  pipeline->add_file(previous, image_, &held);
+  return pipeline->finish().front().status;
 }
 
-// Hash-verified slice of a segment out of a local file (the client keeps a
-// full copy of everything). kNotFound when no referencing file holds a
-// clean copy.
-Result<Bytes> UniDriveClient::local_segment_slice(
-    const SyncFolderImage& image, const std::string& segment_id) {
-  for (const auto& [path, snapshot] : image.files()) {
-    std::size_t offset = 0;
-    for (const std::string& sid : snapshot.segment_ids) {
-      const metadata::SegmentInfo* seg = image.find_segment(sid);
-      const std::size_t len = seg ? seg->size : 0;
-      if (sid == segment_id) {
-        auto content = fs_->read(path);
-        if (content.is_ok() && offset + len <= content.value().size()) {
-          const ByteSpan view(content.value());
-          const Bytes piece(view.begin() + offset,
-                            view.begin() + offset + len);
-          // Trust but verify: the local file may have been edited since.
-          // Dispatches on the id's hash family (SHA-256, legacy SHA-1).
-          if (crypto::verify_segment_id(segment_id, ByteSpan(piece))) {
-            return piece;
-          }
-        }
-        break;  // local copy unusable; try the next referencing file
-      }
-      offset += len;
-    }
-  }
-  return make_error(ErrorCode::kNotFound,
-                    "no verified local copy of segment " + segment_id);
-}
-
-// Plaintext bytes of a segment, for re-encoding blocks during rebalances.
-// Fast path: the local slice. Fallback: fetch + decode k blocks from the
-// multi-cloud — membership changes must work even when the local copy is
+// Plaintext bytes of a segment, for re-encoding blocks during rebalances
+// and repairs. Fast path: the verified local copy `held` reads. Fallback:
+// fetch + decode k blocks from the multi-cloud, never trusting a placement
+// in `exclude` — membership changes must work even when the local copy is
 // missing (e.g. a freshly joined device administering the multi-cloud).
 Result<Bytes> UniDriveClient::segment_content(
-    const SyncFolderImage& image, const std::string& segment_id) {
-  auto local = local_segment_slice(image, segment_id);
+    const SyncFolderImage& image, const HeldSegments& held,
+    const std::string& segment_id,
+    const std::vector<metadata::BlockLocation>& exclude) {
+  auto local = held.read(segment_id);
   if (local.is_ok()) return local;
-  // Repair path: reconstruct from the clouds. fetch_segment resolves
-  // block placements from the record itself — no image adoption needed.
+  // fetch_segment resolves block placements from the record itself — no
+  // image adoption needed.
   const metadata::SegmentInfo* seg = image.find_segment(segment_id);
   if (seg == nullptr) {
     return make_error(ErrorCode::kNotFound, "unknown segment " + segment_id);
   }
-  return fetch_segment(*seg, {});
+  return fetch_segment(*seg, exclude);
 }
 
 erasure::RsCode UniDriveClient::codec() const {
@@ -1011,15 +1045,11 @@ erasure::RsCode UniDriveClient::codec() const {
 Result<Bytes> UniDriveClient::reconstruct_segment(
     const std::string& segment_id,
     const std::vector<metadata::BlockLocation>& exclude) {
-  auto local = local_segment_slice(image_, segment_id);
-  if (local.is_ok()) return local;
-  const metadata::SegmentInfo* seg = image_.find_segment(segment_id);
-  if (seg == nullptr) {
-    return make_error(ErrorCode::kNotFound, "unknown segment " + segment_id);
-  }
-  // No clean local copy: decode from the clouds WITHOUT the defective
-  // placements — a corrupt block must never poison its own repair.
-  return fetch_segment(*seg, exclude);
+  // Without a clean local copy, decode from the clouds WITHOUT the
+  // defective placements — a corrupt block must never poison its own
+  // repair.
+  return segment_content(image_, HeldSegments(image_, *fs_, {segment_id}),
+                         segment_id, exclude);
 }
 
 Status UniDriveClient::commit_repaired_placements(
@@ -1060,8 +1090,13 @@ void UniDriveClient::execute_rebalance(const SyncFolderImage& image,
                                        const sched::RebalancePlan& plan,
                                        const erasure::RsCode& code,
                                        cloud::CloudProvider* added) {
+  std::unordered_set<std::string> moved;
   for (const sched::BlockMove& move : plan.moves) {
-    auto content = segment_content(image, move.segment_id);
+    moved.insert(move.segment_id);
+  }
+  const HeldSegments held(image_, *fs_, moved);
+  for (const sched::BlockMove& move : plan.moves) {
+    auto content = segment_content(image, held, move.segment_id, {});
     if (!content.is_ok()) {
       UNI_LOG(kWarn) << "rebalance: cannot reconstruct segment "
                      << move.segment_id << ": "

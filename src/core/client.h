@@ -248,12 +248,6 @@ class UniDriveClient {
   [[nodiscard]] std::unique_ptr<DownloadPipeline> make_download_pipeline(
       const sched::CodeParams& params);
 
-  // Downloads + decodes the segments of `snapshot` (resolved against
-  // `image`) and writes the file through a DownloadPipeline: peak memory is
-  // bounded and a failed restore never leaves a partial file behind.
-  Status materialize_file(const metadata::FileSnapshot& snapshot,
-                          const metadata::SyncFolderImage& image);
-
   // Fetches and decodes one segment, verifying its content hash; on
   // integrity failure, raises the fetch budget of the long-lived driver
   // one distinct block at a time (placements disjoint from `exclude`)
@@ -262,15 +256,13 @@ class UniDriveClient {
       const metadata::SegmentInfo& segment,
       const std::vector<metadata::BlockLocation>& exclude);
 
-  // Hash-verified local-file slice of a segment; kNotFound when no
-  // referencing file holds a clean copy.
-  Result<Bytes> local_segment_slice(const metadata::SyncFolderImage& image,
-                                    const std::string& segment_id);
-
-  // Plaintext of a segment: local-file slice when available (verified by
-  // hash), otherwise reconstructed from the multi-cloud.
-  Result<Bytes> segment_content(const metadata::SyncFolderImage& image,
-                                const std::string& segment_id);
+  // Plaintext of a segment: the verified local copy `held` reads when one
+  // exists, otherwise a decode from the multi-cloud (resolved against
+  // `image`) that never trusts a placement in `exclude`.
+  Result<Bytes> segment_content(
+      const metadata::SyncFolderImage& image, const HeldSegments& held,
+      const std::string& segment_id,
+      const std::vector<metadata::BlockLocation>& exclude);
 
   // Uploads moved blocks (re-encoded) and deletes shed ones per `plan`.
   void execute_rebalance(const metadata::SyncFolderImage& image,
@@ -279,10 +271,13 @@ class UniDriveClient {
                          cloud::CloudProvider* added);
 
   // Applies the difference between image_ and `target` to the local folder
-  // (downloads, deletions); updates image_ on success. Directory
-  // create/remove failures do not abort the apply (files are still
-  // materialized) but are reported in `dir_failures` so sync() can surface
-  // an incomplete materialization instead of silently dropping them.
+  // (downloads, then deletions, except a path in the way of a download or
+  // a new directory, which goes first); updates image_ on success.
+  // Segments the folder already holds are read from it, and every restored
+  // file seeds the scan cache. Directory create/remove failures do not
+  // abort the apply (files are still materialized) but are reported in
+  // `dir_failures` so sync() can surface an incomplete materialization
+  // instead of silently dropping them.
   struct ApplyOutcome {
     std::size_t downloaded = 0;
     std::size_t removed = 0;

@@ -46,6 +46,47 @@ Result<Bytes> decode_verified(const erasure::RsCode& code,
   return search(0, 0);
 }
 
+HeldSegments::HeldSegments(const SyncFolderImage& image, const LocalFs& fs,
+                           const std::unordered_set<std::string>& wanted)
+    : fs_(fs) {
+  for (const auto& [path, snapshot] : image.files()) {
+    // Offsets need a segment lookup each: only files holding a wanted
+    // segment pay for them.
+    if (std::none_of(snapshot.segment_ids.begin(), snapshot.segment_ids.end(),
+                     [&](const std::string& sid) {
+                       return wanted.count(sid) != 0;
+                     })) {
+      continue;
+    }
+    std::uint64_t offset = 0;
+    for (const std::string& sid : snapshot.segment_ids) {
+      const SegmentInfo* seg = image.find_segment(sid);
+      if (seg == nullptr) break;  // later offsets are unknown
+      if (wanted.count(sid) != 0) {
+        where_[sid].push_back({path, offset, seg->size});
+      }
+      offset += seg->size;
+    }
+  }
+}
+
+Result<Bytes> HeldSegments::read(const std::string& segment_id) const {
+  const auto it = where_.find(segment_id);
+  if (it != where_.end()) {
+    for (const Location& at : it->second) {
+      auto piece = fs_.read_range(at.path, at.offset, at.size);
+      // Trust but verify: the file may have changed since the image was
+      // committed. Dispatches on the id's hash family.
+      if (piece.is_ok() &&
+          crypto::verify_segment_id(segment_id, ByteSpan(piece.value()))) {
+        return piece;
+      }
+    }
+  }
+  return make_error(ErrorCode::kNotFound,
+                    "no verified local copy of segment " + segment_id);
+}
+
 DownloadPipeline::DownloadPipeline(
     std::size_t k, erasure::RsCode code, std::vector<cloud::CloudId> clouds,
     sched::DriverConfig driver_config, sched::ThroughputMonitor& monitor,
@@ -99,8 +140,58 @@ void DownloadPipeline::cancel() {
   driver_->cancel();  // pending segments get their ok=false callback
 }
 
+bool DownloadPipeline::reserve(std::size_t footprint) {
+  // An oversized reservation (footprint > cap) is admitted once the
+  // pipeline is empty, so it cannot wedge.
+  std::unique_lock<std::mutex> mem(mem_mutex_);
+  mem_cv_.wait(mem, [&] {
+    return cancelled_.load() || inflight_ == 0 ||
+           inflight_ + footprint <= config_.max_inflight_bytes;
+  });
+  if (cancelled_.load()) return false;
+  inflight_ += footprint;
+  peak_inflight_ = std::max(peak_inflight_, inflight_);
+  obs::set_gauge(obs_.get(), "restore.inflight_bytes",
+                 static_cast<double>(inflight_));
+  obs::set_gauge(obs_.get(), "restore.inflight_bytes_peak",
+                 static_cast<double>(peak_inflight_));
+  return true;
+}
+
+bool DownloadPipeline::admit_held(std::size_t file_index,
+                                  const SegmentInfo& seg,
+                                  const HeldSegments& held) {
+  // Plaintext only: a local copy never holds coded shards.
+  if (!reserve(seg.size)) return false;
+  auto plain = held.read(seg.id);
+  if (!plain.is_ok()) {
+    release_bytes(seg.size);
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  FileState& f = files_[file_index];
+  if (f.closed) {
+    // The file failed meanwhile: nothing will consume the plaintext.
+    release_bytes(seg.size);
+    return true;
+  }
+  SegState state;
+  state.info = seg;
+  state.plain_charge = seg.size;
+  state.plain = std::move(plain).take();
+  state.resolved = true;
+  state.decoded = true;
+  state.waiters_remaining = 1;
+  segments_.emplace(seg.id, std::move(state));
+  ++f.admitted;
+  obs::add_counter(obs_.get(), "restore.reused_segments");
+  advance_file_locked(file_index);
+  return true;
+}
+
 void DownloadPipeline::add_file(const FileSnapshot& snapshot,
-                                const SyncFolderImage& image) {
+                                const SyncFolderImage& image,
+                                const HeldSegments* held) {
   std::size_t fi = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -128,7 +219,7 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
   for (const std::string& seg_id : snapshot.segment_ids) {
     {
       // Attach to a live in-window admission of the same segment (dedup
-      // across and within files); the write advances when it decodes.
+      // across and within files); the write advances when it resolves.
       std::lock_guard<std::mutex> lock(mu_);
       FileState& f = files_[fi];
       if (f.closed) return;
@@ -150,39 +241,25 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
                                       seg_id));
       return;
     }
+    if (held != nullptr && admit_held(fi, *seg, *held)) continue;
+
     const std::size_t shard_charge = k_ * code_.shard_size(seg->size);
     const std::size_t plain_charge = seg->size;
     const std::size_t footprint = shard_charge + plain_charge;
-
-    {
-      // Admission gate: wait for room in the prefetch window. An oversized
-      // segment (footprint > cap) is admitted once the pipeline is empty,
-      // so it cannot wedge.
-      std::unique_lock<std::mutex> mem(mem_mutex_);
-      mem_cv_.wait(mem, [&] {
-        return cancelled_.load() || inflight_ == 0 ||
-               inflight_ + footprint <= config_.max_inflight_bytes;
-      });
-      if (cancelled_.load()) {
-        // mem_mutex_ is a leaf (taken under mu_ elsewhere): drop it before
-        // touching pipeline state.
-        mem.unlock();
-        std::lock_guard<std::mutex> lock(mu_);
-        fail_file_locked(files_[fi],
-                         make_error(ErrorCode::kUnavailable,
-                                    "restore pipeline cancelled"));
-        return;
-      }
-      inflight_ += footprint;
-      peak_inflight_ = std::max(peak_inflight_, inflight_);
-      obs::set_gauge(obs_.get(), "restore.inflight_bytes",
-                     static_cast<double>(inflight_));
-      obs::set_gauge(obs_.get(), "restore.inflight_bytes_peak",
-                     static_cast<double>(peak_inflight_));
+    if (!reserve(footprint)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      fail_file_locked(files_[fi], make_error(ErrorCode::kUnavailable,
+                                              "restore pipeline cancelled"));
+      return;
     }
 
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (files_[fi].closed) {
+        // The file failed meanwhile: nothing would consume the segment.
+        release_bytes(footprint);
+        return;
+      }
       SegState state;
       state.info = *seg;
       state.shard_charge = shard_charge;
@@ -215,7 +292,7 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
 
   std::lock_guard<std::mutex> lock(mu_);
   // Finalizes an empty file, or one whose every segment attached to an
-  // already-decoded admission.
+  // already-resolved admission.
   advance_file_locked(fi);
 }
 
@@ -463,7 +540,9 @@ void DownloadPipeline::finalize_file_locked(FileState& f) {
     f.status = make_error(ErrorCode::kCorrupt,
                           "content hash mismatch for " + f.path);
   } else {
-    f.status = f.writer->commit();
+    const Result<double> committed = f.writer->commit();
+    f.status = committed.status();
+    if (committed.is_ok()) f.mtime = committed.value();
   }
   cv_.notify_all();
 }
@@ -506,7 +585,9 @@ std::vector<DownloadPipeline::FileResult> DownloadPipeline::finish() {
       }
     }
     results.reserve(files_.size());
-    for (FileState& f : files_) results.push_back({f.path, f.status});
+    for (FileState& f : files_) {
+      results.push_back({f.path, f.status, f.mtime});
+    }
   }
   {
     std::lock_guard<std::mutex> cache(cache_mutex_);

@@ -3,22 +3,24 @@
 //
 //   apply/restore  ──add_file()──►  [admission gate]  ──►  StreamingDownloadDriver
 //   (producer)                       (bounded prefetch      (fetch k distinct
-//                                    window)                blocks per segment)
-//                                                                │ on_fetched
-//                                                                ▼
-//                                                         decode tasks
-//                                                         (RS row fan-out on
-//                                                         the shared Executor,
-//                                                         SHA-1 verified)
-//                                                                │
-//                                                                ▼
-//                                                         in-order file write
-//                                                         (LocalFs::FileWriter)
+//        │                            window)                blocks per segment)
+//        │ held segment                                            │ on_fetched
+//        ▼                                                         ▼
+//   local source                                            decode tasks
+//   (HeldSegments: ranged read                              (RS row fan-out on
+//   of the folder's own copy,                               the shared Executor,
+//   checked against the id;                                 checked against the
+//   misses and mismatches go                                segment id)
+//   to the driver)                                                 │
+//        │                                                         ▼
+//        └────────────────────────────────────────────────►  in-order file write
+//                                                           (LocalFs::FileWriter)
 //
 // Bounded memory: add_file() admits each segment of a restore batch in
 // snapshot order, reserving its full footprint — k coded shards plus the
 // decoded plaintext — against PipelineConfig::max_inflight_bytes and
-// blocking the producer until enough in-flight bytes drain. The charge is
+// blocking the producer until enough in-flight bytes drain. A segment the
+// local source supplies reserves its plaintext only. The charge is
 // released in stages: the shard portion as soon as the segment decodes,
 // the plaintext portion once every file position referencing the segment
 // has been written. Peak memory is therefore bounded by the window, not by
@@ -27,13 +29,14 @@
 // possible. Deliberately uncharged overshoot: straggler-hedge duplicates
 // and corrupt-search extra blocks (both rare, both one block at a time).
 //
-// Integrity: every segment decode is verified against the segment id
-// (SHA-1 of the content). On a mismatch the pipeline runs the corrupt-
-// shard search — request one more distinct block from the driver, retry
-// every k-subset — until a clean subset decodes or supply runs out.
-// Completed files additionally verify total size and the snapshot's
-// content hash before the FileWriter commits; a failed file never leaves
-// a partial write behind (the writer aborts).
+// Integrity: every segment, decoded or read locally, is verified against
+// its id (SHA-256 of the plaintext; legacy ids are SHA-1). On a decode
+// mismatch the pipeline runs the corrupt-shard search — request one more
+// distinct block from the driver, retry every k-subset — until a clean
+// subset decodes or supply runs out. Completed files additionally verify
+// total size and the snapshot's content hash before the FileWriter
+// commits; a failed file never leaves a partial write behind (the writer
+// aborts).
 //
 // One long-lived scheduler/driver pair serves the whole batch: per-cloud
 // connection pools stay busy across segment and file boundaries, and
@@ -52,6 +55,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -80,11 +85,36 @@ Result<Bytes> decode_verified(const erasure::RsCode& code,
                               const metadata::SegmentInfo& segment,
                               std::size_t k, Executor* executor);
 
+// The local source of a restore: where the folder already holds each
+// wanted segment of `image`, the image the folder reflects — every file
+// position (path, offset, size) that references it. Built once per restore
+// batch. read() copies one range and checks it against the segment id, so
+// a file edited since `image` was committed is skipped, never trusted.
+class HeldSegments {
+ public:
+  HeldSegments(const metadata::SyncFolderImage& image, const LocalFs& fs,
+               const std::unordered_set<std::string>& wanted);
+
+  // Verified plaintext of `segment_id` from the first clean local copy;
+  // kNotFound when no referencing file still holds one.
+  Result<Bytes> read(const std::string& segment_id) const;
+
+ private:
+  struct Location {
+    std::string path;
+    std::uint64_t offset = 0;
+    std::size_t size = 0;
+  };
+  const LocalFs& fs_;
+  std::unordered_map<std::string, std::vector<Location>> where_;
+};
+
 class DownloadPipeline {
  public:
   struct FileResult {
     std::string path;
     Status status = Status::ok();
+    double mtime = 0;  // of the published bytes, when status is ok
   };
 
   DownloadPipeline(std::size_t k, erasure::RsCode code,
@@ -102,11 +132,13 @@ class DownloadPipeline {
   DownloadPipeline& operator=(const DownloadPipeline&) = delete;
 
   // Enqueue one file restore; segments resolve against `image` (only
-  // consulted during this call). Blocks while the in-flight-bytes cap is
-  // reached (backpressure on the caller). Returns immediately after
-  // cancel().
+  // consulted during this call). Segments `held` supplies are read from
+  // the folder instead of fetched; `held` is only consulted during this
+  // call. Blocks while the in-flight-bytes cap is reached (backpressure on
+  // the caller). Returns immediately after cancel().
   void add_file(const metadata::FileSnapshot& snapshot,
-                const metadata::SyncFolderImage& image);
+                const metadata::SyncFolderImage& image,
+                const HeldSegments* held = nullptr);
 
   // End of stream: drain every stage and return one status per file, in
   // feed order. Call exactly once.
@@ -146,8 +178,19 @@ class DownloadPipeline {
     crypto::Sha1 hasher;
     std::uint64_t written = 0;
     Status status = Status::ok();
+    double mtime = 0;     // of the committed bytes
     bool closed = false;  // committed or aborted
   };
+
+  // Admission gate: waits for room in the prefetch window, then reserves
+  // `footprint`. False (nothing reserved) once cancelled.
+  bool reserve(std::size_t footprint);
+  // Local source: reserves the plaintext, reads `seg` through `held` and
+  // admits it to file `file_index` as already decoded. False (nothing
+  // reserved) when no clean local copy exists or the pipeline was
+  // cancelled; the caller's fetch path then handles both.
+  bool admit_held(std::size_t file_index, const metadata::SegmentInfo& seg,
+                  const HeldSegments& held);
 
   // Driver callback (under the driver lock): bookkeeping only, the heavy
   // lifting is posted to the executor.

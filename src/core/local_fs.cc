@@ -15,6 +15,24 @@ namespace fs = std::filesystem;
 
 namespace {
 
+// Seconds since the epoch of a host file time, the unit LocalFs::mtime()
+// reports.
+double seconds_since_epoch(fs::file_time_type t) {
+  return std::chrono::duration<double>(t.time_since_epoch()).count();
+}
+
+// [offset, offset + length) must lie within a file of `size` bytes.
+Status check_range(const std::string& path, std::uint64_t size,
+                   std::uint64_t offset, std::size_t length) {
+  if (offset <= size && length <= size - offset) return Status::ok();
+  return make_error(ErrorCode::kInvalidArgument, "range past end of " + path);
+}
+
+Bytes slice(const Bytes& data, std::uint64_t offset, std::size_t length) {
+  const auto first = data.begin() + static_cast<std::ptrdiff_t>(offset);
+  return Bytes(first, first + static_cast<std::ptrdiff_t>(length));
+}
+
 // Stages appends in memory and publishes through LocalFs::write() on
 // commit, so the atomicity of the underlying write() carries over.
 class BufferedFileWriter final : public LocalFs::FileWriter {
@@ -30,14 +48,15 @@ class BufferedFileWriter final : public LocalFs::FileWriter {
     return Status::ok();
   }
 
-  Status commit() override {
+  Result<double> commit() override {
     if (closed_) {
       return make_error(ErrorCode::kInternal, "double commit");
     }
     closed_ = true;
     const Status status = fs_.write(path_, buffer_);
     buffer_.clear();
-    return status;
+    UNI_RETURN_IF_ERROR(status);
+    return fs_.mtime(path_);
   }
 
   void abort() override {
@@ -58,7 +77,10 @@ class BufferedFileWriter final : public LocalFs::FileWriter {
 class DiskFileWriter final : public LocalFs::FileWriter {
  public:
   explicit DiskFileWriter(std::string host) : host_(std::move(host)) {
-    fs::create_directories(fs::path(host_).parent_path());
+    // A parent that cannot be created (a file stands in the way) makes the
+    // open fail, and with it this file only: it must not throw.
+    std::error_code ec;
+    fs::create_directories(fs::path(host_).parent_path(), ec);
     out_.open(part_path(), std::ios::binary | std::ios::trunc);
   }
 
@@ -78,7 +100,7 @@ class DiskFileWriter final : public LocalFs::FileWriter {
                              "short write to " + part_path());
   }
 
-  Status commit() override {
+  Result<double> commit() override {
     if (closed_) {
       return make_error(ErrorCode::kInternal, "double commit");
     }
@@ -88,13 +110,16 @@ class DiskFileWriter final : public LocalFs::FileWriter {
       abort_cleanup();
       return make_error(ErrorCode::kInternal, "short write to " + part_path());
     }
+    // Stat the .part before the rename: the mtime then belongs to these
+    // bytes, and an edit landing after the rename still moves it.
     std::error_code ec;
-    fs::rename(part_path(), host_, ec);
+    const fs::file_time_type written = fs::last_write_time(part_path(), ec);
+    if (!ec) fs::rename(part_path(), host_, ec);
     if (ec) {
       abort_cleanup();
       return make_error(ErrorCode::kInternal, ec.message());
     }
-    return Status::ok();
+    return seconds_since_epoch(written);
   }
 
   void abort() override {
@@ -123,6 +148,14 @@ Result<std::unique_ptr<LocalFs::FileWriter>> LocalFs::open_write(
   return std::unique_ptr<FileWriter>(new BufferedFileWriter(*this, path));
 }
 
+Result<Bytes> LocalFs::read_range(const std::string& path,
+                                  std::uint64_t offset,
+                                  std::size_t length) const {
+  UNI_ASSIGN_OR_RETURN(const Bytes data, read(path));
+  UNI_RETURN_IF_ERROR(check_range(path, data.size(), offset, length));
+  return slice(data, offset, length);
+}
+
 // --- MemoryLocalFs ----------------------------------------------------------
 
 Result<Bytes> MemoryLocalFs::read(const std::string& path) const {
@@ -130,6 +163,17 @@ Result<Bytes> MemoryLocalFs::read(const std::string& path) const {
   const auto it = files_.find(cloud::normalize_path(path));
   if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
   return it->second.data;
+}
+
+Result<Bytes> MemoryLocalFs::read_range(const std::string& path,
+                                        std::uint64_t offset,
+                                        std::size_t length) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = files_.find(cloud::normalize_path(path));
+  if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
+  const Bytes& data = it->second.data;
+  UNI_RETURN_IF_ERROR(check_range(path, data.size(), offset, length));
+  return slice(data, offset, length);
 }
 
 Status MemoryLocalFs::write(const std::string& path, ByteSpan data) {
@@ -210,6 +254,25 @@ Result<Bytes> DiskLocalFs::read(const std::string& path) const {
   return data;
 }
 
+Result<Bytes> DiskLocalFs::read_range(const std::string& path,
+                                      std::uint64_t offset,
+                                      std::size_t length) const {
+  const std::string host = host_path(path);
+  std::error_code ec;
+  const std::uint64_t size = fs::file_size(host, ec);
+  if (ec) return make_error(ErrorCode::kNotFound, path);
+  // Checked before allocating: the range comes from committed metadata.
+  UNI_RETURN_IF_ERROR(check_range(path, size, offset, length));
+  std::ifstream in(host, std::ios::binary);
+  if (!in) return make_error(ErrorCode::kNotFound, path);
+  in.seekg(static_cast<std::streamoff>(offset));
+  Bytes data(length);
+  in.read(reinterpret_cast<char*>(data.data()),
+          static_cast<std::streamsize>(length));
+  if (!in) return make_error(ErrorCode::kInternal, "short read of " + path);
+  return data;
+}
+
 Status DiskLocalFs::write(const std::string& path, ByteSpan data) {
   const std::string host = host_path(path);
   fs::create_directories(fs::path(host).parent_path());
@@ -280,7 +343,7 @@ Result<double> DiskLocalFs::mtime(const std::string& path) const {
   std::error_code ec;
   const auto t = fs::last_write_time(host_path(path), ec);
   if (ec) return make_error(ErrorCode::kNotFound, path);
-  return std::chrono::duration<double>(t.time_since_epoch()).count();
+  return seconds_since_epoch(t);
 }
 
 }  // namespace unidrive::core

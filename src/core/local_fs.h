@@ -29,8 +29,11 @@ class LocalFs {
    public:
     virtual ~FileWriter() = default;
     virtual Status append(ByteSpan data) = 0;
-    // At most one commit; append is invalid afterwards.
-    virtual Status commit() = 0;
+    // At most one commit; append is invalid afterwards. Returns the mtime
+    // of the bytes this writer published (taken before they become visible
+    // where the backend allows), so a later edit at the path always moves
+    // the (size, mtime) fingerprint a ScanCache keys on.
+    virtual Result<double> commit() = 0;
     // Idempotent; safe after a failed append.
     virtual void abort() = 0;
   };
@@ -40,6 +43,12 @@ class LocalFs {
       const std::string& path);
 
   virtual Result<Bytes> read(const std::string& path) const = 0;
+  // Bytes [offset, offset + length) of a file; kInvalidArgument when the
+  // file is shorter. The default slices read(); backends override it to
+  // copy only the range.
+  virtual Result<Bytes> read_range(const std::string& path,
+                                   std::uint64_t offset,
+                                   std::size_t length) const;
   virtual Status write(const std::string& path, ByteSpan data) = 0;
   virtual Status remove(const std::string& path) = 0;
   virtual Status make_dir(const std::string& path) = 0;
@@ -56,6 +65,8 @@ class LocalFs {
 class MemoryLocalFs final : public LocalFs {
  public:
   Result<Bytes> read(const std::string& path) const override;
+  Result<Bytes> read_range(const std::string& path, std::uint64_t offset,
+                           std::size_t length) const override;
   Status write(const std::string& path, ByteSpan data) override;
   Status remove(const std::string& path) override;
   Status make_dir(const std::string& path) override;
@@ -86,6 +97,8 @@ class DiskLocalFs final : public LocalFs {
   Result<std::unique_ptr<FileWriter>> open_write(
       const std::string& path) override;
   Result<Bytes> read(const std::string& path) const override;
+  Result<Bytes> read_range(const std::string& path, std::uint64_t offset,
+                           std::size_t length) const override;
   Status write(const std::string& path, ByteSpan data) override;
   Status remove(const std::string& path) override;
   Status make_dir(const std::string& path) override;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <thread>
 
+#include "chunker/segmenter.h"
 #include "cloud/faulty_cloud.h"
 #include "cloud/memory_cloud.h"
 #include "common/rng.h"
@@ -37,15 +38,35 @@ ClientConfig test_config(const std::string& device) {
   return cfg;
 }
 
+std::uint64_t counter(const UniDriveClient& client, const std::string& name) {
+  return client.observability()->metrics.snapshot().counter_value(name);
+}
+
+// Sum of the client's counters named <prefix>...<suffix>.
+std::uint64_t counter_sum(const UniDriveClient& client,
+                          const std::string& prefix,
+                          const std::string& suffix) {
+  std::uint64_t n = 0;
+  for (const auto& [name, value] :
+       client.observability()->metrics.snapshot().counters) {
+    if (name.starts_with(prefix) && name.ends_with(suffix)) n += value;
+  }
+  return n;
+}
+
 // --- LocalFs ------------------------------------------------------------------
 
 TEST(MemoryLocalFsTest, ReadWriteRemove) {
   MemoryLocalFs fs;
   ASSERT_TRUE(fs.write("/a.txt", ByteSpan(text("hi"))).is_ok());
   EXPECT_EQ(fs.read("/a.txt").value(), text("hi"));
+  EXPECT_EQ(fs.read_range("/a.txt", 1, 1).value(), text("i"));
+  EXPECT_EQ(fs.read_range("/a.txt", 2, 0).value(), Bytes{});
+  EXPECT_EQ(fs.read_range("/a.txt", 1, 2).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(fs.size("/a.txt").value(), 2u);
   EXPECT_TRUE(fs.remove("/a.txt").is_ok());
   EXPECT_EQ(fs.read("/a.txt").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs.read_range("/a.txt", 0, 1).code(), ErrorCode::kNotFound);
 }
 
 TEST(MemoryLocalFsTest, MtimeAdvancesOnWrite) {
@@ -72,9 +93,13 @@ TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
   DiskLocalFs fs(root);
   ASSERT_TRUE(fs.write("/docs/a.txt", ByteSpan(text("hello"))).is_ok());
   EXPECT_EQ(fs.read("/docs/a.txt").value(), text("hello"));
+  EXPECT_EQ(fs.read_range("/docs/a.txt", 1, 3).value(), text("ell"));
+  EXPECT_EQ(fs.read_range("/docs/a.txt", 4, 2).code(),
+            ErrorCode::kInvalidArgument);
   EXPECT_EQ(fs.list_files(), std::vector<std::string>{"/docs/a.txt"});
   EXPECT_EQ(fs.size("/docs/a.txt").value(), 5u);
   EXPECT_TRUE(fs.remove("/docs/a.txt").is_ok());
+  EXPECT_EQ(fs.read_range("/docs/a.txt", 0, 1).code(), ErrorCode::kNotFound);
   EXPECT_TRUE(fs.list_files().empty());
   std::filesystem::remove_all(root);
 }
@@ -709,6 +734,236 @@ TEST_F(ClientTest, VersionCounterMonotone) {
     EXPECT_GT(report.value().version.counter, last);
     last = report.value().version.counter;
   }
+}
+
+// --- pull only what the device lacks ------------------------------------------
+
+TEST_F(ClientTest, MidFileEditFetchesOnlyChangedSegments) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(95);
+  const Bytes v1 = rng.bytes(512 << 10);  // ~8 segments at theta = 64 KiB
+  ASSERT_TRUE(fs_a->write("/big.bin", ByteSpan(v1)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  Bytes v2 = v1;
+  const Bytes insert = rng.bytes(3000);
+  v2.insert(v2.begin() + static_cast<std::ptrdiff_t>(v2.size() / 2),
+            insert.begin(), insert.end());
+  ASSERT_TRUE(fs_a->write("/big.bin", ByteSpan(v2)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+
+  // The segments the edit rewrote are the ones B's copy lacks.
+  const std::vector<std::string> held =
+      b->image().find_file("/big.bin")->segment_ids;
+  const std::vector<std::string> wanted =
+      a->image().find_file("/big.bin")->segment_ids;
+  std::size_t changed = 0;
+  for (const std::string& id : wanted) {
+    if (std::find(held.begin(), held.end(), id) == held.end()) ++changed;
+  }
+  ASSERT_GT(changed, 0u);
+  ASSERT_LT(changed, wanted.size());
+
+  const std::uint64_t fetched = counter(*b, "restore.segments");
+  const std::uint64_t reused = counter(*b, "restore.reused_segments");
+  auto pull = b->sync();
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_EQ(fs_b->read("/big.bin").value(), v2);
+  EXPECT_EQ(counter(*b, "restore.segments") - fetched, changed);
+  EXPECT_EQ(counter(*b, "restore.reused_segments") - reused,
+            wanted.size() - changed);
+}
+
+TEST_F(ClientTest, RenameDownloadsNoDataBlocks) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(96);
+  const Bytes content = rng.bytes(300000);
+  ASSERT_TRUE(fs_a->write("/old.bin", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  ASSERT_TRUE(fs_a->write("/moved.bin", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(fs_a->remove("/old.bin").is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+
+  // The moved file restores from its old path before that path is deleted.
+  const std::uint64_t before = counter_sum(*b, "cloud.", ".download.data.ok");
+  auto pull = b->sync();
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_EQ(pull.value().files_downloaded, 1u);
+  EXPECT_EQ(pull.value().files_removed, 1u);
+  EXPECT_EQ(counter_sum(*b, "cloud.", ".download.data.ok"), before);
+  EXPECT_EQ(fs_b->read("/moved.bin").value(), content);
+  EXPECT_EQ(fs_b->read("/old.bin").code(), ErrorCode::kNotFound);
+}
+
+TEST_F(ClientTest, FailedBatchStillAppliesDeletions) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  ASSERT_TRUE(fs_a->write("/keep", ByteSpan(text("kept"))).is_ok());
+  ASSERT_TRUE(fs_a->write("/gone", ByteSpan(text("deleted"))).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  ASSERT_TRUE(fs_a->remove("/gone").is_ok());
+  Rng rng(97);
+  ASSERT_TRUE(fs_a->write("/new", ByteSpan(rng.bytes(50000))).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  // Lose every block of /new, so B's restore batch fails.
+  const metadata::SyncFolderImage& image = a->image();
+  for (const std::string& id : image.find_file("/new")->segment_ids) {
+    for (const metadata::BlockLocation& loc : image.find_segment(id)->blocks) {
+      ASSERT_TRUE(clouds_[loc.cloud]
+                      ->remove(metadata::block_path(id, loc.block_index))
+                      .is_ok());
+    }
+  }
+
+  auto pull = b->sync();
+  EXPECT_FALSE(pull.is_ok());
+  EXPECT_EQ(fs_b->read("/gone").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs_b->read("/keep").value(), text("kept"));
+  EXPECT_EQ(fs_b->read("/new").code(), ErrorCode::kNotFound);
+}
+
+TEST_F(ClientTest, RestorePreviousVersionOfOneSegmentEditFetchesOneSegment) {
+  auto fs = std::make_shared<MemoryLocalFs>();
+  auto client = make_client("devA", fs);
+  Rng rng(98);
+  const Bytes v1 = rng.bytes(400 << 10);
+  Bytes v2 = v1;
+  for (std::size_t i = v2.size() - 64; i < v2.size(); ++i) v2[i] ^= 0x5a;
+  // The tail rewrite changes exactly one segment of the file.
+  const chunker::SegmenterParams params{64 << 10};
+  const std::vector<chunker::Segment> old_segs =
+      chunker::segment_file(ByteSpan(v1), params);
+  const std::vector<chunker::Segment> new_segs =
+      chunker::segment_file(ByteSpan(v2), params);
+  ASSERT_EQ(old_segs.size(), new_segs.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < old_segs.size(); ++i) {
+    if (old_segs[i].id != new_segs[i].id) ++differing;
+  }
+  ASSERT_EQ(differing, 1u);
+
+  ASSERT_TRUE(fs->write("/doc", ByteSpan(v1)).is_ok());
+  ASSERT_TRUE(client->sync().is_ok());
+  ASSERT_TRUE(fs->write("/doc", ByteSpan(v2)).is_ok());
+  ASSERT_TRUE(client->sync().is_ok());
+
+  const std::uint64_t fetched = counter(*client, "restore.segments");
+  const std::uint64_t reused = counter(*client, "restore.reused_segments");
+  ASSERT_TRUE(client->restore_previous_version("/doc").is_ok());
+  EXPECT_EQ(fs->read("/doc").value(), v1);
+  EXPECT_EQ(counter(*client, "restore.segments") - fetched, 1u);
+  EXPECT_EQ(counter(*client, "restore.reused_segments") - reused,
+            old_segs.size() - 1);
+}
+
+// Deletions wait for the restore batch, except a path standing where the
+// batch writes. On a backend with a real directory tree, file /x becomes a
+// directory /x holding the same bytes at /x/x, then turns back into a file.
+TEST_F(ClientTest, FileAndDirectoryTradePlacesOnDisk) {
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  const std::string root_a = (tmp / "unidrive_trade_places_a").string();
+  const std::string root_b = (tmp / "unidrive_trade_places_b").string();
+  std::filesystem::remove_all(root_a);
+  std::filesystem::remove_all(root_b);
+  auto fs_a = std::make_shared<DiskLocalFs>(root_a);
+  auto fs_b = std::make_shared<DiskLocalFs>(root_b);
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(100);
+  const Bytes content = rng.bytes(100000);
+  ASSERT_TRUE(fs_a->write("/x", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  // The file moves into a directory of its own name: its old path must go
+  // before /x/x opens, so the restore fetches instead of reusing it.
+  ASSERT_TRUE(fs_a->remove("/x").is_ok());
+  ASSERT_TRUE(fs_a->write("/x/x", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  auto into_dir = b->sync();
+  ASSERT_TRUE(into_dir.is_ok()) << into_dir.status().to_string();
+  EXPECT_TRUE(into_dir.value().dir_failures.empty());
+  EXPECT_EQ(into_dir.value().files_downloaded, 1u);
+  EXPECT_EQ(into_dir.value().files_removed, 1u);
+  EXPECT_EQ(fs_b->read("/x/x").value(), content);
+
+  // And back: the directory must go before the file /x can land.
+  ASSERT_TRUE(fs_a->remove_dir("/x").is_ok());
+  ASSERT_TRUE(fs_a->write("/x", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  auto into_file = b->sync();
+  ASSERT_TRUE(into_file.is_ok()) << into_file.status().to_string();
+  EXPECT_TRUE(into_file.value().dir_failures.empty());
+  EXPECT_EQ(into_file.value().files_downloaded, 1u);
+  EXPECT_EQ(into_file.value().files_removed, 1u);
+  EXPECT_EQ(fs_b->read("/x").value(), content);
+  EXPECT_EQ(fs_b->list_dirs(), std::vector<std::string>{});
+
+  auto noop = b->sync();
+  ASSERT_TRUE(noop.is_ok());
+  EXPECT_FALSE(noop.value().committed);
+  std::filesystem::remove_all(root_a);
+  std::filesystem::remove_all(root_b);
+}
+
+// Restores seed the scan cache: the round after a pull reads and hashes
+// none of the files it restored, on either backend — yet an edit to a
+// restored file still registers.
+TEST_F(ClientTest, PulledFilesAreNotRehashedByTheNextScan) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  Rng rng(99);
+  constexpr std::size_t kFiles = 5;
+  // DiskLocalFs lists the parent directory a restore creates: commit it too.
+  ASSERT_TRUE(fs_a->make_dir("/dir").is_ok());
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(fs_a->write("/dir/f" + std::to_string(i),
+                            ByteSpan(rng.bytes(20000 + 1000 * i)))
+                    .is_ok());
+  }
+  ASSERT_TRUE(a->sync().is_ok());
+
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "unidrive_seeded_scan_test")
+          .string();
+  std::filesystem::remove_all(root);
+  const std::vector<std::shared_ptr<LocalFs>> readers = {
+      std::make_shared<MemoryLocalFs>(), std::make_shared<DiskLocalFs>(root)};
+  for (std::size_t r = 0; r < readers.size(); ++r) {
+    SCOPED_TRACE(r == 0 ? "memory" : "disk");
+    auto b = make_client("devB" + std::to_string(r), readers[r]);
+    auto pull = b->sync();
+    ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+    ASSERT_EQ(pull.value().files_downloaded, kFiles);
+
+    const std::uint64_t hashed = counter(*b, "sync.files_hashed");
+    auto noop = b->sync();
+    ASSERT_TRUE(noop.is_ok());
+    EXPECT_FALSE(noop.value().committed);
+    EXPECT_EQ(counter(*b, "sync.files_hashed"), hashed);
+
+    ASSERT_TRUE(
+        readers[r]->write("/dir/f0", ByteSpan(rng.bytes(20000))).is_ok());
+    auto edit = b->sync();
+    ASSERT_TRUE(edit.is_ok());
+    EXPECT_TRUE(edit.value().committed);
+    EXPECT_EQ(edit.value().files_uploaded, 1u);
+    EXPECT_EQ(counter(*b, "sync.files_hashed"), hashed + 1);
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include "cloud/faulty_cloud.h"
 #include "cloud/memory_cloud.h"
+#include "cloud/metered_cloud.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "lock/quorum_lock.h"
+#include "obs/obs.h"
 
 namespace unidrive::lock {
 namespace {
@@ -50,6 +52,40 @@ TEST(QuorumLockTest, SingleDeviceAcquiresAndReleases) {
   EXPECT_FALSE(lock.held());
   for (const auto& c : clouds) {
     EXPECT_TRUE(c->list("/lock").value().empty());
+  }
+}
+
+// The paper's lock cost, pinned without timing: at 5 clouds an uncontended
+// acquire+release is 25 Web API calls, counted through MeteredCloud. Acquire
+// plants a lock file, lists, and lists again on each cloud (15); release
+// lists and removes on each cloud (10). A change that removes calls updates
+// these numbers.
+TEST(QuorumLockTest, UncontendedCycleCostsTwentyFiveWebApiCalls) {
+  auto sink = std::make_shared<obs::Observability>();
+  cloud::MultiCloud clouds;
+  for (const auto& c : make_clouds(5)) {
+    clouds.push_back(std::make_shared<cloud::MeteredCloud>(c, sink));
+  }
+  const auto calls = [&] {
+    std::uint64_t n = 0;
+    for (const auto& [name, value] : sink->metrics.snapshot().counters) {
+      if (name.starts_with("cloud.") &&
+          (name.ends_with(".ok") || name.ends_with(".err"))) {
+        n += value;
+      }
+    }
+    return n;
+  };
+  ManualClock clock;
+  QuorumLock lock(clouds, "devA", fast_config(), clock, Rng(1),
+                  clock_sleep(clock));
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const std::uint64_t start = calls();
+    ASSERT_TRUE(lock.acquire().is_ok());
+    const std::uint64_t acquired = calls();
+    lock.release();
+    EXPECT_EQ(acquired - start, 15u) << "cycle " << cycle;
+    EXPECT_EQ(calls() - acquired, 10u) << "cycle " << cycle;
   }
 }
 

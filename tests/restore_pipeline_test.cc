@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <unordered_set>
 
 #include "cloud/async.h"
 #include "cloud/faulty_cloud.h"
@@ -355,8 +356,11 @@ TEST(FileWriterTest, BufferedWriterPublishesOnlyOnCommit) {
   ASSERT_TRUE(
       writer.value()->append(ByteSpan(bytes_from_string("llo"))).is_ok());
   EXPECT_FALSE(fs.read("/w.txt").is_ok());  // nothing visible pre-commit
-  ASSERT_TRUE(writer.value()->commit().is_ok());
+  const Result<double> published = writer.value()->commit();
+  ASSERT_TRUE(published.is_ok());
   EXPECT_EQ(fs.read("/w.txt").value(), bytes_from_string("hello"));
+  // The commit reports the mtime of the bytes it published.
+  EXPECT_EQ(published.value(), fs.mtime("/w.txt").value());
   // The writer is closed: further appends and commits are rejected.
   EXPECT_FALSE(writer.value()->append(ByteSpan(bytes_from_string("x"))).is_ok());
   EXPECT_FALSE(writer.value()->commit().is_ok());
@@ -398,10 +402,13 @@ TEST(FileWriterTest, DiskWriterStreamsThroughPartFileAndRenames) {
     ASSERT_TRUE(writer.value()->append(ByteSpan(part1)).is_ok());
     ASSERT_TRUE(writer.value()->append(ByteSpan(part2)).is_ok());
     EXPECT_FALSE(fs.read("/docs/out.bin").is_ok());  // only the .part exists
-    ASSERT_TRUE(writer.value()->commit().is_ok());
+    const Result<double> published = writer.value()->commit();
+    ASSERT_TRUE(published.is_ok());
     Bytes joined = part1;
     joined.insert(joined.end(), part2.begin(), part2.end());
     EXPECT_EQ(fs.read("/docs/out.bin").value(), joined);
+    // Statted on the .part before the rename, which keeps the mtime.
+    EXPECT_EQ(published.value(), fs.mtime("/docs/out.bin").value());
     // The temp file was renamed away, not left beside the result.
     EXPECT_EQ(fs.list_files(),
               std::vector<std::string>{"/docs/out.bin"});
@@ -745,6 +752,135 @@ TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
   EXPECT_FALSE(results[1].status.is_ok());
   EXPECT_EQ(fs.read("/good.bin").value(), good);
   EXPECT_FALSE(fs.read("/bad.bin").is_ok());
+}
+
+// --- DownloadPipeline: local source -------------------------------------------
+
+// Two versions of one file at fixed-size segments: `before` is the image
+// the folder reflects (v1), `after` adds v2's segments and snapshot.
+struct TwoVersions {
+  metadata::SyncFolderImage before;
+  metadata::SyncFolderImage after;
+  metadata::FileSnapshot snapshot;  // v2
+
+  [[nodiscard]] std::unordered_set<std::string> wanted() const {
+    return {snapshot.segment_ids.begin(), snapshot.segment_ids.end()};
+  }
+};
+
+TwoVersions publish_versions(const std::string& path, const Bytes& v1,
+                             const Bytes& v2, std::size_t theta,
+                             const erasure::RsCode& code,
+                             std::uint32_t blocks_per_segment,
+                             const cloud::MultiCloud& clouds) {
+  TwoVersions out;
+  publish_file(path, v1, theta, code, blocks_per_segment, clouds, out.before);
+  out.after = out.before;
+  out.snapshot = publish_file(path, v2, theta, code, blocks_per_segment,
+                              clouds, out.after);
+  return out;
+}
+
+TEST(RestorePipelineTest, TamperedLocalSourceFallsBackToCloudFetch) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(3);
+  Rng rng(48);
+  const Bytes v1 = rng.bytes(4 * theta);
+  Bytes v2 = v1;
+  const Bytes tail = rng.bytes(theta);
+  std::copy(tail.begin(), tail.end(), v2.end() - static_cast<long>(theta));
+  const TwoVersions versions =
+      publish_versions("/f.bin", v1, v2, theta, code, 3, clouds);
+
+  // The folder's copy of v1 rotted inside its first segment.
+  MemoryLocalFs fs;
+  Bytes rotted = v1;
+  rotted[100] ^= 0x01;
+  ASSERT_TRUE(fs.write("/f.bin", ByteSpan(rotted)).is_ok());
+  const HeldSegments held(versions.before, fs, versions.wanted());
+
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+  auto obs = std::make_shared<obs::Observability>();
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+                            monitor, executor, async_lookup(twins),
+                            PipelineConfig{}, fs, nullptr, obs);
+  pipeline.add_file(versions.snapshot, versions.after, &held);
+  const auto results = pipeline.finish();
+
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
+  EXPECT_EQ(fs.read("/f.bin").value(), v2);
+  // The rotted segment and the rewritten one come from the clouds.
+  const auto metrics = obs->metrics.snapshot();
+  EXPECT_EQ(metrics.counter_value("restore.segments"), 2u);
+  EXPECT_EQ(metrics.counter_value("restore.reused_segments"), 2u);
+}
+
+TEST(RestorePipelineTest, LocalReuseKeepsInflightBytesUnderCap) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(4);
+  Rng rng(49);
+  const Bytes v1 = rng.bytes(1 << 20);  // 16 segments
+  // Every other segment is rewritten; the rest come from the local copy.
+  Bytes v2 = v1;
+  for (std::size_t seg = 1; seg < 16; seg += 2) {
+    const Bytes fresh = rng.bytes(theta);
+    std::copy(fresh.begin(), fresh.end(),
+              v2.begin() + static_cast<long>(seg * theta));
+  }
+  const TwoVersions versions =
+      publish_versions("/slow.bin", v1, v2, theta, code, 4, clouds);
+  MemoryLocalFs fs;
+  ASSERT_TRUE(fs.write("/slow.bin", ByteSpan(v1)).is_ok());
+  const HeldSegments held(versions.before, fs, versions.wanted());
+
+  // Slow fetches keep the local segments waiting for their turn to be
+  // written, charged against the window meanwhile.
+  cloud::MultiCloud slow;
+  for (const auto& c : clouds) {
+    slow.push_back(std::make_shared<SlowCloud>(c, milliseconds(3)));
+  }
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(slow, executor.get());
+  auto obs = std::make_shared<obs::Observability>();
+  PipelineConfig config;
+  config.max_inflight_bytes = 512 << 10;
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+                            monitor, executor, async_lookup(twins), config,
+                            fs, nullptr, obs);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> sampled_peak{0};
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      const std::size_t now = pipeline.inflight_bytes();
+      if (now > sampled_peak.load()) sampled_peak.store(now);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  pipeline.add_file(versions.snapshot, versions.after, &held);
+  const auto results = pipeline.finish();
+  stop.store(true);
+  sampler.join();
+
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
+  EXPECT_EQ(fs.read("/slow.bin").value(), v2);
+  const auto metrics = obs->metrics.snapshot();
+  EXPECT_EQ(metrics.counter_value("restore.reused_segments"), 8u);
+  EXPECT_EQ(metrics.counter_value("restore.segments"), 8u);
+  EXPECT_LE(sampled_peak.load(), config.max_inflight_bytes);
+  const double peak = metrics.gauge_value("restore.inflight_bytes_peak");
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LE(peak, static_cast<double>(config.max_inflight_bytes));
+  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
 }
 
 }  // namespace
