@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "cloud/memory_cloud.h"
 #include "common/rng.h"
 #include "lock/lock_manager.h"
@@ -63,17 +64,10 @@ double now_sec() {
   return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
 
-// Peak resident set (MiB) from /proc/self/status; -1 when unavailable.
+// Peak resident set (MiB); -1 when unavailable.
 double peak_rss_mib() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return -1;
-  char line[256];
-  double kib = -1;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %lf kB", &kib) == 1) break;
-  }
-  std::fclose(f);
-  return kib < 0 ? -1 : kib / 1024.0;
+  const std::int64_t kib = proc_status_kib("VmHWM");
+  return kib < 0 ? -1 : static_cast<double>(kib) / 1024.0;
 }
 
 cloud::MultiCloud make_clouds() {

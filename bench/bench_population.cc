@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "sim/population/population.h"
 #include "sim/population/scenario.h"
 
@@ -49,18 +50,11 @@ double env_double(const char* name, double fallback) {
   return std::strtod(v, nullptr);
 }
 
-// Resident set size in bytes, from /proc/self/status (0 if unreadable —
-// the memory gate is skipped on platforms without procfs).
+// Resident set size in bytes (0 if unreadable — the memory gate is
+// skipped on platforms without procfs).
 std::uint64_t resident_bytes() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %" SCNu64 " kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb * 1024;
+  const std::int64_t kib = proc_status_kib("VmRSS");
+  return kib < 0 ? 0 : static_cast<std::uint64_t>(kib) * 1024;
 }
 
 struct LatencyTail {

@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "workload/files.h"
 
@@ -133,6 +134,22 @@ double replay_trial_upload(const workload::Trial& trial,
   const UpDown r = unidrive_updown(env, set, event.bytes, options);
   if (r.up <= 0) return -1.0;
   return static_cast<double>(event.bytes) * 8 / r.up / 1e6;
+}
+
+std::int64_t proc_status_kib(const char* field) {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  const std::size_t len = std::strlen(field);
+  char line[256];
+  long long kib = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, field, len) == 0 && line[len] == ':' &&
+        std::sscanf(line + len + 1, "%lld", &kib) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib;
 }
 
 std::size_t fastest_native_cloud(const sim::LocationProfile& location) {

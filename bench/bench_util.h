@@ -1,7 +1,8 @@
 // Shared helpers for the figure/table reproduction benches: summary
 // statistics, table printing, and one-shot transfer measurements for every
 // approach (UniDrive, the multi-cloud benchmark, the intuitive multi-cloud,
-// and the native per-cloud apps), all in virtual time.
+// and the native per-cloud apps), all in virtual time; plus the one
+// /proc/self/status reader the memory-gated benches share.
 #pragma once
 
 #include <cstdint>
@@ -122,5 +123,11 @@ double measure_raw(sim::SimEnv& env, sim::SimCloud& cloud,
 
 // Advance virtual time to `t` (processing any due events).
 void advance_to(sim::SimEnv& env, double t);
+
+// --- process memory --------------------------------------------------------------
+
+// The value of a "<field>: <n> kB" line of /proc/self/status ("VmHWM",
+// "VmRSS", ...) in KiB, or -1 when the file or the field cannot be read.
+std::int64_t proc_status_kib(const char* field);
 
 }  // namespace unidrive::bench

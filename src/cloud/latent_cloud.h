@@ -1,6 +1,6 @@
 // LatentCloud — real-time bandwidth/latency throttling decorator (token
-// bucket + deadline-queue waits). Used by examples, integration tests and
-// the async-multiplex bench that exercise the transfer drivers against
+// bucket + deadline-queue waits). Used by examples and by the integration
+// and pipeline tests that exercise the transfer drivers against
 // wall-clock time; large-scale performance experiments instead use the
 // discrete-event simulator in src/sim.
 //

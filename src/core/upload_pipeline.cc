@@ -10,6 +10,14 @@ namespace unidrive::core {
 
 using metadata::SegmentInfo;
 
+namespace {
+// Dedicated encode-stage workers popping the bounded queue. Each encode
+// additionally fans its shard rows out over the shared executor.
+constexpr std::size_t kEncodeWorkers = 2;
+// Capacity of the scan -> encode queue (segments).
+constexpr std::size_t kEncodeQueueCapacity = 4;
+}  // namespace
+
 UploadPipeline::UploadPipeline(const sched::CodeParams& params,
                                erasure::RsCode code,
                                std::vector<cloud::CloudId> clouds,
@@ -29,7 +37,7 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
       folder_(std::move(folder)),
       config_(pipeline_config),
       obs_(std::move(obs)),
-      queue_(config_.encode_queue_capacity),
+      queue_(kEncodeQueueCapacity),
       driver_(
           params_, std::move(clouds), driver_config, monitor, executor_,
           [this](const sched::BlockTask& task, sched::TransferDoneFn done) {
@@ -108,9 +116,8 @@ void UploadPipeline::feed(const std::string& id, Bytes bytes) {
                    static_cast<double>(peak_inflight_));
     if (!workers_started_) {
       workers_started_ = true;
-      const std::size_t n = std::max<std::size_t>(1, config_.encode_workers);
-      encode_threads_.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
+      encode_threads_.reserve(kEncodeWorkers);
+      for (std::size_t i = 0; i < kEncodeWorkers; ++i) {
         encode_threads_.emplace_back([this] { encode_worker(); });
       }
     }

@@ -61,11 +61,6 @@ struct PipelineConfig {
   // Shared executor width; 0 = max(clouds * connections, hardware). The
   // UNIDRIVE_PIPELINE_THREADS environment variable overrides either.
   std::size_t threads = 0;
-  // Dedicated encode-stage workers popping the bounded queue. Each encode
-  // additionally fans its shard rows out over the shared executor.
-  std::size_t encode_workers = 2;
-  // Capacity of the scan -> encode queue (segments).
-  std::size_t encode_queue_capacity = 4;
   // Admission cap on plaintext + shard bytes resident in the pipeline.
   std::size_t max_inflight_bytes = 256u << 20;
 };

@@ -165,9 +165,9 @@ class StreamingUploadDriver {
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;
-  // "RPCs on the wire" (outstanding_ — every launch issues its request at
-  // once) vs "threads in use" (Executor::active): the decoupling the
-  // completion-based launch buys, made visible.
+  // RPCs launched and not yet completed (outstanding_, pool-queued ones
+  // included, so not only RPCs on the wire) vs "threads in use"
+  // (Executor::active).
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* inflight_peak_gauge_ = nullptr;
   obs::Gauge* threads_gauge_ = nullptr;
@@ -274,7 +274,7 @@ class StreamingDownloadDriver {
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;
-  // RPCs on the wire vs threads in use — see the upload driver's note.
+  // RPCs in flight vs threads in use — see the upload driver's note.
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* inflight_peak_gauge_ = nullptr;
   obs::Gauge* threads_gauge_ = nullptr;

@@ -1,7 +1,8 @@
 // Tests for the staged sync pipeline: the Executor/BoundedQueue substrate,
 // parallel erasure encode, the incremental StreamingUploadDriver, and the
 // end-to-end UploadPipeline including cancellation under injected cloud
-// hangs and the bounded-memory admission gate.
+// hangs, the bounded-memory admission gate, and latency waits that hold
+// no pool thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "cloud/async.h"
 #include "cloud/faulty_cloud.h"
+#include "cloud/latent_cloud.h"
 #include "cloud/memory_cloud.h"
 #include "common/executor.h"
 #include "common/rng.h"
@@ -405,7 +407,6 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(faulty, executor.get());
   PipelineConfig pipeline_config;
-  pipeline_config.encode_queue_capacity = 2;
   // One 64 KiB segment's footprint (plaintext + 4 shards of 32 KiB) fits;
   // a second does not, so its producer blocks on the admission gate.
   pipeline_config.max_inflight_bytes = 200 << 10;
@@ -443,6 +444,59 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   }
   // The pipeline destructor waited out every launched completion, so the
   // async twins (and their executor) can be torn down safely here.
+}
+
+// A block RPC's latency wait parks on the timer wheel, not on a pool
+// thread, so 8 latent clouds x 4 connections overlap their round trips on
+// a 2-thread pool. A transfer plane that held a thread for each request
+// would need at least (blocks placed x latency / pool threads) of wall
+// time; the pipeline must drain in under half of that.
+TEST(UploadPipelineTest, LatencyWaitsDoNotPinPoolThreads) {
+  constexpr std::size_t kClouds = 8;
+  constexpr std::size_t kPoolThreads = 2;
+  constexpr std::size_t kSegments = 16;
+  constexpr double kLatencySec = 0.050;
+  const sched::CodeParams params{kClouds, 3, 2, 3};
+  ASSERT_TRUE(params.validate().is_ok());
+
+  cloud::LinkProfile link;
+  link.request_latency_sec = kLatencySec;
+  cloud::MultiCloud clouds;
+  std::vector<cloud::CloudId> ids;
+  for (const auto& c : make_clouds(kClouds)) {
+    clouds.push_back(std::make_shared<cloud::LatentCloud>(c, link));
+    ids.push_back(c->id());
+  }
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(kPoolThreads);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+
+  UploadPipeline pipeline(params, erasure::RsCode(params.code_n(), params.k),
+                          ids, sched::DriverConfig{4, 3}, monitor, executor,
+                          async_lookup(twins), PipelineConfig{}, nullptr,
+                          nullptr);
+
+  Rng rng(31);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kSegments; ++i) {
+    pipeline.feed("seg" + std::to_string(i), rng.bytes(64 << 10));
+  }
+  const auto result = pipeline.finish();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(result.is_ok()) << result.status().message();
+  ASSERT_EQ(result.value().size(), kSegments);
+  std::size_t blocks = 0;
+  for (const auto& seg : result.value()) {
+    EXPECT_GE(seg.blocks.size(), params.k) << seg.id;
+    blocks += seg.blocks.size();
+  }
+  const double pinned_seconds =
+      static_cast<double>(blocks) * kLatencySec / kPoolThreads;
+  EXPECT_LT(elapsed, pinned_seconds / 2)
+      << blocks << " blocks at " << kLatencySec * 1e3 << " ms on "
+      << kPoolThreads << " pool threads";
 }
 
 // --- end-to-end sync through the pipeline -----------------------------------
