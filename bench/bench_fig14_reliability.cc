@@ -28,6 +28,7 @@
 #include "core/client.h"
 #include "core/local_fs.h"
 #include "core/sync_daemon.h"
+#include "crypto/convergent.h"
 #include "repair/engine.h"
 #include "repair/scrubber.h"
 #include "repair/service.h"
@@ -192,13 +193,16 @@ GroundTruth measure_ground_truth(RepairWorld& world,
   bool first = true;
   for (const auto& [id, seg] : image.segments()) {
     if (seg.refcount == 0 || plain.count(id) == 0) continue;
+    // Stored rows are codewords over the convergent-sealed payload, as in
+    // the scrubber and the repair engine.
+    const Bytes sealed = crypto::convergent_seal(id, ByteSpan(plain.at(id)));
     std::set<std::uint32_t> surviving;
     for (const metadata::BlockLocation& loc : seg.blocks) {
       auto stored = world.memory[loc.cloud]->download(
           metadata::block_path(id, loc.block_index));
       if (!stored.is_ok()) continue;
       const auto expected =
-          code.encode_shards(ByteSpan(plain.at(id)), {loc.block_index});
+          code.encode_shards(ByteSpan(sealed), {loc.block_index});
       if (stored.value() == expected.front().data) {
         surviving.insert(loc.block_index);
       }

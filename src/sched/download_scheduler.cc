@@ -115,7 +115,29 @@ bool DownloadScheduler::finished() const {
   return true;
 }
 
-std::optional<BlockTask> DownloadScheduler::next_task(cloud::CloudId cloud) {
+std::optional<BlockTask> DownloadScheduler::claim(std::size_t si,
+                                                  cloud::CloudId cloud,
+                                                  TimePoint now) {
+  SegmentState& seg = segments_[si];
+  for (const metadata::BlockLocation& loc : seg.spec.locations) {
+    if (loc.cloud != cloud) continue;
+    if (seg.done.count(loc.block_index) != 0 ||
+        seg.in_flight.count(loc.block_index) != 0) {
+      continue;
+    }
+    if (source_exhausted(si, loc.block_index, cloud)) {
+      continue;  // this source failed repeatedly; stop retrying it
+    }
+    seg.in_flight[loc.block_index] = {cloud, now};
+    ++in_flight_;
+    return BlockTask{seg.file_index, seg.spec.id, loc.block_index, cloud,
+                     seg.block_bytes};
+  }
+  return std::nullopt;
+}
+
+std::optional<BlockTask> DownloadScheduler::next_task(cloud::CloudId cloud,
+                                                      TimePoint now) {
   if (disabled_.count(cloud) != 0) return std::nullopt;
   // Files are scanned in order (availability-first: earlier files fill their
   // k-request budgets before later ones see any capacity), but a file this
@@ -124,77 +146,92 @@ std::optional<BlockTask> DownloadScheduler::next_task(cloud::CloudId cloud) {
   // must not deadlock the whole job.
   for (std::size_t fi = 0; fi < files_.size(); ++fi) {
     for (const std::size_t si : file_segments_[fi]) {
-      SegmentState& seg = segments_[si];
+      const SegmentState& seg = segments_[si];
       if (seg.complete()) continue;
       // Never request more than the still-needed distinct blocks.
       if (seg.done.size() + seg.in_flight.size() >= seg.budget) continue;
-      for (const metadata::BlockLocation& loc : seg.spec.locations) {
-        if (loc.cloud != cloud) continue;
-        if (seg.done.count(loc.block_index) != 0 ||
-            seg.in_flight.count(loc.block_index) != 0) {
-          continue;
-        }
-        if (source_exhausted(si, loc.block_index, cloud)) {
-          continue;  // this source failed repeatedly; stop retrying it
-        }
-        seg.in_flight[loc.block_index] = cloud;
-        ++in_flight_;
-        return BlockTask{fi, seg.spec.id, loc.block_index, cloud,
-                         seg.block_bytes};
-      }
+      if (auto task = claim(si, cloud, now)) return task;
     }
   }
   return std::nullopt;
 }
 
-void DownloadScheduler::set_speed_order(
-    const std::vector<cloud::CloudId>& fastest_first) {
-  speed_rank_.clear();
-  for (std::size_t i = 0; i < fastest_first.size(); ++i) {
-    speed_rank_[fastest_first[i]] = i;
-  }
+namespace {
+
+// When a block of `bytes` launched at `launched` turns overdue on a holder
+// with quantiles `q`. next_hedge_task and next_hedge_deadline share this
+// sum, so a timer armed for it finds the block late.
+TimePoint overdue_at(TimePoint launched, double bytes,
+                     const LatencyQuantiles& q) {
+  return launched + bytes * q.p95;
 }
 
+// The hedging rule of next_hedge_task (see the header) for one block, seen
+// from an idle measured cloud with quantiles `idle`.
+bool worth_hedging(const std::optional<LatencyQuantiles>& holder,
+                   const LatencyQuantiles& idle, double bytes,
+                   TimePoint launched, TimePoint now) {
+  if (!holder.has_value()) return true;
+  if (now >= overdue_at(launched, bytes, *holder)) return true;
+  return bytes * idle.p95 < bytes * holder->p50 - (now - launched);
+}
+
+}  // namespace
+
 std::optional<BlockTask> DownloadScheduler::next_hedge_task(
-    cloud::CloudId cloud) {
-  if (disabled_.count(cloud) != 0 || speed_rank_.empty()) return std::nullopt;
-  const auto my_rank_it = speed_rank_.find(cloud);
-  if (my_rank_it == speed_rank_.end()) return std::nullopt;
-  const std::size_t my_rank = my_rank_it->second;
+    cloud::CloudId cloud, TimePoint now, const ThroughputMonitor& monitor) {
+  if (disabled_.count(cloud) != 0) return std::nullopt;
+  const std::optional<LatencyQuantiles> mine =
+      monitor.latency(cloud, Direction::kDownload);
+  if (!mine.has_value()) return std::nullopt;
 
   for (std::size_t fi = 0; fi < files_.size(); ++fi) {
     for (const std::size_t si : file_segments_[fi]) {
-      SegmentState& seg = segments_[si];
+      const SegmentState& seg = segments_[si];
       if (seg.complete()) continue;
-      // Hedge only when a needed block is pinned on a strictly slower cloud.
-      bool pinned_on_slower = false;
+      const auto bytes = static_cast<double>(seg.block_bytes);
+      std::size_t late = 0;
       std::size_t my_in_flight = 0;
-      for (const auto& [index, holder] : seg.in_flight) {
-        if (holder == cloud) ++my_in_flight;
-        const auto rank_it = speed_rank_.find(holder);
-        if (rank_it != speed_rank_.end() && rank_it->second > my_rank) {
-          pinned_on_slower = true;
+      for (const auto& [index, flight] : seg.in_flight) {
+        if (flight.cloud == cloud) {
+          ++my_in_flight;
+        } else if (worth_hedging(
+                       monitor.latency(flight.cloud, Direction::kDownload),
+                       *mine, bytes, flight.launched, now)) {
+          ++late;
         }
       }
-      if (!pinned_on_slower || my_in_flight >= 1 + k_ / 2) continue;
-      // Fetch an extra distinct block from this cloud.
-      for (const metadata::BlockLocation& loc : seg.spec.locations) {
-        if (loc.cloud != cloud) continue;
-        if (seg.done.count(loc.block_index) != 0 ||
-            seg.in_flight.count(loc.block_index) != 0) {
-          continue;
-        }
-        if (source_exhausted(si, loc.block_index, cloud)) {
-          continue;
-        }
-        seg.in_flight[loc.block_index] = cloud;
-        ++in_flight_;
-        return BlockTask{fi, seg.spec.id, loc.block_index, cloud,
-                         seg.block_bytes};
-      }
+      // Each late block earns one hedge: the blocks claimed beyond the
+      // budget are the hedges already launched.
+      const std::size_t claimed = seg.done.size() + seg.in_flight.size();
+      const std::size_t hedged =
+          claimed > seg.budget ? claimed - seg.budget : 0;
+      if (late <= hedged || my_in_flight >= 1 + k_ / 2) continue;
+      if (auto task = claim(si, cloud, now)) return task;
     }
   }
   return std::nullopt;
+}
+
+std::optional<TimePoint> DownloadScheduler::next_hedge_deadline(
+    TimePoint now, const ThroughputMonitor& monitor) const {
+  std::optional<TimePoint> earliest;
+  for (const SegmentState& seg : segments_) {
+    if (seg.complete()) continue;
+    for (const auto& [index, flight] : seg.in_flight) {
+      const std::optional<LatencyQuantiles> q =
+          monitor.latency(flight.cloud, Direction::kDownload);
+      // An unmeasured holder is hedgeable already; what it waits for is an
+      // idle measured cloud, and that comes with a completion.
+      if (!q.has_value()) continue;
+      const TimePoint overdue = overdue_at(
+          flight.launched, static_cast<double>(seg.block_bytes), *q);
+      if (overdue > now && (!earliest || overdue < *earliest)) {
+        earliest = overdue;
+      }
+    }
+  }
+  return earliest;
 }
 
 void DownloadScheduler::on_complete(const BlockTask& task, bool success) {
@@ -202,7 +239,7 @@ void DownloadScheduler::on_complete(const BlockTask& task, bool success) {
     SegmentState& seg = segments_[si];
     if (seg.spec.id != task.segment_id) continue;
     const auto it = seg.in_flight.find(task.block_index);
-    if (it == seg.in_flight.end() || it->second != task.cloud) return;
+    if (it == seg.in_flight.end() || it->second.cloud != task.cloud) return;
     seg.in_flight.erase(it);
     --in_flight_;
     if (success) {

@@ -4,6 +4,12 @@
 // throughput monitor), and this scheduler hands each poll the next needed
 // block that the polling cloud can supply. Over-provisioning pays off here:
 // fast clouds hold extra blocks, so they can serve more than their share.
+//
+// Straggler hedging asks more than a ranking: a block is duplicated only
+// once it runs late against its holder's own latency record (the tail-at-
+// scale rule of hedging past the 95th percentile), so on equal links a
+// restore fetches ~k blocks per segment. A stalled cloud produces no
+// completion to re-poll on, so drivers wake at next_hedge_deadline().
 #pragma once
 
 #include <map>
@@ -13,7 +19,9 @@
 #include <vector>
 
 #include "cloud/provider.h"
+#include "common/clock.h"
 #include "metadata/types.h"
+#include "sched/monitor.h"
 #include "sched/upload_scheduler.h"  // BlockTask
 
 namespace unidrive::sched {
@@ -54,19 +62,30 @@ class DownloadScheduler {
   [[nodiscard]] bool segment_failed(const std::string& segment_id) const;
 
   // Next block an idle connection of `cloud` should fetch, or nullopt.
-  std::optional<BlockTask> next_task(cloud::CloudId cloud);
+  // `now` stamps the launch, which the hedging rule ages.
+  std::optional<BlockTask> next_task(cloud::CloudId cloud, TimePoint now);
 
-  // Straggler hedging (part of dynamic scheduling): when `cloud` is idle
-  // but a segment's k-block budget is pinned by a request on a strictly
-  // slower cloud, fetch an EXTRA distinct block from `cloud` — whichever k
-  // blocks land first complete the segment; the straggler becomes
-  // redundant. Bounded to one hedge per (segment, cloud). Requires a prior
-  // set_speed_order() so "slower" is defined; returns nullopt otherwise.
-  std::optional<BlockTask> next_hedge_task(cloud::CloudId cloud);
+  // Straggler hedging (part of dynamic scheduling): when `cloud` is idle,
+  // fetch an EXTRA distinct block of a segment whose block b (bytes) has
+  // been in flight on another cloud P for `a` seconds — whichever k blocks
+  // land first complete the segment. `cloud` must be measured by `monitor`
+  // (an unmeasured cloud never hedges), and one of these must hold:
+  //   - P is unmeasured;
+  //   - P is overdue: a >= b * p95(P);
+  //   - `cloud` lands first even on a slow request:
+  //     b * p95(cloud) < b * p50(P) - a.
+  // Each such late block earns one hedge, and a cloud never holds more
+  // than 1 + k/2 blocks of one segment in flight.
+  std::optional<BlockTask> next_hedge_task(cloud::CloudId cloud,
+                                           TimePoint now,
+                                           const ThroughputMonitor& monitor);
 
-  // Fastest-first cloud ranking from the in-channel throughput monitor;
-  // refreshed by the driver before polling.
-  void set_speed_order(const std::vector<cloud::CloudId>& fastest_first);
+  // The earliest time after `now` at which an in-flight block of an
+  // incomplete segment becomes overdue on its measured holder, or nullopt.
+  // Drivers arm a timer for it: a block stalled on a cloud yields no
+  // completion to poll on.
+  [[nodiscard]] std::optional<TimePoint> next_hedge_deadline(
+      TimePoint now, const ThroughputMonitor& monitor) const;
 
   void on_complete(const BlockTask& task, bool success);
 
@@ -91,6 +110,11 @@ class DownloadScheduler {
       const std::string& segment_id) const;
 
  private:
+  struct InFlight {
+    cloud::CloudId cloud = 0;
+    TimePoint launched = 0;
+  };
+
   struct SegmentState {
     std::size_t file_index = 0;
     DownloadSegmentSpec spec;
@@ -99,7 +123,7 @@ class DownloadScheduler {
     // a corrupt-shard search.
     std::size_t budget = 0;
     std::set<std::uint32_t> done;
-    std::map<std::uint32_t, cloud::CloudId> in_flight;
+    std::map<std::uint32_t, InFlight> in_flight;
     std::set<std::uint32_t> failed_everywhere;  // exhausted all holders
 
     [[nodiscard]] bool complete() const noexcept {
@@ -108,6 +132,11 @@ class DownloadScheduler {
   };
 
   void append_file(DownloadFileSpec file);
+  // Marks the first block of segment `si` that `cloud` holds and that is
+  // neither fetched, in flight nor exhausted there as launched; nullopt if
+  // there is none.
+  std::optional<BlockTask> claim(std::size_t si, cloud::CloudId cloud,
+                                 TimePoint now);
   [[nodiscard]] bool segment_stuck(const SegmentState& seg) const;
   [[nodiscard]] const SegmentState* find_segment(
       const std::string& segment_id) const;
@@ -117,7 +146,6 @@ class DownloadScheduler {
   std::vector<SegmentState> segments_;
   std::vector<std::vector<std::size_t>> file_segments_;
   std::set<cloud::CloudId> disabled_;
-  std::map<cloud::CloudId, std::size_t> speed_rank_;  // 0 = fastest
   // Failures are transient (that's the measured cloud behaviour): each
   // (segment, block, cloud) triple may be retried a few times before the
   // scheduler stops considering that source.

@@ -8,11 +8,18 @@
 // scheduling decisions are per block).
 //
 // The estimate is an exponentially weighted moving average so a cloud whose
-// network degrades mid-transfer loses its rank within a few blocks.
+// network degrades mid-transfer loses its rank within a few blocks. The
+// EWMA ranks clouds; it says nothing about how late one request may run.
+// For that the monitor also keeps each cloud's last kLatencyWindow
+// successful transfers as seconds per byte and serves their p50 and p95:
+// the download scheduler hedges a block only once it runs late against its
+// own cloud's record (DownloadScheduler::next_hedge_task).
 #pragma once
 
+#include <array>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "cloud/provider.h"
@@ -20,6 +27,14 @@
 namespace unidrive::sched {
 
 enum class Direction : std::uint8_t { kUpload = 0, kDownload = 1 };
+
+// Per-byte latency quantiles of one cloud, in seconds per byte, so blocks of
+// any size compare: a b-byte block is expected within b * p50 seconds and
+// late past b * p95.
+struct LatencyQuantiles {
+  double p50 = 0;
+  double p95 = 0;
+};
 
 class ThroughputMonitor {
  public:
@@ -49,6 +64,14 @@ class ThroughputMonitor {
   // Per-connection throughput estimate in bytes/sec.
   [[nodiscard]] double estimate(cloud::CloudId cloud, Direction dir) const;
 
+  // Quantiles over the cloud's last kLatencyWindow successful transfers in
+  // `dir`; nullopt while the cloud is unmeasured (no sample yet). Failures
+  // never enter the window.
+  [[nodiscard]] std::optional<LatencyQuantiles> latency(cloud::CloudId cloud,
+                                                        Direction dir) const;
+
+  static constexpr std::size_t kLatencyWindow = 32;
+
   // Candidates sorted fastest-first (stable for equal estimates).
   [[nodiscard]] std::vector<cloud::CloudId> ranked(
       Direction dir, const std::vector<cloud::CloudId>& candidates) const;
@@ -58,8 +81,18 @@ class ThroughputMonitor {
  private:
   double default_estimate_;
   double alpha_;
+  // Ring of the newest seconds-per-byte samples; the quantiles are
+  // recomputed on record() so latency() is a lookup.
+  struct Window {
+    std::array<double, kLatencyWindow> samples{};
+    std::size_t count = 0;
+    std::size_t next = 0;
+    LatencyQuantiles quantiles;
+  };
+
   mutable std::mutex mutex_;
   std::map<std::pair<cloud::CloudId, Direction>, double> ewma_;
+  std::map<std::pair<cloud::CloudId, Direction>, Window> windows_;
 };
 
 }  // namespace unidrive::sched

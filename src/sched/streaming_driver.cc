@@ -260,6 +260,15 @@ StreamingDownloadDriver::StreamingDownloadDriver(
 StreamingDownloadDriver::~StreamingDownloadDriver() {
   cancel();
   wait();
+  // Once cancelled, pump() arms no timer, so this set is final. Cancel
+  // without lock_: a callback already running blocks cancel() until it
+  // returns, and it needs lock_ to finish.
+  std::map<TimePoint, TimerWheel::TimerId> timers;
+  {
+    std::lock_guard<std::mutex> guard(lock_);
+    timers.swap(hedge_timers_);
+  }
+  for (const auto& [at, id] : timers) TimerWheel::shared().cancel(id);
 }
 
 bool StreamingDownloadDriver::done() const {
@@ -320,25 +329,52 @@ bool StreamingDownloadDriver::cancelled() const {
 
 void StreamingDownloadDriver::pump() {
   if (cancelled_ || scheduler_.finished()) return;
-  for (const cloud::CloudId c : clouds_) {
+  const TimePoint now = RealClock::instance().now();
+  // Idle connections are offered work fastest cloud first (the in-channel
+  // throughput monitor's ranking): with over-provisioning this is what
+  // routes surplus blocks to the fast clouds.
+  const std::vector<cloud::CloudId> ranked =
+      monitor_.ranked(Direction::kDownload, clouds_);
+  for (const cloud::CloudId c : ranked) {
     while (free_conns_[c] > 0) {
-      const std::optional<BlockTask> task = scheduler_.next_task(c);
+      const std::optional<BlockTask> task = scheduler_.next_task(c, now);
       if (!task.has_value()) break;
       launch(c, *task, /*is_hedge=*/false);
     }
   }
   // Straggler hedging: once nothing regular is assignable, duplicate work
-  // pinned on strictly slower clouds (fastest-first order refreshed from
-  // the in-channel throughput monitor).
-  scheduler_.set_speed_order(
-      monitor_.ranked(Direction::kDownload, clouds_));
-  for (const cloud::CloudId c : clouds_) {
+  // that runs late on its holder.
+  for (const cloud::CloudId c : ranked) {
     while (free_conns_[c] > 0) {
-      const std::optional<BlockTask> task = scheduler_.next_hedge_task(c);
+      const std::optional<BlockTask> task =
+          scheduler_.next_hedge_task(c, now, monitor_);
       if (!task.has_value()) break;
       launch(c, *task, /*is_hedge=*/true);
     }
   }
+  arm_hedge_timer(now);
+}
+
+void StreamingDownloadDriver::arm_hedge_timer(TimePoint now) {
+  const std::optional<TimePoint> deadline =
+      scheduler_.next_hedge_deadline(now, monitor_);
+  // An earlier timer re-pumps, and that pump arms the later deadline.
+  if (!deadline.has_value() ||
+      (!hedge_timers_.empty() && hedge_timers_.begin()->first <= *deadline)) {
+    return;
+  }
+  const TimePoint at = *deadline;
+  // Armed under lock_, and the callback takes lock_ before touching
+  // hedge_timers_, so the id is recorded before the callback can run. It
+  // runs on the wheel thread, as a completion from a wheel-timed cloud
+  // does: a short pump under lock_ that only launches async transfers.
+  hedge_timers_[at] = TimerWheel::shared().schedule(at - now, [this, at] {
+    std::lock_guard<std::mutex> guard(lock_);
+    hedge_timers_.erase(at);
+    pump();
+    sweep_decided();
+    cv_.notify_all();
+  });
 }
 
 void StreamingDownloadDriver::sweep_decided() {

@@ -56,6 +56,7 @@
 #include "cloud/health.h"
 #include "cloud/provider.h"
 #include "common/executor.h"
+#include "common/timer_wheel.h"
 #include "metadata/types.h"
 #include "obs/obs.h"
 #include "sched/download_scheduler.h"
@@ -178,11 +179,13 @@ class StreamingUploadDriver {
 // single long-lived DownloadScheduler + pump fed all segments of a restore
 // batch incrementally, instead of one scheduler/driver pair per segment.
 // The per-cloud connection pools therefore stay busy across segment and
-// file boundaries, fastest-cloud-first polling and straggler hedging
-// (next_hedge_task, refreshed from the throughput monitor before every
-// pump) operate over the whole batch, and the consumer is notified the
-// moment any segment's k distinct blocks have landed — not when the whole
-// job drains.
+// file boundaries, fastest-cloud-first polling (the throughput monitor's
+// ranking, refreshed every pump) and straggler hedging (next_hedge_task)
+// operate over the whole batch, and the consumer is notified the moment
+// any segment's k distinct blocks have landed — not when the whole job
+// drains. A block stalled on a cloud yields no completion to pump on, so
+// each pump also arms a TimerWheel timer at the scheduler's
+// next_hedge_deadline(); the destructor cancels every armed timer.
 //
 // The transfer launcher GETs the block and stores the shard before its
 // completion fires (must be thread-safe). When a segment reaches its
@@ -240,8 +243,10 @@ class StreamingDownloadDriver {
   [[nodiscard]] bool cancelled() const;
 
  private:
-  // pump/sweep_decided/launch/note_inflight require lock_ held.
+  // pump/arm_hedge_timer/sweep_decided/launch/note_inflight require lock_
+  // held.
   void pump();
+  void arm_hedge_timer(TimePoint now);
   void sweep_decided();
   [[nodiscard]] bool done() const;
   void launch(cloud::CloudId cloud, const BlockTask& task, bool is_hedge);
@@ -271,6 +276,8 @@ class StreamingDownloadDriver {
   // Segments fed (or re-armed by request_extra_block) whose fate has not
   // been reported yet.
   std::set<std::string> pending_;
+  // Armed hedge timers by deadline; a callback erases its own entry.
+  std::map<TimePoint, TimerWheel::TimerId> hedge_timers_;
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;

@@ -2,12 +2,18 @@
 // (single synchronous jobs) and e2e.cc (concurrent uploaders/downloaders).
 // Mirrors the sched streaming drivers: per-cloud connection slots, polls
 // idle slots fastest-cloud-first, feeds completions to the scheduler and
-// the throughput monitor, disables persistently failing clouds.
+// the throughput monitor, disables persistently failing clouds. Download
+// jobs under dynamic polling hedge stragglers with the same
+// DownloadScheduler::next_hedge_task as the real driver, and wake at its
+// next_hedge_deadline() through SimEnv::schedule_at.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,6 +25,13 @@ namespace unidrive::sim {
 
 template <typename Scheduler>
 class JobRunner : public std::enable_shared_from_this<JobRunner<Scheduler>> {
+  // An explicit branch, not a probe for the member: a download scheduler
+  // whose API drifts fails to compile instead of silently losing hedging.
+  static constexpr bool kDownload =
+      std::is_same_v<Scheduler, sched::DownloadScheduler>;
+  static_assert(kDownload ||
+                std::is_same_v<Scheduler, sched::UploadScheduler>);
+
  public:
   // `scheduler` may be owned (shared_ptr) so asynchronous jobs keep their
   // state alive for as long as callbacks may fire.
@@ -83,26 +96,28 @@ class JobRunner : public std::enable_shared_from_this<JobRunner<Scheduler>> {
     // what routes surplus blocks to the fast clouds.
     const auto ranked =
         config_.dynamic_polling ? monitor_.ranked(direction_, ids_) : ids_;
-    if constexpr (requires { scheduler_->set_speed_order(ranked); }) {
-      if (config_.dynamic_polling) scheduler_->set_speed_order(ranked);
-    }
     bool dispatched = true;
     while (dispatched) {
       dispatched = false;
       for (const cloud::CloudId id : ranked) {
         if (free_slots_[id] == 0 || !may_dispatch_to(id)) continue;
-        auto task = scheduler_->next_task(id);
+        std::optional<sched::BlockTask> task;
+        if constexpr (kDownload) {
+          task = scheduler_->next_task(id, env_.now());
+        } else {
+          task = scheduler_->next_task(id);
+        }
         if (!task.has_value()) continue;
         dispatch(*task);
         dispatched = true;
       }
-      // Straggler hedging (downloads, dynamic scheduling only): idle fast
-      // connections duplicate work pinned on slower clouds.
-      if constexpr (requires { scheduler_->next_hedge_task(ids_[0]); }) {
+      // Straggler hedging (downloads, dynamic scheduling only): idle
+      // connections duplicate work that runs late on its holder.
+      if constexpr (kDownload) {
         if (!dispatched && config_.dynamic_polling) {
           for (const cloud::CloudId id : ranked) {
             if (free_slots_[id] == 0 || !may_dispatch_to(id)) continue;
-            auto task = scheduler_->next_hedge_task(id);
+            auto task = scheduler_->next_hedge_task(id, env_.now(), monitor_);
             if (!task.has_value()) continue;
             dispatch(*task);
             dispatched = true;
@@ -110,6 +125,27 @@ class JobRunner : public std::enable_shared_from_this<JobRunner<Scheduler>> {
         }
       }
     }
+    if constexpr (kDownload) {
+      if (config_.dynamic_polling) arm_hedge_timer();
+    }
+  }
+
+  // A stalled cloud produces no completion to poll on: wake when the
+  // earliest in-flight block becomes overdue. An earlier wake-up polls and
+  // arms the later deadline then.
+  void arm_hedge_timer() {
+    const std::optional<double> deadline =
+        scheduler_->next_hedge_deadline(env_.now(), monitor_);
+    if (!deadline.has_value() ||
+        (!hedge_timers_.empty() && *hedge_timers_.begin() <= *deadline)) {
+      return;
+    }
+    hedge_timers_.insert(*deadline);
+    env_.schedule_at(*deadline,
+                     [self = this->shared_from_this(), at = *deadline] {
+                       self->hedge_timers_.erase(at);
+                       self->poll();
+                     });
   }
 
   void dispatch(const sched::BlockTask& task) {
@@ -200,6 +236,7 @@ class JobRunner : public std::enable_shared_from_this<JobRunner<Scheduler>> {
   std::map<cloud::CloudId, std::size_t> free_slots_;
   std::map<cloud::CloudId, SimCloud*> by_id_;
   std::map<cloud::CloudId, int> consecutive_failures_;
+  std::set<double> hedge_timers_;  // armed wake-ups, by virtual time
   std::function<void()> on_done_;
   bool done_ = false;
   double start_time_ = 0;

@@ -18,6 +18,7 @@
 #include "cloud/memory_cloud.h"
 #include "common/executor.h"
 #include "common/rng.h"
+#include "common/timer_wheel.h"
 #include "core/client.h"
 #include "core/download_pipeline.h"
 #include "core/local_fs.h"
@@ -151,6 +152,24 @@ sched::AsyncTransferFn complete_on(
     return cloud::AsyncHandle{};
   };
 }
+
+// Blocks every injected hang until the test opens the gate.
+struct HangGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  void release() {
+    {
+      std::lock_guard<std::mutex> g(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return open; });
+  }
+};
 
 // --- parallel decode --------------------------------------------------------
 
@@ -346,6 +365,115 @@ TEST(StreamingDownloadDriverTest, CancelFailsPendingSegmentsWithoutDeadlock) {
   driver.wait();  // stuck transfers drained, no deadlock
 }
 
+// Records the cloud of every launch, in launch order, then completes like
+// complete_on.
+struct LaunchLog {
+  std::mutex mu;
+  std::vector<cloud::CloudId> clouds;
+
+  sched::AsyncTransferFn wrap(sched::AsyncTransferFn inner) {
+    return [this, inner = std::move(inner)](const sched::BlockTask& task,
+                                            sched::TransferDoneFn done) {
+      {
+        std::lock_guard<std::mutex> g(mu);
+        clouds.push_back(task.cloud);
+      }
+      return inner(task, std::move(done));
+    };
+  }
+};
+
+sched::DownloadFileSpec one_segment_file(
+    const std::string& id, std::vector<metadata::BlockLocation> locations) {
+  sched::DownloadFileSpec spec;
+  spec.path = "/" + id;
+  sched::DownloadSegmentSpec seg;
+  seg.id = id;
+  seg.size = 64 << 10;  // 32 KiB blocks at k = 2
+  seg.locations = std::move(locations);
+  spec.segments.push_back(std::move(seg));
+  return spec;
+}
+
+TEST(StreamingDownloadDriverTest, PollsTheFastestRankedCloudFirst) {
+  // The config lists the slow cloud first; the monitor ranks cloud 1 first.
+  sched::ThroughputMonitor monitor;
+  monitor.record(0, sched::Direction::kDownload, 1 << 20, 1.0);
+  monitor.record(1, sched::Direction::kDownload, 64 << 20, 1.0);
+  auto executor = std::make_shared<Executor>(2);
+  LaunchLog log;
+  {
+    sched::StreamingDownloadDriver driver(
+        /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+        log.wrap(complete_on(*executor, [](const sched::BlockTask&) {
+          return Status::ok();
+        })));
+    driver.add_file(one_segment_file("seg", {{0, 0}, {1, 0}, {2, 1},
+                                             {3, 1}}));
+    driver.close();
+    driver.wait();
+  }
+  ASSERT_GE(log.clouds.size(), 2u);
+  EXPECT_EQ(log.clouds[0], 1u);
+  EXPECT_EQ(log.clouds[1], 1u);
+}
+
+TEST(StreamingDownloadDriverTest, DestructionCancelsAnArmedHedgeTimer) {
+  TimerWheel& wheel = TimerWheel::shared();
+  const std::size_t idle_timers = wheel.pending();
+  {
+    // Both clouds on record at 10 s per 32 KiB block: the hedge timer for
+    // the in-flight blocks is armed ~10 s out and outlives the job.
+    sched::ThroughputMonitor monitor;
+    for (const cloud::CloudId c : {0u, 1u}) {
+      monitor.record(c, sched::Direction::kDownload, 32 << 10, 10.0);
+    }
+    auto executor = std::make_shared<Executor>(2);
+    HangGate gate;
+    std::atomic<int> entered{0};
+    sched::StreamingDownloadDriver driver(
+        /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+        complete_on(*executor, [&](const sched::BlockTask&) {
+          entered.fetch_add(1);
+          gate.wait();
+          return Status::ok();
+        }));
+    driver.add_file(one_segment_file("seg", {{0, 0}, {1, 1}}));
+    EXPECT_EQ(wheel.pending(), idle_timers + 1);
+    for (int spin = 0; spin < 5000 && entered.load() < 2; ++spin) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    gate.release();
+    driver.close();
+    driver.wait();
+    EXPECT_EQ(wheel.pending(), idle_timers + 1);  // still armed
+  }
+  EXPECT_EQ(wheel.pending(), idle_timers);
+
+  // Timers that come due while the driver is torn down: deadlines of
+  // ~0.3 ms race the destructor.
+  for (int round = 0; round < 20; ++round) {
+    sched::ThroughputMonitor monitor;
+    for (const cloud::CloudId c : {0u, 1u, 2u}) {
+      monitor.record(c, sched::Direction::kDownload, 32 << 10, 3e-4);
+    }
+    auto executor = std::make_shared<Executor>(2);
+    HangGate gate;
+    {
+      sched::StreamingDownloadDriver driver(
+          /*k=*/2, {0, 1, 2}, sched::DriverConfig{2, 3}, monitor, executor,
+          complete_on(*executor, [&](const sched::BlockTask&) {
+            gate.wait();
+            return Status::ok();
+          }));
+      driver.add_file(one_segment_file("seg", {{0, 0}, {1, 1}, {2, 2}}));
+      std::this_thread::sleep_for(std::chrono::microseconds(200 + 20 * round));
+      gate.release();
+    }
+    EXPECT_EQ(wheel.pending(), idle_timers);
+  }
+}
+
 // --- LocalFs::FileWriter ----------------------------------------------------
 
 TEST(FileWriterTest, BufferedWriterPublishesOnlyOnCommit) {
@@ -520,24 +648,6 @@ TEST(RestorePipelineTest, InflightBytesStayUnderCapUnderSlowClouds) {
   EXPECT_EQ(pipeline.inflight_bytes(), 0u);
 }
 
-// Blocks every injected hang until the test opens the gate.
-struct HangGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool open = false;
-  void release() {
-    {
-      std::lock_guard<std::mutex> g(mu);
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return open; });
-  }
-};
-
 TEST(RestorePipelineTest, AsyncTransfersRestoreBitExact) {
   const std::size_t k = 3;
   const std::size_t theta = 64 << 10;
@@ -564,6 +674,69 @@ TEST(RestorePipelineTest, AsyncTransfersRestoreBitExact) {
   ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
   EXPECT_EQ(fs.read("/async.bin").value(), big);
   EXPECT_EQ(pipeline.inflight_bytes(), 0u);
+}
+
+// One cloud stalls far past its p95 and no other completion is pending:
+// only the driver's hedge timer can notice, and the restore must finish on
+// the other clouds long before the stall ends.
+TEST(RestorePipelineTest, HedgeTimerRescuesABlockStalledPastItsP95) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(3);
+  metadata::SyncFolderImage image;
+  Rng rng(49);
+
+  const Bytes content = rng.bytes(theta);  // one segment, block b on cloud b
+  const auto snap =
+      publish_file("/stall.bin", content, theta, code, 3, clouds, image);
+
+  // Cloud 0 hangs on every request until the gate opens.
+  HangGate gate;
+  cloud::FaultProfile hang_profile;
+  hang_profile.hang_rate = 1.0;
+  hang_profile.hang_seconds = 1.0;
+  auto stalling = std::make_shared<cloud::FaultyCloud>(
+      clouds[0], hang_profile, /*seed=*/1, [&gate](Duration) { gate.wait(); });
+  const cloud::MultiCloud providers = {stalling, clouds[1], clouds[2]};
+
+  // On record, cloud 0 is the fastest (0.2 s per 32 KiB block at p95), so
+  // it takes a block first; clouds 1 and 2 are slower, so neither wins a
+  // hedge at once and the stalled block turns overdue at ~0.2 s.
+  sched::ThroughputMonitor monitor;
+  monitor.record(0, sched::Direction::kDownload, 32 << 10, 0.2);
+  monitor.record(1, sched::Direction::kDownload, 32 << 10, 0.3);
+  monitor.record(2, sched::Direction::kDownload, 32 << 10, 0.4);
+
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(providers, executor.get());
+  auto obs = std::make_shared<obs::Observability>();
+  MemoryLocalFs fs;
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+                            monitor, executor, async_lookup(twins),
+                            PipelineConfig{}, fs, nullptr, obs);
+  const auto start = std::chrono::steady_clock::now();
+  pipeline.add_file(snap, image);
+  // The file commits once its segment decodes, before finish() drains the
+  // stalled request.
+  bool restored = false;
+  for (int spin = 0; spin < 5000 && !restored; ++spin) {
+    restored = fs.read("/stall.bin").is_ok();
+    if (!restored) std::this_thread::sleep_for(milliseconds(1));
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(stalling->hangs(), 1u);
+  gate.release();
+  const auto results = pipeline.finish();
+
+  ASSERT_TRUE(restored) << "the stalled block was never hedged";
+  EXPECT_LT(elapsed, 2.0);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
+  EXPECT_EQ(fs.read("/stall.bin").value(), content);
+  EXPECT_EQ(obs->metrics.snapshot().counter_value("driver.hedge_tasks"), 1u);
 }
 
 // Cancel mid-flight with completion-based fetches wedged in an injected

@@ -214,7 +214,9 @@ TEST_P(DownloadSchedulerProperty, FetchesKDistinctUnderChaos) {
   std::size_t safety = 0;
   while (!scheduler.finished() && ++safety < 100000) {
     const auto cloud = static_cast<cloud::CloudId>(rng.next_below(c.n));
-    if (auto task = scheduler.next_task(cloud)) in_flight.push_back(*task);
+    if (auto task = scheduler.next_task(cloud, 0.0)) {
+      in_flight.push_back(*task);
+    }
     if (!in_flight.empty() && rng.bernoulli(0.8)) {
       const std::size_t pick = rng.next_below(in_flight.size());
       const BlockTask task = in_flight[pick];
@@ -229,7 +231,8 @@ TEST_P(DownloadSchedulerProperty, FetchesKDistinctUnderChaos) {
   while (progress && !scheduler.all_complete()) {
     progress = false;
     for (std::size_t i = 0; i < c.n; ++i) {
-      if (auto task = scheduler.next_task(static_cast<cloud::CloudId>(i))) {
+      if (auto task =
+              scheduler.next_task(static_cast<cloud::CloudId>(i), 0.0)) {
         scheduler.on_complete(*task, true);
         progress = true;
       }

@@ -127,6 +127,60 @@ TEST(MonitorTest, ResetForgetsEverything) {
   m.record(0, Direction::kUpload, 1e6, 1.0);
   m.reset();
   EXPECT_DOUBLE_EQ(m.estimate(0, Direction::kUpload), 42.0);
+  EXPECT_FALSE(m.latency(0, Direction::kUpload).has_value());
+}
+
+TEST(MonitorTest, WindowQuantilesInSecondsPerByte) {
+  ThroughputMonitor m;
+  EXPECT_FALSE(m.latency(0, Direction::kDownload).has_value());
+  // Twenty samples of 1..20 ms for 1000-byte blocks: nearest-rank p50 is
+  // the 10th smallest, p95 the 19th.
+  for (int ms = 20; ms >= 1; --ms) {
+    m.record(0, Direction::kDownload, 1000, ms * 1e-3);
+  }
+  const auto q = m.latency(0, Direction::kDownload);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_DOUBLE_EQ(q->p50, 10e-6);
+  EXPECT_DOUBLE_EQ(q->p95, 19e-6);
+  // One sample makes a cloud measured; directions keep separate windows.
+  m.record(1, Direction::kDownload, 500, 1.0);
+  const auto one = m.latency(1, Direction::kDownload);
+  ASSERT_TRUE(one.has_value());
+  EXPECT_DOUBLE_EQ(one->p50, 2e-3);
+  EXPECT_DOUBLE_EQ(one->p95, 2e-3);
+  EXPECT_FALSE(m.latency(1, Direction::kUpload).has_value());
+}
+
+TEST(MonitorTest, WindowEvictsOldestAfterThirtyTwoSamples) {
+  static_assert(ThroughputMonitor::kLatencyWindow == 32);
+  ThroughputMonitor m;
+  constexpr Direction kDown = Direction::kDownload;
+  // Two stragglers first, then 30 normal samples: over 32 samples p95
+  // (nearest rank 31) is a straggler.
+  m.record(0, kDown, 1, 100.0);
+  m.record(0, kDown, 1, 100.0);
+  for (int i = 0; i < 30; ++i) m.record(0, kDown, 1, 1.0);
+  EXPECT_DOUBLE_EQ(m.latency(0, kDown)->p50, 1.0);
+  EXPECT_DOUBLE_EQ(m.latency(0, kDown)->p95, 100.0);
+  // The 33rd sample evicts the oldest straggler; one alone is not p95.
+  m.record(0, kDown, 1, 1.0);
+  EXPECT_DOUBLE_EQ(m.latency(0, kDown)->p95, 1.0);
+  // 32 newer samples leave nothing older in the window.
+  for (int i = 0; i < 32; ++i) m.record(0, kDown, 1, 2.0);
+  EXPECT_DOUBLE_EQ(m.latency(0, kDown)->p50, 2.0);
+  EXPECT_DOUBLE_EQ(m.latency(0, kDown)->p95, 2.0);
+}
+
+TEST(MonitorTest, FailuresStayOutOfTheLatencyWindow) {
+  ThroughputMonitor m;
+  m.record_failure(0, Direction::kDownload, 5.0);
+  EXPECT_FALSE(m.latency(0, Direction::kDownload).has_value());
+  m.record(0, Direction::kDownload, 1000, 0.01);
+  m.record_failure(0, Direction::kDownload, 30.0);
+  const auto q = m.latency(0, Direction::kDownload);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_DOUBLE_EQ(q->p50, 1e-5);
+  EXPECT_DOUBLE_EQ(q->p95, 1e-5);
 }
 
 // --- UploadScheduler --------------------------------------------------------------
@@ -334,7 +388,7 @@ TEST(DownloadSchedulerTest, FetchesExactlyKBlocks) {
   while (progress) {
     progress = false;
     for (const cloud::CloudId c : five_clouds()) {
-      auto task = s.next_task(c);
+      auto task = s.next_task(c, 0.0);
       if (task.has_value()) {
         s.on_complete(*task, true);
         ++fetched;
@@ -352,7 +406,7 @@ TEST(DownloadSchedulerTest, NeverOverRequests) {
   // Grab 3 tasks without completing them; a 4th must not be issued.
   std::vector<BlockTask> tasks;
   for (const cloud::CloudId c : five_clouds()) {
-    auto task = s.next_task(c);
+    auto task = s.next_task(c, 0.0);
     if (task.has_value()) tasks.push_back(*task);
   }
   EXPECT_EQ(tasks.size(), 3u);
@@ -363,16 +417,16 @@ TEST(DownloadSchedulerTest, FailedFetchRetriedThenExhausted) {
   // Transient failures: the same (block, cloud) source is retried a few
   // times before the scheduler stops considering it.
   for (int attempt = 0; attempt < 3; ++attempt) {
-    auto t = s.next_task(0);
+    auto t = s.next_task(0, 0.0);
     ASSERT_TRUE(t.has_value()) << "attempt " << attempt;
     s.on_complete(*t, false);
   }
   // Source exhausted now; cloud 0 has no other block (1 per cloud).
-  EXPECT_FALSE(s.next_task(0).has_value());
+  EXPECT_FALSE(s.next_task(0, 0.0).has_value());
   // Other clouds can still complete the job.
   std::size_t fetched = 0;
   for (const cloud::CloudId c : {1, 2, 3, 4}) {
-    auto task = s.next_task(c);
+    auto task = s.next_task(c, 0.0);
     if (task.has_value()) {
       s.on_complete(*task, true);
       ++fetched;
@@ -393,14 +447,14 @@ TEST(DownloadSchedulerTest, FastCloudWithExtraBlocksServesMore) {
   f.segments.push_back(seg);
   DownloadScheduler s(3, {f});
   // Fast cloud 0 polls first (driver polls fastest first): gets both blocks.
-  auto a = s.next_task(0);
-  auto b = s.next_task(0);
+  auto a = s.next_task(0, 0.0);
+  auto b = s.next_task(0, 0.0);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   s.on_complete(*a, true);
   s.on_complete(*b, true);
   // One more block from any other cloud completes the segment.
-  auto c = s.next_task(3);
+  auto c = s.next_task(3, 0.0);
   ASSERT_TRUE(c.has_value());
   s.on_complete(*c, true);
   EXPECT_TRUE(s.all_complete());
@@ -414,7 +468,7 @@ TEST(DownloadSchedulerTest, StuckWhenTooFewBlocksReachable) {
   s.set_cloud_enabled(1, false);
   s.set_cloud_enabled(2, false);
   for (const cloud::CloudId c : {3, 4}) {
-    auto task = s.next_task(c);
+    auto task = s.next_task(c, 0.0);
     if (task.has_value()) s.on_complete(*task, true);
   }
   EXPECT_FALSE(s.all_complete());
@@ -429,7 +483,7 @@ TEST(DownloadSchedulerTest, FilesCompleteInOrder) {
   // never steal capacity that file 0 could still use.
   std::vector<BlockTask> tasks;
   for (const cloud::CloudId c : five_clouds()) {
-    auto task = s.next_task(c);
+    auto task = s.next_task(c, 0.0);
     if (task.has_value()) tasks.push_back(*task);
   }
   ASSERT_EQ(tasks.size(), 5u);
@@ -439,12 +493,132 @@ TEST(DownloadSchedulerTest, FilesCompleteInOrder) {
 
 TEST(DownloadSchedulerTest, FetchedBlocksReported) {
   DownloadScheduler s(3, {downloadable_file("a")});
-  auto t = s.next_task(1);
+  auto t = s.next_task(1, 0.0);
   ASSERT_TRUE(t.has_value());
   s.on_complete(*t, true);
   const auto blocks = s.fetched_blocks("a_seg");
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0], t->block_index);
+}
+
+// Straggler hedging. Blocks are 1000 bytes (a 3000-byte segment, k = 3);
+// a cloud measured at `seconds` per 1000-byte block has p50 = p95 =
+// seconds / 1000 seconds per byte.
+
+DownloadFileSpec hedge_file(std::vector<metadata::BlockLocation> locations) {
+  DownloadFileSpec f;
+  f.path = "/h";
+  DownloadSegmentSpec seg;
+  seg.id = "h_seg";
+  seg.size = 3000;
+  seg.locations = std::move(locations);
+  f.segments.push_back(seg);
+  return f;
+}
+
+void measure(ThroughputMonitor& m, cloud::CloudId cloud, double seconds) {
+  m.record(cloud, Direction::kDownload, 1000, seconds);
+}
+
+// Clouds 0-2 take the k regular blocks at t = 0; what else each cloud
+// holds is up to the test.
+std::vector<BlockTask> launch_regular(DownloadScheduler& s) {
+  std::vector<BlockTask> tasks;
+  for (const cloud::CloudId c : {0, 1, 2}) {
+    auto task = s.next_task(c, 0.0);
+    EXPECT_TRUE(task.has_value());
+    if (task.has_value()) tasks.push_back(*task);
+  }
+  return tasks;
+}
+
+TEST(DownloadSchedulerTest, EqualCloudsHedgeOnlyPastTheHoldersP95) {
+  // Clouds 3 and 4 each hold a spare block.
+  DownloadScheduler s(
+      3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}})});
+  ThroughputMonitor m;
+  for (const cloud::CloudId c : five_clouds()) measure(m, c, 1.0);
+  const std::vector<BlockTask> regular = launch_regular(s);
+  ASSERT_EQ(regular.size(), 3u);
+  // Two blocks land on time; the third stays pinned on cloud 2.
+  s.on_complete(regular[0], true);
+  s.on_complete(regular[1], true);
+  // Equal links: an idle cloud is no faster, so it waits for lateness.
+  EXPECT_FALSE(s.next_task(3, 0.5).has_value());
+  EXPECT_FALSE(s.next_hedge_task(3, 0.5, m).has_value());
+  EXPECT_FALSE(s.next_hedge_task(4, 0.999, m).has_value());
+  EXPECT_DOUBLE_EQ(s.next_hedge_deadline(0.5, m).value_or(-1), 1.0);
+  // Past cloud 2's p95 the pinned block earns exactly one hedge.
+  const auto hedge = s.next_hedge_task(3, 1.0, m);
+  ASSERT_TRUE(hedge.has_value());
+  EXPECT_EQ(hedge->block_index, 3u);
+  EXPECT_FALSE(s.next_hedge_task(4, 1.0, m).has_value());
+  // The overdue block no longer sets a deadline; the hedge itself does,
+  // and once the hedge runs late too it earns one more.
+  EXPECT_DOUBLE_EQ(s.next_hedge_deadline(1.0, m).value_or(-1), 2.0);
+  EXPECT_FALSE(s.next_hedge_task(4, 1.5, m).has_value());
+  EXPECT_TRUE(s.next_hedge_task(4, 2.0, m).has_value());
+}
+
+TEST(DownloadSchedulerTest, CloudWhoseP95BeatsHoldersP50MinusAgeHedgesAtOnce) {
+  ThroughputMonitor m;
+  for (const cloud::CloudId c : {0, 1, 2}) measure(m, c, 1.0);
+  measure(m, 3, 0.1);  // p95 0.1 s per block vs the holders' p50 of 1 s
+  {
+    DownloadScheduler s(3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3}})});
+    launch_regular(s);
+    const auto hedge = s.next_hedge_task(3, 0.0, m);
+    ASSERT_TRUE(hedge.has_value());
+    EXPECT_EQ(hedge->block_index, 3u);
+  }
+  {
+    // 0.95 s in, a holder is expected within 0.05 s: 0.1 s does not win,
+    // and nothing is overdue yet.
+    DownloadScheduler s(3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3}})});
+    launch_regular(s);
+    EXPECT_FALSE(s.next_hedge_task(3, 0.95, m).has_value());
+    EXPECT_TRUE(s.next_hedge_task(3, 1.0, m).has_value());
+  }
+}
+
+TEST(DownloadSchedulerTest, UnmeasuredHolderIsHedgedFromMeasuredIdleCloud) {
+  DownloadScheduler s(3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3}})});
+  ThroughputMonitor m;
+  measure(m, 3, 1.0);  // only the idle cloud has a record
+  launch_regular(s);
+  // Unmeasured holders set no deadline: they are hedgeable already.
+  EXPECT_FALSE(s.next_hedge_deadline(0.0, m).has_value());
+  EXPECT_TRUE(s.next_hedge_task(3, 0.0, m).has_value());
+}
+
+TEST(DownloadSchedulerTest, UnmeasuredIdleCloudNeverHedges) {
+  DownloadScheduler s(3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3}})});
+  ThroughputMonitor m;
+  measure(m, 0, 1.0);  // one holder measured and long overdue, two unknown
+  launch_regular(s);
+  EXPECT_FALSE(s.next_hedge_task(3, 100.0, m).has_value());
+}
+
+TEST(DownloadSchedulerTest, HedgesPerSegmentAndCloudStayWithinOnePlusHalfK) {
+  // k = 3: a cloud holds at most 1 + 3/2 = 2 blocks of a segment in
+  // flight, however late the holders run.
+  DownloadScheduler s(3, {hedge_file({{0, 0}, {1, 1}, {2, 2}, {3, 3},
+                                      {4, 3}, {5, 3}})});
+  ThroughputMonitor m;
+  for (const cloud::CloudId c : five_clouds()) measure(m, c, 1.0);
+  launch_regular(s);
+  const auto first = s.next_hedge_task(3, 5.0, m);
+  const auto second = s.next_hedge_task(3, 5.0, m);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(s.next_hedge_task(3, 5.0, m).has_value());
+  // A landed hedge frees the slot for the third block.
+  s.on_complete(*first, true);
+  const auto third = s.next_hedge_task(3, 5.0, m);
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->block_index, 5u);
+  // A cloud never hedges its own block.
+  EXPECT_FALSE(s.next_hedge_task(0, 5.0, m).has_value());
 }
 
 // --- Rebalancer -------------------------------------------------------------------

@@ -462,6 +462,45 @@ TEST(TransferRunTest, HedgingRescuesStragglerDownloads) {
   EXPECT_GT(without_hedge, 50.0);           // pinned on the 1 KB/s crawler
 }
 
+TEST(TransferRunTest, HedgeTimerRescuesBlockStalledOnMeasuredCloud) {
+  // Every cloud is on record at 0.2 s per 100 KB block, but cloud 2 has
+  // since slowed to a crawl. The fast clouds land their blocks before the
+  // crawler's block turns overdue, and then nothing completes: only the
+  // runner's hedge timer, armed at the crawler's p95, can move the job on.
+  SimEnv env(78);
+  FluidNet net(env);
+  std::vector<std::unique_ptr<SimCloud>> clouds;
+  const double rates[3] = {1e6, 8e5, 1e3};
+  sched::ThroughputMonitor monitor;
+  for (std::uint32_t id = 0; id < 3; ++id) {
+    SimCloudConfig config;
+    config.id = id;
+    config.name = "c" + std::to_string(id);
+    config.up = constant_bw(rates[id]);
+    config.down = constant_bw(rates[id]);
+    config.request_latency = 0.01;
+    clouds.push_back(std::make_unique<SimCloud>(env, net, config));
+    monitor.record(id, sched::Direction::kDownload, 1e5, 0.2);
+  }
+  std::vector<SimCloud*> ptrs;
+  for (auto& c : clouds) ptrs.push_back(c.get());
+
+  sched::DownloadFileSpec file;
+  file.path = "/f";
+  sched::DownloadSegmentSpec seg;
+  seg.id = "s";
+  seg.size = 3e5;  // k=3 -> 100 KB blocks
+  seg.locations = {{0, 0}, {1, 1}, {2, 2}, {3, 0}};
+  file.segments.push_back(seg);
+  sched::DownloadScheduler scheduler(3, {file});
+  RunConfig config;
+  config.dynamic_polling = true;
+  const auto result = run_download_job(env, ptrs, scheduler, monitor, config);
+  EXPECT_TRUE(result.all_complete);
+  // Overdue at 0.2 s, then one 100 KB block at ~1 MB/s.
+  EXPECT_LT(result.finish_time - result.start_time, 0.5);
+}
+
 // --- SimCloud -------------------------------------------------------------
 
 TEST(SimCloudTest, UploadCompletesAndCounts) {
