@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <unordered_set>
 
@@ -195,124 +193,12 @@ std::unique_ptr<UploadPipeline> UniDriveClient::make_pipeline(
 }
 
 std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
-    const sched::CodeParams& params) {
+    LocalFs& fs) {
+  const sched::CodeParams params = code_params();
   return std::make_unique<DownloadPipeline>(
       params.k, codec_for(params), cloud_ids(), config_.driver, monitor_,
       executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
-      config_.pipeline, *fs_, health_, obs_);
-}
-
-// Fetches, decodes and integrity-checks one segment. On an integrity
-// failure (a cloud served tampered or rotted bytes) the corrupt shard
-// cannot be identified directly, so the client fetches additional distinct
-// blocks one at a time and searches the k-subsets of everything fetched
-// until one decodes to the segment's content hash. One long-lived
-// streaming driver serves the whole reconstruction: extra blocks raise the
-// budget of the same scheduler instead of standing up a fresh driver per
-// attempt. Fetches launch through the async twins of the guarded clouds,
-// exactly like the restore pipeline's.
-Result<Bytes> UniDriveClient::fetch_segment(
-    const SegmentInfo& segment,
-    const std::vector<metadata::BlockLocation>& exclude) {
-  const sched::CodeParams params = code_params();
-  const erasure::RsCode code = codec_for(params);
-
-  sched::DownloadSegmentSpec seg_spec;
-  seg_spec.id = segment.id;
-  seg_spec.size = segment.size;
-  for (const metadata::BlockLocation& loc : segment.blocks) {
-    if (std::find(exclude.begin(), exclude.end(), loc) == exclude.end()) {
-      seg_spec.locations.push_back(loc);
-    }
-  }
-  if (seg_spec.locations.empty()) {
-    return make_error(ErrorCode::kUnavailable,
-                      "could not fetch k blocks for segment " + segment.id);
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<erasure::Shard> shards;       // all fetched so far
-  std::set<std::uint32_t> fetched_indices;  // distinct block indices held
-  std::size_t events = 0;
-  bool last_ok = false;
-
-  // Declared after everything its completions touch: the driver's
-  // destructor waits out every launched fetch.
-  sched::StreamingDownloadDriver driver(
-      params.k, cloud_ids(), config_.driver, monitor_, executor_,
-      [&](const sched::BlockTask& task,
-          sched::TransferDoneFn done) -> cloud::AsyncHandle {
-        cloud::AsyncCloud* provider = find_async_cloud(task.cloud);
-        if (provider == nullptr) {
-          // Never complete on the launching stack (cloud/async.h).
-          executor_->submit([done = std::move(done)] {
-            done(make_error(ErrorCode::kInternal, "unknown cloud"));
-          });
-          return {};
-        }
-        const std::uint32_t index = task.block_index;
-        return provider->download_async(
-            metadata::block_path(task.segment_id, index),
-            [&, index, done = std::move(done)](Result<Bytes> data) {
-              if (!data.is_ok()) {
-                done(data.status());
-                return;
-              }
-              {
-                std::lock_guard<std::mutex> guard(mu);
-                // A hedge duplicate may land second; keep the first copy.
-                if (fetched_indices.insert(index).second) {
-                  shards.push_back({index, std::move(data).take()});
-                }
-              }
-              done(Status::ok());
-            });
-      },
-      health_, obs_,
-      [&](const std::string&, bool ok) {
-        std::lock_guard<std::mutex> guard(mu);
-        ++events;
-        last_ok = ok;
-        cv.notify_all();
-      });
-
-  sched::DownloadFileSpec spec;
-  spec.path = segment.id;
-  spec.segments.push_back(std::move(seg_spec));
-  driver.add_file(std::move(spec));
-  driver.close();
-
-  std::size_t consumed = 0;
-  while (true) {
-    bool ok = false;
-    std::vector<erasure::Shard> held;
-    {
-      std::unique_lock<std::mutex> guard(mu);
-      cv.wait(guard, [&] { return events > consumed; });
-      ++consumed;
-      ok = last_ok;
-      held = shards;
-    }
-    if (!ok) {
-      // First event failing means even k blocks never landed; a later one
-      // means the corrupt-shard search ran out of supply.
-      return consumed == 1
-                 ? make_error(ErrorCode::kUnavailable,
-                              "could not fetch k blocks for segment " +
-                                  segment.id)
-                 : make_error(ErrorCode::kCorrupt,
-                              "segment " + segment.id +
-                                  ": no verifiable block combination exists");
-    }
-    auto decoded =
-        decode_verified(code, held, segment, params.k, executor_.get());
-    if (decoded.is_ok()) return decoded;
-    UNI_LOG(kWarn) << "segment " << segment.id
-                   << " failed integrity check with " << held.size()
-                   << " blocks; fetching another";
-    driver.request_extra_block(segment.id);
-  }
+      config_.pipeline, fs, health_, obs_);
 }
 
 Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
@@ -413,7 +299,7 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
                     snapshot->segment_ids.end());
     }
     const HeldSegments held(image_, *fs_, wanted);
-    auto pipeline = make_download_pipeline(code_params());
+    auto pipeline = make_download_pipeline(*fs_);
     for (const FileSnapshot* snapshot : to_download) {
       pipeline->add_file(*snapshot, target, &held);
     }
@@ -1013,29 +899,43 @@ Status UniDriveClient::restore_previous_version(const std::string& path) {
   const HeldSegments held(image_, *fs_,
                           {previous.segment_ids.begin(),
                            previous.segment_ids.end()});
-  auto pipeline = make_download_pipeline(code_params());
+  auto pipeline = make_download_pipeline(*fs_);
   pipeline->add_file(previous, image_, &held);
   return pipeline->finish().front().status;
 }
 
 // Plaintext bytes of a segment, for re-encoding blocks during rebalances
-// and repairs. Fast path: the verified local copy `held` reads. Fallback:
-// fetch + decode k blocks from the multi-cloud, never trusting a placement
-// in `exclude` — membership changes must work even when the local copy is
-// missing (e.g. a freshly joined device administering the multi-cloud).
+// and repairs, restored the way a pull restores a file: the verified local
+// copy `held` reads when one exists, otherwise a fetch + verified decode
+// (with the corrupt-shard search) from the multi-cloud that never trusts a
+// placement in `exclude` — membership changes must work even when the
+// local copy is missing (e.g. a freshly joined device administering the
+// multi-cloud). The one-segment file lands in a scratch in-memory folder.
 Result<Bytes> UniDriveClient::segment_content(
     const SyncFolderImage& image, const HeldSegments& held,
     const std::string& segment_id,
     const std::vector<metadata::BlockLocation>& exclude) {
-  auto local = held.read(segment_id);
-  if (local.is_ok()) return local;
-  // fetch_segment resolves block placements from the record itself — no
-  // image adoption needed.
-  const metadata::SegmentInfo* seg = image.find_segment(segment_id);
+  const SegmentInfo* seg = image.find_segment(segment_id);
   if (seg == nullptr) {
     return make_error(ErrorCode::kNotFound, "unknown segment " + segment_id);
   }
-  return fetch_segment(*seg, exclude);
+  SegmentInfo trusted = *seg;
+  std::erase_if(trusted.blocks, [&](const metadata::BlockLocation& loc) {
+    return std::find(exclude.begin(), exclude.end(), loc) != exclude.end();
+  });
+  SyncFolderImage source;
+  source.upsert_segment(trusted);
+  // No content hash: the segment is verified against its id.
+  FileSnapshot snapshot;
+  snapshot.path = "/" + segment_id;
+  snapshot.size = trusted.size;
+  snapshot.segment_ids = {segment_id};
+
+  MemoryLocalFs scratch;
+  auto pipeline = make_download_pipeline(scratch);
+  pipeline->add_file(snapshot, source, &held);
+  UNI_RETURN_IF_ERROR(pipeline->finish().front().status);
+  return scratch.read(snapshot.path);
 }
 
 erasure::RsCode UniDriveClient::codec() const {

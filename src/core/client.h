@@ -242,23 +242,16 @@ class UniDriveClient {
   // guarded clouds and observability.
   [[nodiscard]] std::unique_ptr<UploadPipeline> make_pipeline(
       const sched::CodeParams& params);
-  // Restore mirror: a streaming DownloadPipeline over the same executor,
-  // guards and observability (overlapped fetch → parallel decode →
-  // in-order write with a bounded prefetch window).
+  // Restore mirror: a streaming DownloadPipeline into `fs` over the same
+  // executor, guards and observability (overlapped fetch → parallel decode
+  // → in-order write with a bounded prefetch window).
   [[nodiscard]] std::unique_ptr<DownloadPipeline> make_download_pipeline(
-      const sched::CodeParams& params);
+      LocalFs& fs);
 
-  // Fetches and decodes one segment, verifying its content hash; on
-  // integrity failure, raises the fetch budget of the long-lived driver
-  // one distinct block at a time (placements disjoint from `exclude`)
-  // until a verifiable subset exists or supply runs out.
-  Result<Bytes> fetch_segment(
-      const metadata::SegmentInfo& segment,
-      const std::vector<metadata::BlockLocation>& exclude);
-
-  // Plaintext of a segment: the verified local copy `held` reads when one
-  // exists, otherwise a decode from the multi-cloud (resolved against
-  // `image`) that never trusts a placement in `exclude`.
+  // Plaintext of a segment of `image`, restored through a DownloadPipeline
+  // into a scratch folder: the verified local copy `held` reads when one
+  // exists, otherwise a verified decode from the multi-cloud (with the
+  // corrupt-shard search) that never trusts a placement in `exclude`.
   Result<Bytes> segment_content(
       const metadata::SyncFolderImage& image, const HeldSegments& held,
       const std::string& segment_id,

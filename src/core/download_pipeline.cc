@@ -357,6 +357,7 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
   }
 
   Result<Bytes> decoded = make_error(ErrorCode::kUnavailable, "not fetched");
+  bool searching = false;
   if (!stale && ok && !cancelled_.load()) {
     std::vector<erasure::Shard> shards;
     {
@@ -379,21 +380,18 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
       }
       UNI_LOG(kWarn) << "segment " << id << " failed integrity check with "
                      << shards.size() << " blocks; fetching another";
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --decode_queue_;
-        obs::set_gauge(obs_.get(), "restore.queue.decode",
-                       static_cast<double>(decode_queue_));
-        cv_.notify_all();
-      }
-      driver_->request_extra_block(id);  // re-arms the fetched callback
-      return;
+      // Re-arms the fetched callback. Called without mu_ (a cancelled
+      // driver fires that callback synchronously, and it takes mu_), yet
+      // still counted in decode_queue_: neither the destructor nor a
+      // cancelled finish() may free the driver while the call runs.
+      driver_->request_extra_block(id);
+      searching = true;
     }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = segments_.find(id);
-  if (it != segments_.end() && !it->second.resolved) {
+  if (!searching && it != segments_.end() && !it->second.resolved) {
     SegState& seg = it->second;
     if (decoded.is_ok()) {
       seg.resolved = true;

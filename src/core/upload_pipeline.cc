@@ -43,7 +43,7 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
           [this](const sched::BlockTask& task, sched::TransferDoneFn done) {
             return transfer_async(task, std::move(done));
           },
-          sched::UploadOptions{}, std::move(health), obs_,
+          std::move(health), obs_,
           [this](const std::string& id) { on_segment_settled(id); }) {}
 
 UploadPipeline::~UploadPipeline() {

@@ -1,45 +1,44 @@
 #include "sched/streaming_driver.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/clock.h"
 #include "common/logging.h"
 
 namespace unidrive::sched {
 
-StreamingUploadDriver::StreamingUploadDriver(
-    CodeParams params, std::vector<cloud::CloudId> clouds,
-    DriverConfig config, ThroughputMonitor& monitor,
-    std::shared_ptr<Executor> executor, AsyncTransferFn transfer,
-    UploadOptions options, std::shared_ptr<cloud::CloudHealthRegistry> health,
-    obs::ObsPtr obs, SegmentSettledFn on_settled)
+// --- TransferEngine ------------------------------------------------------------
+
+template <class Scheduler, class FileSpec>
+TransferEngine<Scheduler, FileSpec>::TransferEngine(
+    Direction direction, Scheduler scheduler,
+    std::vector<cloud::CloudId> clouds, DriverConfig config,
+    ThroughputMonitor& monitor, std::shared_ptr<Executor> executor,
+    AsyncTransferFn transfer,
+    std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs)
     : clouds_(std::move(clouds)),
-      config_(config),
       monitor_(monitor),
+      obs_(std::move(obs)),
+      scheduler_(std::move(scheduler)),
+      direction_(direction),
       executor_(std::move(executor)),
       transfer_(std::move(transfer)),
-      health_(std::move(health)),
-      obs_(std::move(obs)),
-      on_settled_(std::move(on_settled)),
-      scheduler_(params, clouds_, {}, options) {
+      health_(std::move(health)) {
   for (const cloud::CloudId c : clouds_) {
-    free_conns_[c] = config_.connections_per_cloud;
+    free_conns_[c] = config.connections_per_cloud;
   }
   if (obs_) {
+    const std::string prefix =
+        direction_ == Direction::kUpload ? "driver.up." : "driver.down.";
     for (const cloud::CloudId c : clouds_) {
-      ok_counters_[c] =
-          &obs_->metrics.counter("driver.up.cloud" + std::to_string(c) +
-                                 ".ok");
-      err_counters_[c] =
-          &obs_->metrics.counter("driver.up.cloud" + std::to_string(c) +
-                                 ".err");
+      const std::string cloud = prefix + "cloud" + std::to_string(c);
+      ok_counters_[c] = &obs_->metrics.counter(cloud + ".ok");
+      err_counters_[c] = &obs_->metrics.counter(cloud + ".err");
     }
-    latency_hist_ = &obs_->metrics.histogram("driver.up.latency");
-    inflight_gauge_ = &obs_->metrics.gauge("driver.up.rpcs_inflight");
-    inflight_peak_gauge_ =
-        &obs_->metrics.gauge("driver.up.rpcs_inflight_peak");
-    threads_gauge_ = &obs_->metrics.gauge("driver.up.exec_threads_active");
+    latency_hist_ = &obs_->metrics.histogram(prefix + "latency");
+    inflight_gauge_ = &obs_->metrics.gauge(prefix + "rpcs_inflight");
+    inflight_peak_gauge_ = &obs_->metrics.gauge(prefix + "rpcs_inflight_peak");
+    threads_gauge_ = &obs_->metrics.gauge(prefix + "exec_threads_active");
   }
   // Up-front breaker gate: a cloud tripped in an earlier round starts this
   // job disabled unless its probe timer expired.
@@ -53,92 +52,62 @@ StreamingUploadDriver::StreamingUploadDriver(
   }
 }
 
-StreamingUploadDriver::~StreamingUploadDriver() {
-  cancel();
-  wait();
-}
-
-bool StreamingUploadDriver::done() const {
+template <class Scheduler, class FileSpec>
+bool TransferEngine<Scheduler, FileSpec>::done() const {
   return outstanding_ == 0 &&
          (cancelled_ || (closed_ && scheduler_.finished()));
 }
 
-void StreamingUploadDriver::add_file(UploadFileSpec file) {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::add_file(FileSpec file) {
   std::lock_guard<std::mutex> guard(lock_);
   if (closed_ || cancelled_) return;
-  for (const UploadSegmentSpec& seg : file.segments) {
-    unsettled_.insert(seg.id);
-  }
+  for (const auto& seg : file.segments) open_.insert(seg.id);
   scheduler_.add_file(std::move(file));
   pump();
   // With every cloud capped or down the new segments may already be
-  // unassignable; settle them now so a producer blocked on a memory cap
-  // is not left waiting for a completion that will never come.
-  sweep_settled();
+  // decided; report them now, or nothing ever would (a producer blocked on
+  // a memory cap waits for exactly that report).
+  sweep();
 }
 
-void StreamingUploadDriver::close() {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::close() {
   std::lock_guard<std::mutex> guard(lock_);
   if (closed_) return;
   closed_ = true;
   cv_.notify_all();
 }
 
-void StreamingUploadDriver::cancel() {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::cancel() {
   std::lock_guard<std::mutex> guard(lock_);
   if (cancelled_) return;
   cancelled_ = true;
+  sweep();
   cv_.notify_all();
 }
 
-void StreamingUploadDriver::wait() {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::wait() {
   std::unique_lock<std::mutex> guard(lock_);
   cv_.wait(guard, [&] { return done(); });
 }
 
-bool StreamingUploadDriver::cancelled() const {
+template <class Scheduler, class FileSpec>
+bool TransferEngine<Scheduler, FileSpec>::cancelled() const {
   std::lock_guard<std::mutex> guard(lock_);
   return cancelled_;
 }
 
-std::vector<metadata::BlockLocation> StreamingUploadDriver::locations(
-    const std::string& segment_id) const {
-  std::lock_guard<std::mutex> guard(lock_);
-  return scheduler_.locations(segment_id);
-}
-
-std::vector<std::pair<std::string, metadata::BlockLocation>>
-StreamingUploadDriver::overprovisioned_blocks() const {
-  std::lock_guard<std::mutex> guard(lock_);
-  return scheduler_.overprovisioned_blocks();
-}
-
-void StreamingUploadDriver::pump() {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::pump() {
   if (cancelled_ || scheduler_.finished()) return;
-  for (const cloud::CloudId c : clouds_) {
-    while (free_conns_[c] > 0) {
-      const std::optional<BlockTask> task = scheduler_.next_task(c);
-      if (!task.has_value()) break;
-      launch(c, *task);
-    }
-  }
+  dispatch();
 }
 
-void StreamingUploadDriver::sweep_settled() {
-  for (auto it = unsettled_.begin(); it != unsettled_.end();) {
-    if (!scheduler_.segment_settled(*it)) {
-      ++it;
-      continue;
-    }
-    // Abandon BEFORE releasing the bytes: a cloud re-admitted later must
-    // never be assigned a block whose shards are gone.
-    scheduler_.abandon_segment(*it);
-    if (on_settled_) on_settled_(*it);
-    it = unsettled_.erase(it);
-  }
-}
-
-void StreamingUploadDriver::note_inflight() {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::note_inflight() {
   if (inflight_gauge_ == nullptr) return;
   inflight_gauge_->set(static_cast<double>(outstanding_));
   if (outstanding_ > inflight_peak_) {
@@ -148,8 +117,9 @@ void StreamingUploadDriver::note_inflight() {
   threads_gauge_->set(static_cast<double>(executor_->active()));
 }
 
-void StreamingUploadDriver::launch(cloud::CloudId cloud,
-                                   const BlockTask& task) {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::launch(cloud::CloudId cloud,
+                                                 const BlockTask& task) {
   --free_conns_[cloud];
   ++outstanding_;
   note_inflight();
@@ -163,21 +133,20 @@ void StreamingUploadDriver::launch(cloud::CloudId cloud,
   });
 }
 
-void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
-                                            const BlockTask& task,
-                                            const Status& status,
-                                            TimePoint start) {
+template <class Scheduler, class FileSpec>
+void TransferEngine<Scheduler, FileSpec>::finish_transfer(
+    cloud::CloudId cloud, const BlockTask& task, const Status& status,
+    TimePoint start) {
   const TimePoint end = RealClock::instance().now();
   if (obs_ != nullptr) {
     (status.is_ok() ? ok_counters_ : err_counters_).at(cloud)->add();
     latency_hist_->observe(end - start);
   }
   if (status.is_ok()) {
-    monitor_.record(cloud, Direction::kUpload,
-                    static_cast<double>(task.bytes),
+    monitor_.record(cloud, direction_, static_cast<double>(task.bytes),
                     std::max(1e-9, end - start));
   } else {
-    monitor_.record_failure(cloud, Direction::kUpload, end - start);
+    monitor_.record_failure(cloud, direction_, end - start);
     UNI_LOG(kDebug) << "transfer failed on cloud " << cloud << ": "
                     << status.to_string();
   }
@@ -195,7 +164,7 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
     ++consecutive_failures_[cloud];
     const bool down =
         (health_ != nullptr && !health_->admissible(cloud)) ||
-        consecutive_failures_[cloud] >= config_.max_consecutive_failures;
+        consecutive_failures_[cloud] >= kMaxConsecutiveFailures;
     if (down && disabled_.insert(cloud).second) {
       scheduler_.set_cloud_enabled(cloud, false);
       obs::add_counter(obs_.get(), "driver.cloud_disabled");
@@ -207,12 +176,65 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
   --outstanding_;
   note_inflight();
   pump();
-  sweep_settled();
+  sweep();
   // Notify under the lock: wait() may destroy this object right after.
   cv_.notify_all();
 }
 
-// --- StreamingDownloadDriver ------------------------------------------------
+template class TransferEngine<UploadScheduler, UploadFileSpec>;
+template class TransferEngine<DownloadScheduler, DownloadFileSpec>;
+
+// --- StreamingUploadDriver -----------------------------------------------------
+
+StreamingUploadDriver::StreamingUploadDriver(
+    CodeParams params, std::vector<cloud::CloudId> clouds,
+    DriverConfig config, ThroughputMonitor& monitor,
+    std::shared_ptr<Executor> executor, AsyncTransferFn transfer,
+    std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs,
+    SegmentSettledFn on_settled)
+    : TransferEngine(Direction::kUpload, UploadScheduler(params, clouds, {}),
+                     clouds, config, monitor, std::move(executor),
+                     std::move(transfer), std::move(health), std::move(obs)),
+      on_settled_(std::move(on_settled)) {}
+
+StreamingUploadDriver::~StreamingUploadDriver() {
+  cancel();
+  wait();
+}
+
+std::vector<metadata::BlockLocation> StreamingUploadDriver::locations(
+    const std::string& segment_id) const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return scheduler_.locations(segment_id);
+}
+
+std::vector<std::pair<std::string, metadata::BlockLocation>>
+StreamingUploadDriver::overprovisioned_blocks() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return scheduler_.overprovisioned_blocks();
+}
+
+void StreamingUploadDriver::dispatch() {
+  for (const cloud::CloudId c : clouds_) {
+    fill(c, [&] { return scheduler_.next_task(c); });
+  }
+}
+
+void StreamingUploadDriver::sweep() {
+  for (auto it = open_.begin(); it != open_.end();) {
+    if (!scheduler_.segment_settled(*it)) {
+      ++it;
+      continue;
+    }
+    // Abandon BEFORE releasing the bytes: a cloud re-admitted later must
+    // never be assigned a block whose shards are gone.
+    scheduler_.abandon_segment(*it);
+    if (on_settled_) on_settled_(*it);
+    it = open_.erase(it);
+  }
+}
+
+// --- StreamingDownloadDriver ---------------------------------------------------
 
 StreamingDownloadDriver::StreamingDownloadDriver(
     std::size_t k, std::vector<cloud::CloudId> clouds, DriverConfig config,
@@ -220,42 +242,10 @@ StreamingDownloadDriver::StreamingDownloadDriver(
     AsyncTransferFn transfer,
     std::shared_ptr<cloud::CloudHealthRegistry> health, obs::ObsPtr obs,
     SegmentFetchedFn on_fetched)
-    : clouds_(std::move(clouds)),
-      config_(config),
-      monitor_(monitor),
-      executor_(std::move(executor)),
-      transfer_(std::move(transfer)),
-      health_(std::move(health)),
-      obs_(std::move(obs)),
-      on_fetched_(std::move(on_fetched)),
-      scheduler_(k, {}) {
-  for (const cloud::CloudId c : clouds_) {
-    free_conns_[c] = config_.connections_per_cloud;
-  }
-  if (obs_) {
-    for (const cloud::CloudId c : clouds_) {
-      ok_counters_[c] =
-          &obs_->metrics.counter("driver.down.cloud" + std::to_string(c) +
-                                 ".ok");
-      err_counters_[c] =
-          &obs_->metrics.counter("driver.down.cloud" + std::to_string(c) +
-                                 ".err");
-    }
-    latency_hist_ = &obs_->metrics.histogram("driver.down.latency");
-    inflight_gauge_ = &obs_->metrics.gauge("driver.down.rpcs_inflight");
-    inflight_peak_gauge_ =
-        &obs_->metrics.gauge("driver.down.rpcs_inflight_peak");
-    threads_gauge_ = &obs_->metrics.gauge("driver.down.exec_threads_active");
-  }
-  if (health_ != nullptr) {
-    for (const cloud::CloudId c : clouds_) {
-      if (!health_->admissible(c)) {
-        scheduler_.set_cloud_enabled(c, false);
-        disabled_.insert(c);
-      }
-    }
-  }
-}
+    : TransferEngine(Direction::kDownload, DownloadScheduler(k, {}),
+                     std::move(clouds), config, monitor, std::move(executor),
+                     std::move(transfer), std::move(health), std::move(obs)),
+      on_fetched_(std::move(on_fetched)) {}
 
 StreamingDownloadDriver::~StreamingDownloadDriver() {
   cancel();
@@ -271,24 +261,6 @@ StreamingDownloadDriver::~StreamingDownloadDriver() {
   for (const auto& [at, id] : timers) TimerWheel::shared().cancel(id);
 }
 
-bool StreamingDownloadDriver::done() const {
-  return outstanding_ == 0 &&
-         (cancelled_ || (closed_ && scheduler_.finished()));
-}
-
-void StreamingDownloadDriver::add_file(DownloadFileSpec file) {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (closed_ || cancelled_) return;
-  for (const DownloadSegmentSpec& seg : file.segments) {
-    pending_.insert(seg.id);
-  }
-  scheduler_.add_file(std::move(file));
-  pump();
-  // A segment with too little reachable supply (all holders down) is
-  // undecidable-forever unless reported now.
-  sweep_decided();
-}
-
 void StreamingDownloadDriver::request_extra_block(
     const std::string& segment_id) {
   std::lock_guard<std::mutex> guard(lock_);
@@ -297,38 +269,12 @@ void StreamingDownloadDriver::request_extra_block(
     return;
   }
   scheduler_.raise_budget(segment_id, 1);
-  pending_.insert(segment_id);
+  open_.insert(segment_id);
   pump();
-  sweep_decided();  // supply may already be exhausted: fail immediately
+  sweep();  // supply may already be exhausted: fail immediately
 }
 
-void StreamingDownloadDriver::close() {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (closed_) return;
-  closed_ = true;
-  cv_.notify_all();
-}
-
-void StreamingDownloadDriver::cancel() {
-  std::lock_guard<std::mutex> guard(lock_);
-  if (cancelled_) return;
-  cancelled_ = true;
-  sweep_decided();  // every pending segment gets its ok=false callback
-  cv_.notify_all();
-}
-
-void StreamingDownloadDriver::wait() {
-  std::unique_lock<std::mutex> guard(lock_);
-  cv_.wait(guard, [&] { return done(); });
-}
-
-bool StreamingDownloadDriver::cancelled() const {
-  std::lock_guard<std::mutex> guard(lock_);
-  return cancelled_;
-}
-
-void StreamingDownloadDriver::pump() {
-  if (cancelled_ || scheduler_.finished()) return;
+void StreamingDownloadDriver::dispatch() {
   const TimePoint now = RealClock::instance().now();
   // Idle connections are offered work fastest cloud first (the in-channel
   // throughput monitor's ranking): with over-provisioning this is what
@@ -336,21 +282,17 @@ void StreamingDownloadDriver::pump() {
   const std::vector<cloud::CloudId> ranked =
       monitor_.ranked(Direction::kDownload, clouds_);
   for (const cloud::CloudId c : ranked) {
-    while (free_conns_[c] > 0) {
-      const std::optional<BlockTask> task = scheduler_.next_task(c, now);
-      if (!task.has_value()) break;
-      launch(c, *task, /*is_hedge=*/false);
-    }
+    fill(c, [&] { return scheduler_.next_task(c, now); });
   }
   // Straggler hedging: once nothing regular is assignable, duplicate work
   // that runs late on its holder.
   for (const cloud::CloudId c : ranked) {
-    while (free_conns_[c] > 0) {
-      const std::optional<BlockTask> task =
+    fill(c, [&] {
+      std::optional<BlockTask> task =
           scheduler_.next_hedge_task(c, now, monitor_);
-      if (!task.has_value()) break;
-      launch(c, *task, /*is_hedge=*/true);
-    }
+      if (task.has_value()) obs::add_counter(obs_.get(), "driver.hedge_tasks");
+      return task;
+    });
   }
   arm_hedge_timer(now);
 }
@@ -372,103 +314,21 @@ void StreamingDownloadDriver::arm_hedge_timer(TimePoint now) {
     std::lock_guard<std::mutex> guard(lock_);
     hedge_timers_.erase(at);
     pump();
-    sweep_decided();
+    sweep();
     cv_.notify_all();
   });
 }
 
-void StreamingDownloadDriver::sweep_decided() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    bool decided = false;
-    bool ok = false;
-    if (scheduler_.segment_complete(*it)) {
-      decided = true;
-      ok = true;
-    } else if (cancelled_ || scheduler_.segment_failed(*it)) {
-      decided = true;
-    }
-    if (!decided) {
+void StreamingDownloadDriver::sweep() {
+  for (auto it = open_.begin(); it != open_.end();) {
+    const bool ok = scheduler_.segment_complete(*it);
+    if (!ok && !cancelled_ && !scheduler_.segment_failed(*it)) {
       ++it;
       continue;
     }
     if (on_fetched_) on_fetched_(*it, ok);
-    it = pending_.erase(it);
+    it = open_.erase(it);
   }
-}
-
-void StreamingDownloadDriver::note_inflight() {
-  if (inflight_gauge_ == nullptr) return;
-  inflight_gauge_->set(static_cast<double>(outstanding_));
-  if (outstanding_ > inflight_peak_) {
-    inflight_peak_ = outstanding_;
-    inflight_peak_gauge_->set(static_cast<double>(inflight_peak_));
-  }
-  threads_gauge_->set(static_cast<double>(executor_->active()));
-}
-
-void StreamingDownloadDriver::launch(cloud::CloudId cloud,
-                                     const BlockTask& task, bool is_hedge) {
-  --free_conns_[cloud];
-  ++outstanding_;
-  if (is_hedge) obs::add_counter(obs_.get(), "driver.hedge_tasks");
-  note_inflight();
-  // Launched under lock_ — safe because completions never run on the
-  // caller's stack (cloud/async.h invariant 1). The handle is deliberately
-  // dropped: the driver never cancels an in-flight RPC, so every launch is
-  // balanced by exactly one finish_transfer.
-  const TimePoint start = RealClock::instance().now();
-  transfer_(task, [this, task, cloud, start](Status status) {
-    finish_transfer(cloud, task, status, start);
-  });
-}
-
-void StreamingDownloadDriver::finish_transfer(cloud::CloudId cloud,
-                                              const BlockTask& task,
-                                              const Status& status,
-                                              TimePoint start) {
-  const TimePoint end = RealClock::instance().now();
-  if (obs_ != nullptr) {
-    (status.is_ok() ? ok_counters_ : err_counters_).at(cloud)->add();
-    latency_hist_->observe(end - start);
-  }
-  if (status.is_ok()) {
-    monitor_.record(cloud, Direction::kDownload,
-                    static_cast<double>(task.bytes),
-                    std::max(1e-9, end - start));
-  } else {
-    monitor_.record_failure(cloud, Direction::kDownload, end - start);
-    UNI_LOG(kDebug) << "fetch failed on cloud " << cloud << ": "
-                    << status.to_string();
-  }
-
-  std::lock_guard<std::mutex> guard(lock_);
-  scheduler_.on_complete(task, status.is_ok());
-  if (status.is_ok()) {
-    consecutive_failures_[cloud] = 0;
-    if (disabled_.erase(cloud) != 0) {
-      scheduler_.set_cloud_enabled(cloud, true);
-      obs::add_counter(obs_.get(), "driver.cloud_readmitted");
-      UNI_LOG(kInfo) << "cloud " << cloud << " re-admitted";
-    }
-  } else {
-    ++consecutive_failures_[cloud];
-    const bool down =
-        (health_ != nullptr && !health_->admissible(cloud)) ||
-        consecutive_failures_[cloud] >= config_.max_consecutive_failures;
-    if (down && disabled_.insert(cloud).second) {
-      scheduler_.set_cloud_enabled(cloud, false);
-      obs::add_counter(obs_.get(), "driver.cloud_disabled");
-      UNI_LOG(kInfo) << "cloud " << cloud
-                     << " disabled after repeated failures";
-    }
-  }
-  ++free_conns_[cloud];
-  --outstanding_;
-  note_inflight();
-  pump();
-  sweep_decided();
-  // Notify under the lock: wait() may destroy this object right after.
-  cv_.notify_all();
 }
 
 }  // namespace unidrive::sched

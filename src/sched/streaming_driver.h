@@ -1,42 +1,35 @@
-// Streaming transfer drivers — upload and download drivers that accept
-// files *incrementally* while transfers are already running, so the CPU
-// stages (encode / decode) overlap the network instead of the driver
-// draining a frozen plan. They are the only engine that moves data blocks.
+// Streaming transfer drivers — one transfer engine with an upload and a
+// download front end. Both accept files *incrementally* while transfers
+// are already running, so the CPU stages (encode / decode) overlap the
+// network instead of the driver draining a frozen plan. They are the only
+// engine that moves data blocks.
 //
-// Both drivers are event-driven: they track free connections per cloud
-// and, under one lock, "pump" the scheduler — assigning a block to every
-// free connection that can get one and launching it through the
-// completion-based AsyncTransferFn. A completion feeds the scheduler and
-// the throughput monitor (in-channel probing) and pumps again, because a
-// completion can unlock work for any cloud (e.g. over-provisioning kicks in
-// when the fast cloud finishes its fair share). No thread is held while a
-// request is on the wire, so in-flight transfers are bounded by the
-// per-cloud connection budget, not by a thread count.
+// TransferEngine is the half both directions share. It is event-driven:
+// it tracks free connections per cloud and, under one lock, lets its front
+// end "pump" the scheduler — assigning a block to every free connection
+// that can get one and launching it through the completion-based
+// AsyncTransferFn. A completion feeds the scheduler and the throughput
+// monitor (in-channel probing) and pumps again, because a completion can
+// unlock work for any cloud (e.g. over-provisioning kicks in when the fast
+// cloud finishes its fair share). No thread is held while a request is on
+// the wire, so in-flight transfers are bounded by the per-cloud connection
+// budget, not by a thread count. After every pump the front end sweeps the
+// segments it was fed and reports each one whose outcome is known.
 //
 // Fault handling: with a shared CloudHealthRegistry, a cloud whose circuit
 // breaker is open starts the job disabled in the scheduler (its blocks
 // reroute to the remaining clouds), and because the registry outlives the
 // job, a cloud tripped in round N starts round N+1 half-open. Per-job
-// consecutive-failure counting additionally disables clouds that fail
-// without looking unavailable (e.g. out of quota).
+// consecutive-failure counting (kMaxConsecutiveFailures) additionally
+// disables clouds that fail without looking unavailable (e.g. out of
+// quota); any success re-admits a disabled cloud.
 //
-// StreamingUploadDriver — the transfer stage of the sync pipeline: the
-// encode stage calls add_file() as soon as a segment's shards exist,
-// close() when the scan is exhausted, and wait() for the drain. The
-// embedded UploadScheduler keeps the batch policy intact — files added
-// later rank after earlier ones in the availability-first order,
-// over-provisioning and the per-cloud security cap apply unchanged —
-// because all policy still lives in the scheduler; this class only feeds
-// it and executes its decisions.
-//
-// Memory release: when a segment "settles" (nothing in flight and no
-// future task can place another block — fully served, or every enabled
-// cloud is capped/down), the driver abandons it in the scheduler and fires
-// the SegmentSettledFn, letting the pipeline drop the shard bytes early.
-// Abandoning first makes the release safe: even if a disabled cloud is
-// later re-admitted, the scheduler will never ask for those bytes again.
-// The settled sweep also runs when clouds go down mid-run, so a producer
-// blocked on an in-flight-bytes cap is always unblocked eventually.
+// The front ends keep only their scheduler, their pump and their sweep:
+//  * StreamingUploadDriver polls clouds in enrolment order and sweeps for
+//    *settled* segments;
+//  * StreamingDownloadDriver polls fastest-first, then hedges stragglers
+//    and arms a timer for the next hedge deadline, and sweeps for
+//    *decided* segments.
 //
 // cancel() stops all future assignment; transfers already running finish
 // (cloud calls are not interruptible) and are awaited by wait().
@@ -47,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -68,10 +62,11 @@ namespace unidrive::sched {
 
 struct DriverConfig {
   std::size_t connections_per_cloud = 5;
-  // Consecutive failed transfers before a CLOUD is disabled for this run
-  // (per cloud, not per block — a flapping cloud must not livelock a job).
-  int max_consecutive_failures = 3;
 };
+
+// Consecutive failed transfers before a CLOUD is disabled for the job (per
+// cloud, not per block — a flapping cloud must not livelock a job).
+inline constexpr int kMaxConsecutiveFailures = 3;
 
 // Invoked under the driver lock when a segment's shard bytes can be
 // released. Must not call back into the driver.
@@ -88,30 +83,26 @@ using TransferDoneFn = std::function<void(Status)>;
 using AsyncTransferFn =
     std::function<cloud::AsyncHandle(const BlockTask&, TransferDoneFn)>;
 
-class StreamingUploadDriver {
+// The shared half of both drivers: per-cloud connection slots, launch and
+// completion bookkeeping, monitor feedback, the breaker gate with per-job
+// disable and re-admit, the driver.{up,down}.* instruments, and the job's
+// close/cancel/wait life cycle. A front end supplies dispatch() and
+// sweep(), both called with lock_ held, and cancels and waits in its own
+// destructor (the hooks run from completions until wait() returns).
+template <class Scheduler, class FileSpec>
+class TransferEngine {
  public:
-  StreamingUploadDriver(CodeParams params,
-                        std::vector<cloud::CloudId> clouds,
-                        DriverConfig config, ThroughputMonitor& monitor,
-                        std::shared_ptr<Executor> executor,
-                        AsyncTransferFn transfer, UploadOptions options = {},
-                        std::shared_ptr<cloud::CloudHealthRegistry> health =
-                            nullptr,
-                        obs::ObsPtr obs = nullptr,
-                        SegmentSettledFn on_settled = nullptr);
-  // Cancels and waits for in-flight transfers if the job is still open.
-  ~StreamingUploadDriver();
-
-  StreamingUploadDriver(const StreamingUploadDriver&) = delete;
-  StreamingUploadDriver& operator=(const StreamingUploadDriver&) = delete;
+  TransferEngine(const TransferEngine&) = delete;
+  TransferEngine& operator=(const TransferEngine&) = delete;
 
   // Feed one more file into the running job. Ignored after close/cancel.
-  void add_file(UploadFileSpec file);
+  void add_file(FileSpec file);
 
   // No more files will be added; wait() returns once the scheduler drains.
   void close();
 
-  // Stop assigning new blocks. In-flight transfers complete and are
+  // Stop assigning new blocks and sweep once more (the download sweep
+  // fails every pending segment). In-flight transfers complete and are
   // reported to the scheduler, then wait() returns.
   void cancel();
 
@@ -120,6 +111,110 @@ class StreamingUploadDriver {
   void wait();
 
   [[nodiscard]] bool cancelled() const;
+
+ protected:
+  TransferEngine(Direction direction, Scheduler scheduler,
+                 std::vector<cloud::CloudId> clouds, DriverConfig config,
+                 ThroughputMonitor& monitor,
+                 std::shared_ptr<Executor> executor, AsyncTransferFn transfer,
+                 std::shared_ptr<cloud::CloudHealthRegistry> health,
+                 obs::ObsPtr obs);
+  ~TransferEngine() = default;
+
+  // Front-end hooks, lock_ held. dispatch() hands idle connections their
+  // next blocks (through fill()); sweep() reports every fed segment in
+  // open_ whose outcome is known and erases it.
+  virtual void dispatch() = 0;
+  virtual void sweep() = 0;
+
+  // dispatch() unless the job is cancelled or the scheduler finished.
+  void pump();
+  // Launches next() on `cloud` while the cloud has an idle connection and
+  // next() yields a block.
+  template <class NextTask>
+  void fill(cloud::CloudId cloud, NextTask next) {
+    while (free_conns_[cloud] > 0) {
+      const std::optional<BlockTask> task = next();
+      if (!task.has_value()) return;
+      launch(cloud, *task);
+    }
+  }
+
+  const std::vector<cloud::CloudId> clouds_;
+  ThroughputMonitor& monitor_;
+  const obs::ObsPtr obs_;
+
+  mutable std::mutex lock_;
+  std::condition_variable cv_;
+  Scheduler scheduler_;
+  bool cancelled_ = false;
+  // Segments fed whose outcome the sweep has not reported yet.
+  std::set<std::string> open_;
+
+ private:
+  [[nodiscard]] bool done() const;
+  // Requires lock_ held.
+  void launch(cloud::CloudId cloud, const BlockTask& task);
+  // Everything that happens once a transfer's Status is known: metering,
+  // monitor feedback, scheduler completion, pump and sweep. Runs from the
+  // completion; takes lock_ itself.
+  void finish_transfer(cloud::CloudId cloud, const BlockTask& task,
+                       const Status& status, TimePoint start);
+  void note_inflight();
+
+  const Direction direction_;
+  const std::shared_ptr<Executor> executor_;  // read only by the threads gauge
+  const AsyncTransferFn transfer_;
+  const std::shared_ptr<cloud::CloudHealthRegistry> health_;
+
+  std::map<cloud::CloudId, std::size_t> free_conns_;
+  std::size_t outstanding_ = 0;
+  bool closed_ = false;
+  std::map<cloud::CloudId, int> consecutive_failures_;
+  std::set<cloud::CloudId> disabled_;
+  std::map<cloud::CloudId, obs::Counter*> ok_counters_;
+  std::map<cloud::CloudId, obs::Counter*> err_counters_;
+  obs::Histogram* latency_hist_ = nullptr;
+  // RPCs launched and not yet completed (outstanding_, pool-queued ones
+  // included, so not only RPCs on the wire) vs "threads in use"
+  // (Executor::active).
+  obs::Gauge* inflight_gauge_ = nullptr;
+  obs::Gauge* inflight_peak_gauge_ = nullptr;
+  obs::Gauge* threads_gauge_ = nullptr;
+  std::size_t inflight_peak_ = 0;
+};
+
+// StreamingUploadDriver — the transfer stage of the sync pipeline: the
+// encode stage calls add_file() as soon as a segment's shards exist,
+// close() when the scan is exhausted, and wait() for the drain. The
+// embedded UploadScheduler keeps the batch policy intact — files added
+// later rank after earlier ones in the availability-first order,
+// over-provisioning and the per-cloud security cap apply unchanged —
+// because all policy still lives in the scheduler; the driver only feeds
+// it and executes its decisions, polling clouds in enrolment order.
+//
+// Memory release: when a segment "settles" (nothing in flight and no
+// future task can place another block — fully served, or every enabled
+// cloud is capped/down), the driver abandons it in the scheduler and fires
+// the SegmentSettledFn, letting the pipeline drop the shard bytes early.
+// Abandoning first makes the release safe: even if a disabled cloud is
+// later re-admitted, the scheduler will never ask for those bytes again.
+// The settled sweep also runs when clouds go down mid-run, so a producer
+// blocked on an in-flight-bytes cap is always unblocked eventually.
+class StreamingUploadDriver final
+    : public TransferEngine<UploadScheduler, UploadFileSpec> {
+ public:
+  StreamingUploadDriver(CodeParams params,
+                        std::vector<cloud::CloudId> clouds,
+                        DriverConfig config, ThroughputMonitor& monitor,
+                        std::shared_ptr<Executor> executor,
+                        AsyncTransferFn transfer,
+                        std::shared_ptr<cloud::CloudHealthRegistry> health =
+                            nullptr,
+                        obs::ObsPtr obs = nullptr,
+                        SegmentSettledFn on_settled = nullptr);
+  // Cancels and waits for in-flight transfers if the job is still open.
+  ~StreamingUploadDriver();
 
   // Snapshot accessors; meaningful once the relevant segment settled or
   // after wait().
@@ -132,47 +227,10 @@ class StreamingUploadDriver {
   }
 
  private:
-  // All of pump/sweep_settled/launch/note_inflight require lock_ held.
-  void pump();
-  void sweep_settled();
-  [[nodiscard]] bool done() const;
-  void launch(cloud::CloudId cloud, const BlockTask& task);
-  // Everything that happens once a transfer's Status is known: metering,
-  // monitor feedback, scheduler completion, pump. Runs from the
-  // completion; takes lock_ itself.
-  void finish_transfer(cloud::CloudId cloud, const BlockTask& task,
-                       const Status& status, TimePoint start);
-  void note_inflight();
+  void dispatch() override;
+  void sweep() override;
 
-  std::vector<cloud::CloudId> clouds_;
-  DriverConfig config_;
-  ThroughputMonitor& monitor_;
-  std::shared_ptr<Executor> executor_;  // read only by the threads gauge
-  AsyncTransferFn transfer_;
-  std::shared_ptr<cloud::CloudHealthRegistry> health_;
-  obs::ObsPtr obs_;
   SegmentSettledFn on_settled_;
-
-  mutable std::mutex lock_;
-  std::condition_variable cv_;
-  UploadScheduler scheduler_;
-  std::map<cloud::CloudId, std::size_t> free_conns_;
-  std::size_t outstanding_ = 0;
-  bool closed_ = false;
-  bool cancelled_ = false;
-  std::map<cloud::CloudId, int> consecutive_failures_;
-  std::set<cloud::CloudId> disabled_;
-  std::set<std::string> unsettled_;
-  std::map<cloud::CloudId, obs::Counter*> ok_counters_;
-  std::map<cloud::CloudId, obs::Counter*> err_counters_;
-  obs::Histogram* latency_hist_ = nullptr;
-  // RPCs launched and not yet completed (outstanding_, pool-queued ones
-  // included, so not only RPCs on the wire) vs "threads in use"
-  // (Executor::active).
-  obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Gauge* inflight_peak_gauge_ = nullptr;
-  obs::Gauge* threads_gauge_ = nullptr;
-  std::size_t inflight_peak_ = 0;
 };
 
 // StreamingDownloadDriver — the fetch stage of the restore pipeline: a
@@ -195,11 +253,10 @@ class StreamingUploadDriver {
 // corrupt-shard search: the segment re-arms and the callback fires again
 // when the extra block lands (or supply runs out).
 //
-// cancel() stops all future assignment; transfers already running finish
-// their current request (cloud verbs are not interruptible) and are
-// awaited by wait(). Every segment fed is guaranteed a callback: fetched,
-// failed, or — after cancel() — cancelled (ok=false).
-class StreamingDownloadDriver {
+// Every segment fed is guaranteed a callback: fetched, failed, or — after
+// cancel() — cancelled (ok=false).
+class StreamingDownloadDriver final
+    : public TransferEngine<DownloadScheduler, DownloadFileSpec> {
  public:
   // Fired under the driver lock when a segment's fate is decided: ok=true
   // after its budget of distinct blocks was fetched, ok=false when it can
@@ -218,74 +275,19 @@ class StreamingDownloadDriver {
                           SegmentFetchedFn on_fetched = nullptr);
   ~StreamingDownloadDriver();
 
-  StreamingDownloadDriver(const StreamingDownloadDriver&) = delete;
-  StreamingDownloadDriver& operator=(const StreamingDownloadDriver&) = delete;
-
-  // Feed one more file into the running job. Ignored after close/cancel.
-  void add_file(DownloadFileSpec file);
-
   // Corrupt-shard search: fetch one more distinct block of the segment.
   // The segment becomes pending again and its SegmentFetchedFn re-fires.
   // Allowed after close() (verification outlives the feed phase).
   void request_extra_block(const std::string& segment_id);
 
-  // No more files will be added; wait() returns once the scheduler drains.
-  void close();
-
-  // Stop assigning new blocks. In-flight transfers complete and are
-  // reported, pending segments get their ok=false callback.
-  void cancel();
-
-  // Blocks until nothing is in flight AND (cancelled, or closed with the
-  // scheduler finished).
-  void wait();
-
-  [[nodiscard]] bool cancelled() const;
-
  private:
-  // pump/arm_hedge_timer/sweep_decided/launch/note_inflight require lock_
-  // held.
-  void pump();
+  void dispatch() override;
+  void sweep() override;
   void arm_hedge_timer(TimePoint now);
-  void sweep_decided();
-  [[nodiscard]] bool done() const;
-  void launch(cloud::CloudId cloud, const BlockTask& task, bool is_hedge);
-  // Post-transfer bookkeeping, run from the completion. Takes lock_ itself.
-  void finish_transfer(cloud::CloudId cloud, const BlockTask& task,
-                       const Status& status, TimePoint start);
-  void note_inflight();
 
-  std::vector<cloud::CloudId> clouds_;
-  DriverConfig config_;
-  ThroughputMonitor& monitor_;
-  std::shared_ptr<Executor> executor_;  // read only by the threads gauge
-  AsyncTransferFn transfer_;
-  std::shared_ptr<cloud::CloudHealthRegistry> health_;
-  obs::ObsPtr obs_;
   SegmentFetchedFn on_fetched_;
-
-  mutable std::mutex lock_;
-  std::condition_variable cv_;
-  DownloadScheduler scheduler_;
-  std::map<cloud::CloudId, std::size_t> free_conns_;
-  std::size_t outstanding_ = 0;
-  bool closed_ = false;
-  bool cancelled_ = false;
-  std::map<cloud::CloudId, int> consecutive_failures_;
-  std::set<cloud::CloudId> disabled_;
-  // Segments fed (or re-armed by request_extra_block) whose fate has not
-  // been reported yet.
-  std::set<std::string> pending_;
   // Armed hedge timers by deadline; a callback erases its own entry.
   std::map<TimePoint, TimerWheel::TimerId> hedge_timers_;
-  std::map<cloud::CloudId, obs::Counter*> ok_counters_;
-  std::map<cloud::CloudId, obs::Counter*> err_counters_;
-  obs::Histogram* latency_hist_ = nullptr;
-  // RPCs in flight vs threads in use — see the upload driver's note.
-  obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Gauge* inflight_peak_gauge_ = nullptr;
-  obs::Gauge* threads_gauge_ = nullptr;
-  std::size_t inflight_peak_ = 0;
 };
 
 }  // namespace unidrive::sched

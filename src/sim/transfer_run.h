@@ -1,7 +1,9 @@
 // Simulation driver for the UniDrive schedulers: runs an UploadScheduler or
-// DownloadScheduler job against SimClouds in virtual time. The decision
-// logic is byte-for-byte the one the real threaded client uses — only the
-// transport is simulated — so measured schedules are faithful.
+// DownloadScheduler job against SimClouds in virtual time. The schedulers
+// and the throughput monitor are the ones the real client's transfer
+// engine drives, so the placement and fetch decisions are faithful; the
+// dispatch loop is the sim's own JobRunner (sim/job_runner.h: virtual-time
+// events, a static polling order for ablations, a job timeout).
 #pragma once
 
 #include <vector>

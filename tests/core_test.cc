@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "chunker/segmenter.h"
@@ -187,6 +188,47 @@ TEST(ChangeScannerTest, DedupAcrossIdenticalFiles) {
 }
 
 // --- end-to-end client -----------------------------------------------------------
+
+// Records the path of every download, then delegates.
+class RecordingCloud final : public cloud::CloudProvider {
+ public:
+  explicit RecordingCloud(cloud::CloudPtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] cloud::CloudId id() const noexcept override {
+    return inner_->id();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  Status upload(const std::string& path, ByteSpan data) override {
+    return inner_->upload(path, data);
+  }
+  Result<Bytes> download(const std::string& path) override {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      downloads_.push_back(path);
+    }
+    return inner_->download(path);
+  }
+  Status create_dir(const std::string& path) override {
+    return inner_->create_dir(path);
+  }
+  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
+    return inner_->list(dir);
+  }
+  Status remove(const std::string& path) override {
+    return inner_->remove(path);
+  }
+
+  [[nodiscard]] bool downloaded(const std::string& path) const {
+    std::lock_guard<std::mutex> g(mu_);
+    return std::find(downloads_.begin(), downloads_.end(), path) !=
+           downloads_.end();
+  }
+
+ private:
+  cloud::CloudPtr inner_;
+  mutable std::mutex mu_;
+  std::vector<std::string> downloads_;
+};
 
 class ClientTest : public ::testing::Test {
  protected:
@@ -964,6 +1006,64 @@ TEST_F(ClientTest, PulledFilesAreNotRehashedByTheNextScan) {
     EXPECT_EQ(counter(*b, "sync.files_hashed"), hashed + 1);
   }
   std::filesystem::remove_all(root);
+}
+
+// A device whose folder holds no copy of a segment reconstructs it from the
+// clouds alone: around a rotted block, and never from a placement it was
+// told to distrust. No clean k-subset is kCorrupt; fewer than k trusted
+// placements is kUnavailable.
+TEST_F(ClientTest, ReconstructSegmentWithoutLocalCopy) {
+  std::vector<std::shared_ptr<RecordingCloud>> recorders;
+  cloud::MultiCloud recorded;
+  for (const cloud::CloudPtr& c : clouds_) {
+    recorders.push_back(std::make_shared<RecordingCloud>(c));
+    recorded.push_back(recorders.back());
+  }
+  auto fs = std::make_shared<MemoryLocalFs>();
+  UniDriveClient client(recorded, fs, test_config("devA"));
+  Rng rng(61);
+  const Bytes content = rng.bytes(40000);  // one segment
+  ASSERT_TRUE(fs->write("/f", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(client.sync().is_ok());
+  ASSERT_TRUE(fs->remove("/f").is_ok());  // the folder is empty now
+
+  const std::vector<std::string>& ids =
+      client.image().files().at("/f").segment_ids;
+  ASSERT_EQ(ids.size(), 1u);
+  const std::string& id = ids.front();
+  const std::vector<metadata::BlockLocation> blocks =
+      client.image().find_segment(id)->blocks;
+  const std::size_t k = client.config().k;
+  ASSERT_GE(blocks.size(), k + 2);
+  const auto rot = [&](const metadata::BlockLocation& loc) {
+    const std::string path = metadata::block_path(id, loc.block_index);
+    Bytes data = clouds_[loc.cloud]->download(path).value();
+    data[data.size() / 2] ^= 0x01;
+    ASSERT_TRUE(clouds_[loc.cloud]->upload(path, ByteSpan(data)).is_ok());
+  };
+  const metadata::BlockLocation distrusted = blocks[1];
+  const auto fetched_distrusted = [&] {
+    return recorders[distrusted.cloud]->downloaded(
+        metadata::block_path(id, distrusted.block_index));
+  };
+
+  rot(blocks[0]);
+  const auto plain = client.reconstruct_segment(id, {distrusted});
+  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+  EXPECT_EQ(plain.value(), content);
+  EXPECT_FALSE(fetched_distrusted());
+
+  const std::vector<metadata::BlockLocation> all_but_k_minus_1(
+      blocks.begin() + static_cast<long>(k - 1), blocks.end());
+  EXPECT_EQ(client.reconstruct_segment(id, all_but_k_minus_1).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(client.reconstruct_segment(id, blocks).code(),
+            ErrorCode::kUnavailable);
+
+  for (std::size_t i = 2; i < blocks.size(); ++i) rot(blocks[i]);
+  EXPECT_EQ(client.reconstruct_segment(id, {distrusted}).code(),
+            ErrorCode::kCorrupt);
+  EXPECT_FALSE(fetched_distrusted());
 }
 
 }  // namespace

@@ -185,6 +185,16 @@ TEST(IntegrationTest, SyncSurvivesOneCloudOutOfQuota) {
   ASSERT_TRUE(fs->write("/big", ByteSpan(content)).is_ok());
   auto report = client.sync();
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  // The writer's upload driver disabled cloud 2 for the job and placed no
+  // data block there.
+  EXPECT_GE(client.observability()->metrics.snapshot().counter_value(
+                "driver.cloud_disabled"),
+            1u);
+  for (const auto& [id, seg] : client.image().segments()) {
+    for (const metadata::BlockLocation& loc : seg.blocks) {
+      EXPECT_NE(loc.cloud, 2u) << "segment " << id;
+    }
+  }
 
   // A fresh device recovers the file without cloud 2's help.
   auto fs_b = std::make_shared<MemoryLocalFs>();

@@ -210,14 +210,14 @@ TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
   std::mutex settled_mu;
   std::set<std::string> settled;
   sched::StreamingUploadDriver driver(
-      params, clouds, sched::DriverConfig{2, 3}, monitor, executor,
+      params, clouds, sched::DriverConfig{2}, monitor, executor,
       complete_on(*executor,
                   [&](const sched::BlockTask& task) {
                     std::lock_guard<std::mutex> g(mu);
                     uploaded[task.segment_id].insert(task.block_index);
                     return Status::ok();
                   }),
-      sched::UploadOptions{}, nullptr, nullptr,
+      nullptr, nullptr,
       [&](const std::string& id) {
         std::lock_guard<std::mutex> g(settled_mu);
         settled.insert(id);
@@ -358,7 +358,7 @@ TEST(UploadPipelineTest, AsyncTransfersRoundTripDirectly) {
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
 
   UploadPipeline pipeline(params, erasure::RsCode(16, params.k),
-                          {0, 1, 2, 3}, sched::DriverConfig{2, 3}, monitor,
+                          {0, 1, 2, 3}, sched::DriverConfig{2}, monitor,
                           executor, async_lookup(twins), PipelineConfig{},
                           nullptr, nullptr);
 
@@ -413,7 +413,7 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
 
   {
     UploadPipeline pipeline(params, erasure::RsCode(16, params.k), {0, 1},
-                            sched::DriverConfig{2, 3}, monitor, executor,
+                            sched::DriverConfig{2}, monitor, executor,
                             async_lookup(twins), pipeline_config, nullptr,
                             nullptr);
 
@@ -472,7 +472,7 @@ TEST(UploadPipelineTest, LatencyWaitsDoNotPinPoolThreads) {
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
 
   UploadPipeline pipeline(params, erasure::RsCode(params.code_n(), params.k),
-                          ids, sched::DriverConfig{4, 3}, monitor, executor,
+                          ids, sched::DriverConfig{4}, monitor, executor,
                           async_lookup(twins), PipelineConfig{}, nullptr,
                           nullptr);
 

@@ -5,6 +5,7 @@
 // hangs, and corrupt-shard search convergence with out-of-order arrivals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -275,7 +276,7 @@ TEST(StreamingDownloadDriverTest, IncrementalFeedSettlesEverySegment) {
   std::mutex settled_mu;
   std::map<std::string, bool> settled;
   sched::StreamingDownloadDriver driver(
-      /*k=*/2, {0, 1, 2}, sched::DriverConfig{2, 3}, monitor, executor,
+      /*k=*/2, {0, 1, 2}, sched::DriverConfig{2}, monitor, executor,
       complete_on(*executor,
                   [&](const sched::BlockTask& task) {
                     std::lock_guard<std::mutex> g(mu);
@@ -324,7 +325,7 @@ TEST(StreamingDownloadDriverTest, CancelFailsPendingSegmentsWithoutDeadlock) {
   std::mutex settled_mu;
   std::map<std::string, bool> settled;
   sched::StreamingDownloadDriver driver(
-      /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+      /*k=*/2, {0, 1}, sched::DriverConfig{2}, monitor, executor,
       complete_on(*executor,
                   [&](const sched::BlockTask&) {
                     entered.fetch_add(1);
@@ -363,6 +364,83 @@ TEST(StreamingDownloadDriverTest, CancelFailsPendingSegmentsWithoutDeadlock) {
   }
   gate_cv.notify_all();
   driver.wait();  // stuck transfers drained, no deadlock
+}
+
+// Cloud 0 fails its first three fetches: the driver disables it for the
+// job, and a fetch already in flight there re-admits it once it succeeds.
+// Every other fetch is parked until cloud 0 is disabled.
+TEST(StreamingDownloadDriverTest, DisablesAFailingCloudAndReadmitsItOnSuccess) {
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  auto obs = std::make_shared<obs::Observability>();
+  std::mutex mu;
+  int cloud0_launches = 0;
+  bool released = false;
+  std::vector<std::pair<cloud::CloudId, sched::TransferDoneFn>> parked;
+  const auto complete = [&executor](sched::TransferDoneFn done, Status s) {
+    executor->submit([done = std::move(done), s] { done(s); });
+  };
+  std::mutex settled_mu;
+  std::map<std::string, bool> settled;
+  sched::StreamingDownloadDriver driver(
+      /*k=*/2, {0, 1, 2}, sched::DriverConfig{2}, monitor, executor,
+      [&](const sched::BlockTask& task, sched::TransferDoneFn done) {
+        std::lock_guard<std::mutex> g(mu);
+        if (task.cloud == 0 && ++cloud0_launches <= 3) {
+          complete(std::move(done),
+                   make_error(ErrorCode::kUnavailable, "injected"));
+        } else if (released) {
+          complete(std::move(done), Status::ok());
+        } else {
+          parked.emplace_back(task.cloud, std::move(done));
+        }
+        return cloud::AsyncHandle{};
+      },
+      nullptr, obs, [&](const std::string& id, bool ok) {
+        std::lock_guard<std::mutex> g(settled_mu);
+        settled[id] = ok;
+      });
+
+  // Every segment has one block on each cloud, so cloud 0 always has work.
+  sched::DownloadFileSpec spec;
+  spec.path = "/f";
+  for (int i = 0; i < 4; ++i) {
+    sched::DownloadSegmentSpec seg;
+    seg.id = "seg" + std::to_string(i);
+    seg.size = 64 << 10;
+    seg.locations = {{0, 0}, {1, 1}, {2, 2}};
+    spec.segments.push_back(std::move(seg));
+  }
+  driver.add_file(std::move(spec));
+
+  const auto counter = [&](const std::string& name) {
+    return obs->metrics.snapshot().counter_value(name);
+  };
+  for (int spin = 0; spin < 5000 && counter("driver.cloud_disabled") == 0;
+       ++spin) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_EQ(counter("driver.cloud_disabled"), 1u);
+  std::vector<std::pair<cloud::CloudId, sched::TransferDoneFn>> release;
+  {
+    std::lock_guard<std::mutex> g(mu);
+    released = true;
+    release.swap(parked);
+  }
+  // Each of cloud 0's first two failures freed a connection that took
+  // another block, so one fetch is still in flight to the disabled cloud.
+  EXPECT_EQ(std::count_if(release.begin(), release.end(),
+                          [](const auto& p) { return p.first == 0; }),
+            1);
+  for (auto& [cloud, done] : release) complete(std::move(done), Status::ok());
+  driver.close();
+  driver.wait();
+
+  ASSERT_EQ(settled.size(), 4u);
+  for (const auto& [id, ok] : settled) EXPECT_TRUE(ok) << id;
+  EXPECT_EQ(counter("driver.down.cloud0.err"), 3u);
+  EXPECT_EQ(counter("driver.cloud_disabled"), 1u);
+  EXPECT_EQ(counter("driver.cloud_readmitted"), 1u);
 }
 
 // Records the cloud of every launch, in launch order, then completes like
@@ -404,7 +482,7 @@ TEST(StreamingDownloadDriverTest, PollsTheFastestRankedCloudFirst) {
   LaunchLog log;
   {
     sched::StreamingDownloadDriver driver(
-        /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+        /*k=*/2, {0, 1}, sched::DriverConfig{2}, monitor, executor,
         log.wrap(complete_on(*executor, [](const sched::BlockTask&) {
           return Status::ok();
         })));
@@ -432,7 +510,7 @@ TEST(StreamingDownloadDriverTest, DestructionCancelsAnArmedHedgeTimer) {
     HangGate gate;
     std::atomic<int> entered{0};
     sched::StreamingDownloadDriver driver(
-        /*k=*/2, {0, 1}, sched::DriverConfig{2, 3}, monitor, executor,
+        /*k=*/2, {0, 1}, sched::DriverConfig{2}, monitor, executor,
         complete_on(*executor, [&](const sched::BlockTask&) {
           entered.fetch_add(1);
           gate.wait();
@@ -461,7 +539,7 @@ TEST(StreamingDownloadDriverTest, DestructionCancelsAnArmedHedgeTimer) {
     HangGate gate;
     {
       sched::StreamingDownloadDriver driver(
-          /*k=*/2, {0, 1, 2}, sched::DriverConfig{2, 3}, monitor, executor,
+          /*k=*/2, {0, 1, 2}, sched::DriverConfig{2}, monitor, executor,
           complete_on(*executor, [&](const sched::BlockTask&) {
             gate.wait();
             return Status::ok();
@@ -580,7 +658,7 @@ TEST(RestorePipelineTest, RestoresMultiFileBatchBitExact) {
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   auto obs = std::make_shared<obs::Observability>();
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, obs);
   pipeline.add_file(snap_big, image);
@@ -630,7 +708,7 @@ TEST(RestorePipelineTest, InflightBytesStayUnderCapUnderSlowClouds) {
   // A 64 KiB segment's restore footprint is 128 KiB (k shards of 32 KiB
   // plus the plaintext): at most four segments fit in flight at once.
   config.max_inflight_bytes = 512 << 10;
-  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins), config,
                             fs, nullptr, obs);
   pipeline.add_file(snap, image);
@@ -664,7 +742,7 @@ TEST(RestorePipelineTest, AsyncTransfersRestoreBitExact) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
@@ -712,7 +790,7 @@ TEST(RestorePipelineTest, HedgeTimerRescuesABlockStalledPastItsP95) {
   cloud::AsyncMultiCloud twins = async_twins(providers, executor.get());
   auto obs = std::make_shared<obs::Observability>();
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, obs);
   const auto start = std::chrono::steady_clock::now();
@@ -775,7 +853,7 @@ TEST(RestorePipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   PipelineConfig config;
   config.max_inflight_bytes = 200 << 10;
   {
-    DownloadPipeline pipeline(k, code, {0, 1}, sched::DriverConfig{2, 3},
+    DownloadPipeline pipeline(k, code, {0, 1}, sched::DriverConfig{2},
                               monitor, executor, async_lookup(twins), config,
                               fs, nullptr, nullptr);
 
@@ -842,7 +920,7 @@ TEST(RestorePipelineTest, CorruptShardSearchConvergesWithOutOfOrderBlocks) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(slow, executor.get());
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
@@ -877,7 +955,7 @@ TEST(RestorePipelineTest, UnrecoverableCorruptionFailsWithoutPartialWrite) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap, image);
@@ -889,6 +967,91 @@ TEST(RestorePipelineTest, UnrecoverableCorruptionFailsWithoutPartialWrite) {
   EXPECT_FALSE(fs.read("/doomed.bin").is_ok());
   EXPECT_TRUE(fs.list_files().empty());
   EXPECT_EQ(pipeline.inflight_bytes(), 0u);
+}
+
+// Cancel and destroy the pipeline while the corrupt-shard search runs:
+// the decode task that asks the driver for another block must keep the
+// pipeline alive until that call returns.
+TEST(RestorePipelineTest, TeardownDuringCorruptShardSearchIsSafe) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(3);
+  metadata::SyncFolderImage image;
+  Rng rng(50);
+
+  // Block b of every segment on cloud b, blocks 0 and 1 rotted: whichever
+  // two blocks land first fail to verify, so every segment searches.
+  const auto publish_rotted = [&](const std::string& path, std::size_t size) {
+    const auto snap =
+        publish_file(path, rng.bytes(size), theta, code, 3, clouds, image);
+    for (const std::string& seg : snap.segment_ids) {
+      for (const std::uint32_t b : {0u, 1u}) {
+        const Bytes junk = rng.bytes(code.shard_size(theta));
+        EXPECT_TRUE(clouds[b]
+                        ->upload(metadata::block_path(seg, b), ByteSpan(junk))
+                        .is_ok());
+      }
+    }
+    return snap;
+  };
+  const auto snap = publish_rotted("/search.bin", theta);
+  const auto many = publish_rotted("/race.bin", 8 * theta);
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  MemoryLocalFs fs;
+
+  // The search's extra block (the third download) hangs in flight while
+  // the pipeline is cancelled and torn down.
+  {
+    HangGate gate;
+    std::atomic<int> downloads{0};
+    cloud::FaultProfile hang_profile;
+    hang_profile.hang_rate = 1.0;
+    hang_profile.hang_seconds = 1.0;
+    cloud::MultiCloud gated;
+    for (std::size_t i = 0; i < clouds.size(); ++i) {
+      gated.push_back(std::make_shared<cloud::FaultyCloud>(
+          clouds[i], hang_profile, /*seed=*/i + 1, [&](Duration) {
+            if (downloads.fetch_add(1) >= 2) gate.wait();
+          }));
+    }
+    cloud::AsyncMultiCloud twins = async_twins(gated, executor.get());
+    auto pipeline = std::make_unique<DownloadPipeline>(
+        k, code, std::vector<cloud::CloudId>{0, 1, 2}, sched::DriverConfig{2},
+        monitor, executor, async_lookup(twins), PipelineConfig{}, fs, nullptr,
+        nullptr);
+    pipeline->add_file(snap, image);
+    for (int spin = 0; spin < 5000 && downloads.load() < 3; ++spin) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    ASSERT_EQ(downloads.load(), 3);
+    pipeline->cancel();
+    std::thread teardown([&] { pipeline.reset(); });
+    std::this_thread::sleep_for(milliseconds(10));
+    gate.release();
+    teardown.join();
+  }
+
+  // Teardown races the searches of eight segments: cancelled at staggered
+  // points of the restore, then destroyed directly or after finish().
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+  for (int round = 0; round < 20; ++round) {
+    auto pipeline = std::make_unique<DownloadPipeline>(
+        k, code, std::vector<cloud::CloudId>{0, 1, 2}, sched::DriverConfig{2},
+        monitor, executor, async_lookup(twins), PipelineConfig{}, fs, nullptr,
+        nullptr);
+    pipeline->add_file(many, image);
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
+    pipeline->cancel();
+    if (round % 2 == 1) {
+      const auto results = pipeline->finish();
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_FALSE(results[0].status.is_ok());
+    }
+    pipeline.reset();
+  }
+  EXPECT_TRUE(fs.list_files().empty());
 }
 
 TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
@@ -913,7 +1076,7 @@ TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   MemoryLocalFs fs;
-  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, nullptr);
   pipeline.add_file(snap_good, image);
@@ -978,7 +1141,7 @@ TEST(RestorePipelineTest, TamperedLocalSourceFallsBackToCloudFetch) {
   auto executor = std::make_shared<Executor>(4);
   cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
   auto obs = std::make_shared<obs::Observability>();
-  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins),
                             PipelineConfig{}, fs, nullptr, obs);
   pipeline.add_file(versions.snapshot, versions.after, &held);
@@ -1025,7 +1188,7 @@ TEST(RestorePipelineTest, LocalReuseKeepsInflightBytesUnderCap) {
   auto obs = std::make_shared<obs::Observability>();
   PipelineConfig config;
   config.max_inflight_bytes = 512 << 10;
-  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2, 3},
+  DownloadPipeline pipeline(k, code, {0, 1, 2, 3}, sched::DriverConfig{2},
                             monitor, executor, async_lookup(twins), config,
                             fs, nullptr, obs);
 
