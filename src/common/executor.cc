@@ -37,6 +37,12 @@ std::size_t Executor::default_threads(std::size_t floor) {
   return n == 0 ? 1 : n;
 }
 
+const std::shared_ptr<Executor>& Executor::shared() {
+  static const std::shared_ptr<Executor> pool =
+      std::make_shared<Executor>(default_threads());
+  return pool;
+}
+
 void Executor::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);

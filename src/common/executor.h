@@ -12,8 +12,8 @@
 //                         so progress is guaranteed even when every pool
 //                         thread is busy or blocked — a stage thread may
 //                         therefore call it without deadlock risk, whatever
-//                         the pool size (the erasure encode fan-out relies
-//                         on this).
+//                         the pool size (the erasure encode fan-out and the
+//                         metadata plane's per-cloud fan-out rely on this).
 //
 // Tasks must be independent: a submitted task that BLOCKS waiting for
 // another submitted task can deadlock a small pool. Blocking on external
@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -61,6 +62,11 @@ class Executor {
   // UNIDRIVE_PIPELINE_THREADS when set (> 0), else
   // max(floor, hardware_concurrency, 1).
   [[nodiscard]] static std::size_t default_threads(std::size_t floor = 1);
+
+  // The process-wide pool, default_threads() wide and built on first use,
+  // for fan-outs made outside a client (a stand-alone metadata store). A
+  // client passes its own pool instead.
+  [[nodiscard]] static const std::shared_ptr<Executor>& shared();
 
   void submit(std::function<void()> fn);
 

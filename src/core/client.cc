@@ -63,7 +63,7 @@ UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
                                    config_.sleep, rng_, obs_)),
       executor_(make_executor(config_, clouds_.size())),
       store_(guarded_, config_.passphrase, config_.meta, obs_,
-             config_.cipher),
+             config_.cipher, executor_),
       locks_(guarded_, config_.device, config_.lock, clock_, rng_.fork(),
              config_.sleep, obs_),
       monitor_() {
@@ -95,7 +95,8 @@ void UniDriveClient::rebuild_guards() {
                                  config_.sleep, rng_, obs_);
   executor_ = make_executor(config_, clouds_.size());
   store_ = metadata::ShardedMetaStore(guarded_, config_.passphrase,
-                                      config_.meta, obs_, config_.cipher);
+                                      config_.meta, obs_, config_.cipher,
+                                      executor_);
   locks_ = lock::LockManager(guarded_, config_.device, config_.lock, clock_,
                              rng_.fork(), config_.sleep, obs_);
   rebuild_async_clouds();
@@ -179,7 +180,8 @@ cloud::AsyncCloud* UniDriveClient::find_async_cloud(cloud::CloudId id) const {
 }
 
 bool UniDriveClient::cloud_update_pending() {
-  return store_.has_cloud_update(image_.version());
+  const auto update = store_.check_update(image_.version());
+  return update.is_ok() && update.value().has_value();
 }
 
 // --- data plane -------------------------------------------------------------
@@ -382,20 +384,22 @@ void UniDriveClient::absorb_foreign_shards(
       [&](const std::string& seg) {
         return foreign.count(metadata::shard_of_segment(seg, n)) == 0;
       });
+  std::vector<metadata::ShardEntry> entries;
   for (const metadata::ShardId id : foreign) {
-    const metadata::ShardEntry* e = committed.find(id);
-    if (e == nullptr) continue;
-    auto shard = store_.fetch_shard(*e);
-    if (!shard.is_ok()) {
-      // The foreign writer's objects are not visible right now: keep our
-      // own content but advertise the fenced basis, so the next round sees
-      // a cloud update and reconciles through the normal merge path.
-      obs::add_counter(obs_.get(), "meta.shard.absorb.err");
-      next.set_version(fenced.version);
-      return;
+    if (const metadata::ShardEntry* e = committed.find(id)) {
+      entries.push_back(*e);
     }
-    merged.absorb(shard.value());
   }
+  auto shards = store_.fetch_shards(entries);
+  if (!shards.is_ok()) {
+    // The foreign writer's objects are not visible right now: keep our
+    // own content but advertise the fenced basis, so the next round sees
+    // a cloud update and reconciles through the normal merge path.
+    obs::add_counter(obs_.get(), "meta.shard.absorb.err");
+    next.set_version(fenced.version);
+    return;
+  }
+  for (const SyncFolderImage& shard : shards.value()) merged.absorb(shard);
   merged.rebuild_refcounts();
   merged.prune_segment_stubs();
   merged.set_version(committed.version);
@@ -738,10 +742,12 @@ Result<SyncReport> UniDriveClient::sync() {
                 " directory operation(s) failed");
       }
     }
-  } else if (store_.has_cloud_update(image_.version())) {
+  } else if (auto update = store_.check_update(image_.version());
+             update.is_ok() && update.value().has_value()) {
     // --- cloud update path (Algorithm 1, lines 15-18) ---
+    // The fetch starts from the root the update check read.
     UNI_ASSIGN_OR_RETURN(const metadata::FetchedMetadata fetched,
-                         store_.fetch_latest());
+                         store_.fetch_latest(std::move(update).take()));
     obs::Span apply_span = round_span.child("sync.apply_cloud");
     UNI_ASSIGN_OR_RETURN(const ApplyOutcome outcome,
                          apply_cloud_image(fetched.image));

@@ -352,8 +352,9 @@ class UniDriveClient {
   std::shared_ptr<repair::DurabilityTracker> durability_;
   std::shared_ptr<cloud::CloudHealthRegistry> health_;
   cloud::MultiCloud guarded_;  // clouds_, each wrapped in a RetryingCloud
-  // Shared thread pool for the sync pipeline, the transfer drivers and the
-  // async runtime's SyncAdapter leaf RPCs; sized for clouds * connections
+  // Shared thread pool for the sync pipeline, the transfer drivers, the
+  // async runtime's SyncAdapter leaf RPCs and the metadata plane's per-cloud
+  // fan-outs (store_ runs on it); sized for clouds * connections
   // unless config_.pipeline.threads (or UNIDRIVE_PIPELINE_THREADS)
   // overrides. Rebuilt on membership changes.
   std::shared_ptr<Executor> executor_;

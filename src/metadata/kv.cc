@@ -1,7 +1,9 @@
 #include "metadata/kv.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/serial.h"
@@ -33,11 +35,26 @@ Result<RootPointer> RootPointer::deserialize(ByteSpan data) {
   return p;
 }
 
-KvStore::KvStore(cloud::MultiCloud clouds, std::string dir, obs::ObsPtr obs)
+KvStore::KvStore(cloud::MultiCloud clouds, std::string dir, obs::ObsPtr obs,
+                 std::shared_ptr<Executor> pool)
     : clouds_(std::move(clouds)),
       dir_(std::move(dir)),
       root_path_(dir_ + "/root"),
-      obs_(std::move(obs)) {}
+      obs_(std::move(obs)),
+      pool_(pool != nullptr ? std::move(pool) : Executor::shared()) {}
+
+template <typename Call>
+auto KvStore::on_every_cloud(const Call& call) const {
+  using Answer = std::invoke_result_t<const Call&, cloud::CloudProvider&>;
+  std::vector<std::optional<Answer>> slots(clouds_.size());
+  pool_->parallel_apply(clouds_.size(), [&](std::size_t i) {
+    slots[i].emplace(call(*clouds_[i]));
+  });
+  std::vector<Answer> answers;
+  answers.reserve(slots.size());
+  for (std::optional<Answer>& slot : slots) answers.push_back(std::move(*slot));
+  return answers;
+}
 
 Status KvStore::put(const std::string& key, ByteSpan value) {
   if (clouds_.empty()) {
@@ -45,12 +62,15 @@ Status KvStore::put(const std::string& key, ByteSpan value) {
                       "kv put with no clouds enrolled");
   }
   const std::string path = object_path(key);
+  const std::vector<Status> answers = on_every_cloud(
+      [&](cloud::CloudProvider& c) { return c.upload(path, value); });
   std::size_t successes = 0;
-  for (const cloud::CloudPtr& c : clouds_) {
-    if (c->upload(path, value).is_ok()) {
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    if (answers[i].is_ok()) {
       ++successes;
     } else {
-      UNI_LOG(kInfo) << "kv put " << key << " failed on " << c->name();
+      UNI_LOG(kInfo) << "kv put " << key << " failed on "
+                     << clouds_[i]->name();
     }
   }
   if (successes < majority()) {
@@ -94,11 +114,13 @@ Result<Bytes> KvStore::get(const std::string& key, const Validator& validate) {
                     "kv object " + key + " unavailable");
 }
 
-void KvStore::remove(const std::string& key) {
-  const std::string path = object_path(key);
-  for (const cloud::CloudPtr& c : clouds_) {
-    (void)c->remove(path);
-  }
+void KvStore::remove(const std::vector<std::string>& keys) {
+  // One wave over every (key, cloud) pair; index order is key-major, so a
+  // 1-thread pool removes key by key, each in cloud order.
+  const std::size_t n = clouds_.size();
+  pool_->parallel_apply(keys.size() * n, [&](std::size_t i) {
+    (void)clouds_[i % n]->remove(object_path(keys[i / n]));
+  });
 }
 
 Result<std::vector<std::string>> KvStore::list(const std::string& subdir) {
@@ -107,10 +129,11 @@ Result<std::vector<std::string>> KvStore::list(const std::string& subdir) {
                       "kv list with no clouds enrolled");
   }
   const std::string path = subdir.empty() ? dir_ : dir_ + "/" + subdir;
+  const auto listings = on_every_cloud(
+      [&](cloud::CloudProvider& c) { return c.list(path); });
   std::set<std::string> names;
   std::size_t responded = 0;
-  for (const cloud::CloudPtr& c : clouds_) {
-    auto listing = c->list(path);
+  for (const auto& listing : listings) {
     if (!listing.is_ok()) continue;
     ++responded;
     for (const cloud::FileInfo& f : listing.value()) names.insert(f.name);
@@ -126,10 +149,11 @@ Result<RootPointer> KvStore::fetch_root() {
     return make_error(ErrorCode::kInvalidArgument,
                       "kv fetch_root with no clouds enrolled");
   }
+  const auto copies = on_every_cloud(
+      [&](cloud::CloudProvider& c) { return c.download(root_path_); });
   std::optional<RootPointer> best;
   std::size_t responded = 0;
-  for (const cloud::CloudPtr& c : clouds_) {
-    auto data = c->download(root_path_);
+  for (const auto& data : copies) {
     if (!data.is_ok()) {
       if (data.code() == ErrorCode::kNotFound) ++responded;
       continue;
@@ -171,10 +195,13 @@ Status KvStore::put_root(const RootPointer& root,
     return current.status();
   }
   const Bytes bytes = root.serialize();
-  std::size_t successes = 0;
-  for (const cloud::CloudPtr& c : clouds_) {
-    if (c->upload(root_path_, ByteSpan(bytes)).is_ok()) ++successes;
-  }
+  const std::vector<Status> answers = on_every_cloud(
+      [&](cloud::CloudProvider& c) {
+        return c.upload(root_path_, ByteSpan(bytes));
+      });
+  const auto successes = static_cast<std::size_t>(
+      std::count_if(answers.begin(), answers.end(),
+                    [](const Status& s) { return s.is_ok(); }));
   if (successes < majority()) {
     obs::add_counter(obs_.get(), "meta.kv.root.err");
     return make_error(ErrorCode::kUnavailable,

@@ -18,6 +18,14 @@
 //              advertises a newer root, so a writer that lost the lock (or
 //              raced it) can never regress the pointer.
 //
+// One round trip per verb: put, remove, list, fetch_root and each half of
+// put_root (the fence read, then the write) send their call to every cloud
+// at once on the store's pool and return when every cloud has answered;
+// the answers are then weighed in cloud order, exactly as a serial visit
+// would. get() stays single-copy: it asks one cloud at a time, in cloud
+// order, and returns the first valid copy — one call when cloud 0's copy
+// is valid.
+//
 // Atomic multi-key commits fall out of immutability: write every new object
 // with put(), then flip the root with put_root(). A crash before the root
 // flip leaves only unreferenced objects (garbage, collected by compaction);
@@ -25,11 +33,13 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cloud/provider.h"
+#include "common/executor.h"
 #include "common/status.h"
 #include "metadata/types.h"
 #include "obs/obs.h"
@@ -52,11 +62,14 @@ struct RootPointer {
 class KvStore {
  public:
   // Object keys are slash-separated names relative to `dir` (conventionally
-  // "/meta/kv"); the root record lives at `dir`/root.
+  // "/meta/kv"); the root record lives at `dir`/root. `pool` runs the
+  // per-cloud fan-out (the caller takes part, so a busy or 1-thread pool
+  // degrades to serial calls in cloud order); null means Executor::shared().
   KvStore(cloud::MultiCloud clouds, std::string dir = "/meta/kv",
-          obs::ObsPtr obs = nullptr);
+          obs::ObsPtr obs = nullptr, std::shared_ptr<Executor> pool = nullptr);
 
-  // Replicates the object to every cloud; OK when a majority accepted.
+  // Replicates the object to every cloud at once; OK when a majority
+  // accepted.
   Status put(const std::string& key, ByteSpan value);
 
   // First copy (in cloud order) that `validate` accepts. A null validator
@@ -65,10 +78,11 @@ class KvStore {
   using Validator = std::function<bool(ByteSpan)>;
   Result<Bytes> get(const std::string& key, const Validator& validate = {});
 
-  // Best-effort delete on every cloud (missing copies are fine). Used by
-  // compaction to prune superseded objects; losing the race on some cloud
-  // only leaves garbage, never corruption.
-  void remove(const std::string& key);
+  // Best-effort delete of every key on every cloud, all in one wave
+  // (missing copies are fine). Used by compaction to prune superseded
+  // objects; losing the race on some cloud only leaves garbage, never
+  // corruption.
+  void remove(const std::vector<std::string>& keys);
 
   // Union of the object names under `subdir` across all reachable clouds
   // (an object put() to a majority may be missing from a minority).
@@ -89,6 +103,9 @@ class KvStore {
   [[nodiscard]] const cloud::MultiCloud& clouds() const noexcept {
     return clouds_;
   }
+  // The pool the fan-outs run on; the sharded store fetches a wave of
+  // objects on it too.
+  [[nodiscard]] Executor& pool() const noexcept { return *pool_; }
   [[nodiscard]] std::size_t majority() const noexcept {
     // max() guards the degenerate empty multi-cloud: majority of zero clouds
     // must be impossible to reach, not trivially reached.
@@ -100,10 +117,16 @@ class KvStore {
     return dir_ + "/" + key;
   }
 
+  // Sends call(cloud) to every cloud at once and returns the answers in
+  // cloud order, once every cloud has answered.
+  template <typename Call>
+  auto on_every_cloud(const Call& call) const;
+
   cloud::MultiCloud clouds_;
   std::string dir_;
   std::string root_path_;
   obs::ObsPtr obs_;
+  std::shared_ptr<Executor> pool_;
 };
 
 }  // namespace unidrive::metadata

@@ -21,8 +21,9 @@ bool is_prefix(const std::vector<DeltaRef>& prefix,
 ShardedMetaStore::ShardedMetaStore(cloud::MultiCloud clouds,
                                    const std::string& passphrase,
                                    ShardConfig config, obs::ObsPtr obs,
-                                   crypto::CipherKind cipher)
-    : kv_(std::move(clouds), "/meta/kv", obs),
+                                   crypto::CipherKind cipher,
+                                   std::shared_ptr<Executor> pool)
+    : kv_(std::move(clouds), "/meta/kv", obs, std::move(pool)),
       codec_(passphrase, cipher),
       config_(config),
       obs_(std::move(obs)) {
@@ -31,14 +32,11 @@ ShardedMetaStore::ShardedMetaStore(cloud::MultiCloud clouds,
 
 void ShardedMetaStore::clear_cache() { cache_.clear(); }
 
-Result<VersionStamp> ShardedMetaStore::fetch_remote_version() {
-  UNI_ASSIGN_OR_RETURN(const RootPointer root, kv_.fetch_root());
-  return root.version;
-}
-
-bool ShardedMetaStore::has_cloud_update(const VersionStamp& local) {
-  auto remote = fetch_remote_version();
-  return remote.is_ok() && local < remote.value();
+Result<std::optional<RootPointer>> ShardedMetaStore::check_update(
+    const VersionStamp& local) {
+  UNI_ASSIGN_OR_RETURN(RootPointer root, kv_.fetch_root());
+  if (!(local < root.version)) return std::optional<RootPointer>();
+  return std::optional<RootPointer>(std::move(root));
 }
 
 Result<ShardManifest> ShardedMetaStore::decode_manifest(
@@ -56,8 +54,7 @@ Result<ShardManifest> ShardedMetaStore::decode_manifest(
   return ShardManifest::deserialize(ByteSpan(plain));
 }
 
-Result<ShardManifest> ShardedMetaStore::fetch_manifest() {
-  UNI_ASSIGN_OR_RETURN(const RootPointer root, kv_.fetch_root());
+Result<ShardManifest> ShardedMetaStore::manifest_at(const RootPointer& root) {
   auto manifest = decode_manifest(root.manifest_key);
   if (manifest.is_ok() && manifest.value().num_shards != config_.num_shards) {
     // The committed shard count is authoritative (chosen by whoever
@@ -68,78 +65,151 @@ Result<ShardManifest> ShardedMetaStore::fetch_manifest() {
   return manifest;
 }
 
-Result<SyncFolderImage> ShardedMetaStore::fetch_shard(
-    const ShardEntry& entry) {
-  const auto cached = cache_.find(entry.id);
-  if (cached != cache_.end() && cached->second.entry == entry) {
-    obs::add_counter(obs_.get(), "meta.shard.fetch.short_circuit");
-    return cached->second.image;
-  }
-
-  SyncFolderImage image;
-  std::size_t replay_from = 0;
-  if (cached != cache_.end() &&
-      cached->second.entry.base_key == entry.base_key &&
-      is_prefix(cached->second.entry.deltas, entry.deltas)) {
-    // Incremental: the cached reconstruction is a committed prefix of this
-    // entry; replay only the delta suffix.
-    image = cached->second.image;
-    replay_from = cached->second.entry.deltas.size();
-  } else if (!entry.base_key.empty()) {
-    auto bytes = kv_.get(entry.base_key, [this](ByteSpan b) {
-      return codec_.decode_image(b).is_ok();
-    });
-    if (!bytes.is_ok()) return bytes.status();
-    UNI_ASSIGN_OR_RETURN(image, codec_.decode_image(ByteSpan(bytes.value())));
-  }
-
-  for (std::size_t i = replay_from; i < entry.deltas.size(); ++i) {
-    auto bytes = kv_.get(entry.deltas[i].key, [this](ByteSpan b) {
-      return codec_.decode_delta(b).is_ok();
-    });
-    if (!bytes.is_ok()) return bytes.status();
-    UNI_ASSIGN_OR_RETURN(const DeltaLog log,
-                         codec_.decode_delta(ByteSpan(bytes.value())));
-    apply_delta(image, log);
-  }
-  if (image.version() < entry.version) {
-    // The reconstruction never reached the advertised shard stamp: the
-    // chain is inconsistent (should be impossible given immutable keys).
-    return make_error(ErrorCode::kCorrupt,
-                      "shard " + std::to_string(entry.id) +
-                          " replay stopped at " +
-                          image.version().to_string() + " short of " +
-                          entry.version.to_string());
-  }
-  if (config_.cache) {
-    cache_[entry.id] = CachedShard{entry, image};
-  }
-  return image;
+Result<ShardManifest> ShardedMetaStore::fetch_manifest() {
+  UNI_ASSIGN_OR_RETURN(const RootPointer root, kv_.fetch_root());
+  return manifest_at(root);
 }
 
-Result<FetchedMetadata> ShardedMetaStore::fetch_latest() {
+Result<std::vector<SyncFolderImage>> ShardedMetaStore::fetch_shards(
+    const std::vector<ShardEntry>& entries) {
+  // Plan: where each shard's replay starts, and which objects it needs that
+  // the cache lacks. A shard's objects sit contiguously in `objects`, base
+  // (if fetched) first, then its deltas in chain order.
+  struct Replay {
+    const SyncFolderImage* cached = nullptr;  // start image, or none
+    std::size_t first_object = 0;
+  };
+  struct Object {
+    const std::string* key = nullptr;
+    bool base = false;
+    std::optional<SyncFolderImage> image;  // decoded base
+    std::optional<DeltaLog> log;           // decoded delta
+    Status status;
+  };
+  std::vector<Replay> replays(entries.size());
+  std::vector<Object> objects;
+  const auto need = [&objects](const std::string& key, bool base) {
+    Object& o = objects.emplace_back();
+    o.key = &key;
+    o.base = base;
+  };
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const ShardEntry& entry = entries[i];
+    Replay& replay = replays[i];
+    replay.first_object = objects.size();
+    std::size_t replay_from = 0;
+    const auto cached = cache_.find(entry.id);
+    if (cached != cache_.end() && cached->second.entry == entry) {
+      obs::add_counter(obs_.get(), "meta.shard.fetch.short_circuit");
+      replay.cached = &cached->second.image;
+      continue;
+    }
+    if (cached != cache_.end() &&
+        cached->second.entry.base_key == entry.base_key &&
+        is_prefix(cached->second.entry.deltas, entry.deltas)) {
+      // Incremental: the cached reconstruction is a committed prefix of
+      // this entry; replay only the delta suffix.
+      replay.cached = &cached->second.image;
+      replay_from = cached->second.entry.deltas.size();
+    } else if (!entry.base_key.empty()) {
+      need(entry.base_key, true);
+    }
+    for (std::size_t d = replay_from; d < entry.deltas.size(); ++d) {
+      need(entry.deltas[d].key, false);
+    }
+  }
+
+  // One wave: every missing object at once, each through get(). A copy is
+  // decoded once, by the validator that accepts it.
+  kv_.pool().parallel_apply(objects.size(), [&](std::size_t i) {
+    Object& o = objects[i];
+    o.status = kv_.get(*o.key, [&](ByteSpan b) {
+                    if (o.base) {
+                      auto image = codec_.decode_image(b);
+                      if (!image.is_ok()) return false;
+                      o.image = std::move(image).take();
+                      return true;
+                    }
+                    auto log = codec_.decode_delta(b);
+                    if (!log.is_ok()) return false;
+                    o.log = std::move(log).take();
+                    return true;
+                  }).status();
+  });
+
+  // Replay each chain in order.
+  std::vector<SyncFolderImage> images;
+  images.reserve(entries.size());
+  Status failed = Status::ok();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const ShardEntry& entry = entries[i];
+    const Replay& replay = replays[i];
+    const std::size_t end = i + 1 < entries.size()
+                                ? replays[i + 1].first_object
+                                : objects.size();
+    Status status = Status::ok();
+    SyncFolderImage image;
+    if (replay.cached != nullptr) image = *replay.cached;
+    for (std::size_t o = replay.first_object; o < end && status.is_ok();
+         ++o) {
+      if (!objects[o].status.is_ok()) {
+        status = objects[o].status;
+      } else if (objects[o].base) {
+        image = std::move(*objects[o].image);
+      } else {
+        apply_delta(image, *objects[o].log);
+      }
+    }
+    if (status.is_ok() && image.version() < entry.version) {
+      // The reconstruction never reached the advertised shard stamp: the
+      // chain is inconsistent (should be impossible given immutable keys).
+      status = make_error(ErrorCode::kCorrupt,
+                          "shard " + std::to_string(entry.id) +
+                              " replay stopped at " +
+                              image.version().to_string() + " short of " +
+                              entry.version.to_string());
+    }
+    if (!status.is_ok()) {
+      cache_.erase(entry.id);
+      if (failed.is_ok()) failed = status;
+      continue;
+    }
+    if (config_.cache && end > replay.first_object) {
+      cache_[entry.id] = CachedShard{entry, image};
+    }
+    images.push_back(std::move(image));
+  }
+  if (!failed.is_ok()) return failed;
+  return images;
+}
+
+Result<FetchedMetadata> ShardedMetaStore::fetch_latest(
+    std::optional<RootPointer> root) {
   obs::Span span = obs::start_span(obs_.get(), "meta.fetch_latest");
   Status last_error = Status::ok();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto manifest = fetch_manifest();
-    if (!manifest.is_ok()) return manifest.status();
-
-    FetchedMetadata out;
-    bool pruned_under_us = false;
-    for (const ShardEntry& entry : manifest.value().entries) {
-      auto shard = fetch_shard(entry);
-      if (!shard.is_ok()) {
-        // A concurrent compaction may have pruned this object after we read
-        // the (now stale) root: drop the shard cache and retry once from a
-        // fresh root before giving up.
-        last_error = shard.status();
-        cache_.erase(entry.id);
-        pruned_under_us = true;
-        break;
-      }
-      out.image.absorb(shard.value());
+    // The first attempt starts from the root the caller handed over, if
+    // any; the retry always reads a fresh one.
+    if (attempt > 0 || !root.has_value()) {
+      UNI_ASSIGN_OR_RETURN(root, kv_.fetch_root());
     }
-    if (pruned_under_us) continue;
+    // A concurrent compaction may have pruned an object after the root was
+    // read (fetch_shards drops the failed shards' cache): retry once from a
+    // fresh root before giving up.
+    auto manifest = manifest_at(*root);
+    if (!manifest.is_ok()) {
+      last_error = manifest.status();
+      continue;
+    }
+    auto shards = fetch_shards(manifest.value().entries);
+    if (!shards.is_ok()) {
+      last_error = shards.status();
+      continue;
+    }
+    FetchedMetadata out;
+    for (const SyncFolderImage& shard : shards.value()) {
+      out.image.absorb(shard);
+    }
     out.image.rebuild_refcounts();
     out.image.prune_segment_stubs();
     out.image.set_version(manifest.value().version);
@@ -316,20 +386,14 @@ Result<ShardManifest> ShardedMetaStore::commit_manifest(
 
 void ShardedMetaStore::prune_superseded(const std::vector<ShardEntry>& dirty,
                                         const ShardManifest& fenced) {
-  std::size_t pruned = 0;
+  std::vector<std::string> keys;
   for (const ShardEntry& d : dirty) {
     const ShardEntry* was = fenced.find(d.id);
     if (was == nullptr || was->base_key == d.base_key) continue;
     // This commit folded the shard: the fenced base and every delta folded
     // into the new one are superseded.
-    if (!was->base_key.empty()) {
-      kv_.remove(was->base_key);
-      ++pruned;
-    }
-    for (const DeltaRef& ref : was->deltas) {
-      kv_.remove(ref.key);
-      ++pruned;
-    }
+    if (!was->base_key.empty()) keys.push_back(was->base_key);
+    for (const DeltaRef& ref : was->deltas) keys.push_back(ref.key);
   }
   // Manifest GC: generations older than the fenced one can no longer win a
   // read-from-all (the new root shadows them on a majority); the fenced
@@ -341,13 +405,13 @@ void ShardedMetaStore::prune_superseded(const std::vector<ShardEntry>& dirty,
         const std::uint64_t counter =
             std::strtoull(name.c_str(), nullptr, 10);
         if (counter != 0 && counter < fenced.version.counter) {
-          kv_.remove("m/" + name);
-          ++pruned;
+          keys.push_back("m/" + name);
         }
       }
     }
   }
-  obs::add_counter(obs_.get(), "meta.shard.pruned", pruned);
+  kv_.remove(keys);  // one wave
+  obs::add_counter(obs_.get(), "meta.shard.pruned", keys.size());
 }
 
 }  // namespace unidrive::metadata

@@ -20,11 +20,14 @@
 //      flip, so a crash at any step leaves either the old root with its
 //      complete object set, or the new one (plus harmless garbage).
 //
-// Reads: fetch_manifest() is O(1) in folder size; fetch_shard() replays one
-// shard's base+deltas, served incrementally from a per-shard cache (a
+// Reads: fetch_manifest() is O(1) in folder size; fetch_shards() replays
+// shards' base+deltas, served incrementally from a per-shard cache (a
 // re-fetch at an unchanged shard version is free; a shard that advanced by
 // k deltas replays exactly k). fetch_latest() assembles the full image only
-// for callers that genuinely need all shards.
+// for callers that genuinely need all shards. A pull reads the root once:
+// check_update() returns the root it read and fetch_latest() starts from
+// it. Every base and delta object the cache lacks is fetched in ONE
+// concurrent wave, then each chain replays in order.
 //
 // Write-to-majority / read-from-all is inherited from KvStore for every
 // object and the root pointer: the newest committed state is found whenever
@@ -32,7 +35,9 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "metadata/codec.h"
 #include "metadata/kv.h"
@@ -60,31 +65,42 @@ struct ShardConfig {
 
 class ShardedMetaStore {
  public:
+  // `pool` runs the KV fan-outs and the shard-object wave; a client passes
+  // its own, and null means Executor::shared().
   ShardedMetaStore(cloud::MultiCloud clouds, const std::string& passphrase,
                    ShardConfig config, obs::ObsPtr obs = nullptr,
-                   crypto::CipherKind cipher = crypto::CipherKind::kDes);
+                   crypto::CipherKind cipher = crypto::CipherKind::kDes,
+                   std::shared_ptr<Executor> pool = nullptr);
 
   // --- reads ---------------------------------------------------------------
 
-  // Version of the current root (the global commit stamp). kNotFound when
-  // nothing was ever committed; kOutage when no cloud answered.
-  Result<VersionStamp> fetch_remote_version();
-  [[nodiscard]] bool has_cloud_update(const VersionStamp& local);
+  // The cheap cloud-update probe (the paper's version-file check): one root
+  // read. Returns that root when its version (the global commit stamp) is
+  // newer than `local`, for the caller to hand to fetch_latest(), and
+  // nullopt when it is not. kNotFound when nothing was ever committed;
+  // kOutage when no cloud answered.
+  Result<std::optional<RootPointer>> check_update(const VersionStamp& local);
 
   // The current manifest. kNotFound before the first commit.
   Result<ShardManifest> fetch_manifest();
 
-  // One shard's image (base + delta replay), served from the per-shard
-  // cache when the entry is unchanged; a cached prefix of the entry's chain
-  // replays only the delta suffix. The returned image's version is the
-  // shard's own stamp. Segment refcounts are shard-local artifacts; callers
-  // assembling multiple shards must rebuild_refcounts() at the end.
-  Result<SyncFolderImage> fetch_shard(const ShardEntry& entry);
+  // Each entry's shard image (base + delta replay), served from the
+  // per-shard cache when the entry is unchanged; a cached prefix of an
+  // entry's chain replays only the delta suffix. Every object the cache
+  // lacks is fetched in one concurrent wave. Each returned image's version
+  // is its shard's own stamp. Segment refcounts are shard-local artifacts;
+  // callers assembling multiple shards must rebuild_refcounts() at the end.
+  // On failure the failed shards' cache entries are dropped.
+  Result<std::vector<SyncFolderImage>> fetch_shards(
+      const std::vector<ShardEntry>& entries);
 
   // Full image: every shard fetched and absorbed, refcounts rebuilt,
-  // version = manifest version. Retries once from a fresh root when a
-  // concurrent compaction pruned an object under us.
-  Result<FetchedMetadata> fetch_latest();
+  // version = manifest version. Starts from `root` when the caller already
+  // read it (check_update), else reads the root itself. Retries once from a
+  // fresh root when an object is missing under the first one — a
+  // concurrent compaction pruned it, or the handed root went stale.
+  Result<FetchedMetadata> fetch_latest(
+      std::optional<RootPointer> root = std::nullopt);
 
   // --- writes --------------------------------------------------------------
 
@@ -127,6 +143,8 @@ class ShardedMetaStore {
 
  private:
   Result<ShardManifest> decode_manifest(const std::string& key);
+  // The manifest `root` names; adopts its shard count.
+  Result<ShardManifest> manifest_at(const RootPointer& root);
   // Best-effort removal of objects superseded by a committed fold, plus
   // manifest objects older than the previous generation.
   void prune_superseded(const std::vector<ShardEntry>& dirty,

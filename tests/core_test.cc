@@ -219,9 +219,12 @@ class RecordingCloud final : public cloud::CloudProvider {
   }
 
   [[nodiscard]] bool downloaded(const std::string& path) const {
+    return downloads_of(path) > 0;
+  }
+  [[nodiscard]] std::size_t downloads_of(const std::string& path) const {
     std::lock_guard<std::mutex> g(mu_);
-    return std::find(downloads_.begin(), downloads_.end(), path) !=
-           downloads_.end();
+    return static_cast<std::size_t>(
+        std::count(downloads_.begin(), downloads_.end(), path));
   }
 
  private:
@@ -1064,6 +1067,43 @@ TEST_F(ClientTest, ReconstructSegmentWithoutLocalCopy) {
   EXPECT_EQ(client.reconstruct_segment(id, {distrusted}).code(),
             ErrorCode::kCorrupt);
   EXPECT_FALSE(fetched_distrusted());
+}
+
+// A pull reads the root once: the update check hands the root it read to
+// the fetch, so a reader's pull downloads /meta/kv/root once per cloud.
+TEST_F(ClientTest, PullReadsTheRootOnce) {
+  std::vector<std::shared_ptr<RecordingCloud>> recorders;
+  cloud::MultiCloud recorded;
+  for (const cloud::CloudPtr& c : clouds_) {
+    recorders.push_back(std::make_shared<RecordingCloud>(c));
+    recorded.push_back(recorders.back());
+  }
+  const auto root_reads = [&] {
+    std::size_t n = 0;
+    for (const auto& r : recorders) n += r->downloads_of("/meta/kv/root");
+    return n;
+  };
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto writer = make_client("devA", fs_a);
+  UniDriveClient reader(recorded, fs_b, test_config("devB"));
+
+  Rng rng(71);
+  ASSERT_TRUE(fs_a->write("/f", ByteSpan(rng.bytes(30000))).is_ok());
+  ASSERT_TRUE(writer->sync().is_ok());
+  auto pull = reader.sync();
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_TRUE(pull.value().applied_cloud);
+  EXPECT_EQ(root_reads(), clouds_.size());
+
+  // A second pull after a further commit: again one root read per cloud.
+  ASSERT_TRUE(fs_a->write("/g", ByteSpan(rng.bytes(30000))).is_ok());
+  ASSERT_TRUE(writer->sync().is_ok());
+  pull = reader.sync();
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_TRUE(pull.value().applied_cloud);
+  EXPECT_EQ(root_reads(), 2 * clouds_.size());
+  EXPECT_NE(reader.image().find_file("/g"), nullptr);
 }
 
 }  // namespace

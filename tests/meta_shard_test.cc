@@ -5,14 +5,18 @@
 // shards; run it under TSan to certify the locking).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
 
 #include "cloud/faulty_cloud.h"
+#include "cloud/latent_cloud.h"
 #include "cloud/memory_cloud.h"
 #include "common/clock.h"
+#include "common/executor.h"
 #include "common/rng.h"
 #include "lock/lock_manager.h"
 #include "metadata/changelist.h"
@@ -244,7 +248,7 @@ TEST(KvStoreTest, PutReplicatesToAllAndGetReturnsFirstValid) {
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(got.value(), value);
 
-  kv.remove("b0/1_dev");
+  kv.remove({"b0/1_dev"});
   EXPECT_EQ(kv.get("b0/1_dev").code(), ErrorCode::kNotFound);
 }
 
@@ -306,6 +310,171 @@ TEST(KvStoreTest, GetValidatorSkipsCorruptCopies) {
                        std::equal(b.begin(), b.end(), good.begin());
               }).code(),
             ErrorCode::kCorrupt);
+}
+
+// Counts every call by verb, then delegates.
+class CountingCloud final : public cloud::CloudProvider {
+ public:
+  enum Verb { kUpload, kDownload, kList, kRemove, kVerbs };
+
+  explicit CountingCloud(cloud::CloudPtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] cloud::CloudId id() const noexcept override {
+    return inner_->id();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  Status upload(const std::string& path, ByteSpan data) override {
+    ++calls_[kUpload];
+    return inner_->upload(path, data);
+  }
+  Result<Bytes> download(const std::string& path) override {
+    ++calls_[kDownload];
+    return inner_->download(path);
+  }
+  Status create_dir(const std::string& path) override {
+    return inner_->create_dir(path);
+  }
+  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
+    ++calls_[kList];
+    return inner_->list(dir);
+  }
+  Status remove(const std::string& path) override {
+    ++calls_[kRemove];
+    return inner_->remove(path);
+  }
+
+  // Calls per verb since the last reset.
+  [[nodiscard]] std::array<int, kVerbs> calls() const {
+    std::array<int, kVerbs> out{};
+    for (int v = 0; v < kVerbs; ++v) out[v] = calls_[v].load();
+    return out;
+  }
+  void reset() {
+    for (auto& c : calls_) c = 0;
+  }
+
+ private:
+  cloud::CloudPtr inner_;
+  std::array<std::atomic<int>, kVerbs> calls_{};
+};
+
+std::vector<std::shared_ptr<CountingCloud>> counting(
+    const cloud::MultiCloud& inner) {
+  std::vector<std::shared_ptr<CountingCloud>> out;
+  for (const auto& c : inner) out.push_back(std::make_shared<CountingCloud>(c));
+  return out;
+}
+
+cloud::MultiCloud as_multi(
+    const std::vector<std::shared_ptr<CountingCloud>>& counted) {
+  return cloud::MultiCloud(counted.begin(), counted.end());
+}
+
+// Every cloud made exactly `want` calls (upload, download, list, remove)
+// since the last reset; resets the counters.
+void expect_calls_per_cloud(
+    const std::vector<std::shared_ptr<CountingCloud>>& counted,
+    const std::array<int, CountingCloud::kVerbs>& want, const char* verb) {
+  for (const auto& c : counted) {
+    EXPECT_EQ(c->calls(), want) << verb << " on " << c->name();
+    c->reset();
+  }
+}
+
+TEST(KvStoreTest, EveryFannedVerbCallsEachCloudOnce) {
+  auto counted = counting(make_clouds(5));
+  KvStore kv(as_multi(counted), "/meta/kv", nullptr,
+             std::make_shared<Executor>(4));
+  const Bytes value = bytes_from_string("v");
+
+  ASSERT_TRUE(kv.put("obj", ByteSpan(value)).is_ok());
+  expect_calls_per_cloud(counted, {1, 0, 0, 0}, "put");
+  EXPECT_EQ(kv.fetch_root().code(), ErrorCode::kNotFound);
+  expect_calls_per_cloud(counted, {0, 1, 0, 0}, "fetch_root");
+  RootPointer root;
+  root.version = stamp("devA", 1);
+  root.manifest_key = "m/1_devA";
+  ASSERT_TRUE(kv.put_root(root, std::nullopt).is_ok());
+  expect_calls_per_cloud(counted, {1, 1, 0, 0}, "put_root");  // fence + write
+  ASSERT_TRUE(kv.list("").is_ok());
+  expect_calls_per_cloud(counted, {0, 0, 1, 0}, "list");
+  kv.remove({"obj"});
+  expect_calls_per_cloud(counted, {0, 0, 0, 1}, "remove");
+}
+
+TEST(KvStoreTest, GetStaysSingleCopy) {
+  auto counted = counting(make_clouds(5));
+  KvStore kv(as_multi(counted), "/meta/kv", nullptr,
+             std::make_shared<Executor>(4));
+  const Bytes good = bytes_from_string("good");
+  ASSERT_TRUE(kv.put("obj", ByteSpan(good)).is_ok());
+  // Downloads per cloud since the last call.
+  const auto downloads = [&] {
+    std::vector<int> per_cloud;
+    for (const auto& c : counted) {
+      per_cloud.push_back(c->calls()[CountingCloud::kDownload]);
+      c->reset();
+    }
+    return per_cloud;
+  };
+  const auto is_good = [&](ByteSpan b) {
+    return b.size() == good.size() &&
+           std::equal(b.begin(), b.end(), good.begin());
+  };
+  (void)downloads();
+
+  // Cloud 0's copy is valid: one call.
+  auto got = kv.get("obj", is_good);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value(), good);
+  EXPECT_EQ(downloads(), (std::vector<int>{1, 0, 0, 0, 0}));
+
+  // A corrupt first copy is skipped for cloud 1's.
+  const Bytes bad = bytes_from_string("BAD!");
+  ASSERT_TRUE(counted[0]->upload("/meta/kv/obj", ByteSpan(bad)).is_ok());
+  counted[0]->reset();
+  got = kv.get("obj", is_good);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value(), good);
+  EXPECT_EQ(downloads(), (std::vector<int>{1, 1, 0, 0, 0}));
+}
+
+TEST(KvStoreTest, EachVerbIsOneRoundTripAcrossTheClouds) {
+  // Five clouds, each a full link latency away. Serially a verb would take
+  // five latencies; fanned out it takes one (put_root: fence read + write).
+  constexpr double kLatency = 0.1;
+  cloud::MultiCloud clouds;
+  for (const auto& c : make_clouds(5)) {
+    clouds.push_back(std::make_shared<cloud::LatentCloud>(
+        c, cloud::LinkProfile{0, 0, kLatency}));
+  }
+  // An explicit pool: the store's fan-out does not depend on the default
+  // pool's width (UNIDRIVE_PIPELINE_THREADS).
+  KvStore kv(clouds, "/meta/kv", nullptr, std::make_shared<Executor>(8));
+  const auto timed = [](const auto& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  const Bytes value = bytes_from_string("v");
+  RootPointer root;
+  root.version = stamp("devA", 1);
+  root.manifest_key = "m/1_devA";
+
+  EXPECT_LT(timed([&] { EXPECT_TRUE(kv.put("obj", ByteSpan(value)).is_ok()); }),
+            2 * kLatency);
+  EXPECT_LT(timed([&] {
+              EXPECT_EQ(kv.fetch_root().code(), ErrorCode::kNotFound);
+            }),
+            2 * kLatency);
+  EXPECT_LT(timed([&] {
+              EXPECT_TRUE(kv.put_root(root, std::nullopt).is_ok());
+            }),
+            3 * kLatency);
+  EXPECT_LT(timed([&] { EXPECT_TRUE(kv.list("").is_ok()); }), 2 * kLatency);
+  EXPECT_LT(timed([&] { kv.remove({"obj"}); }), 2 * kLatency);
 }
 
 TEST(KvStoreTest, RootFenceRejectsStaleWriters) {
@@ -635,15 +804,69 @@ TEST(ShardedMetaStoreTest, DisjointShardCommitFromStaleFenceSucceeds) {
   EXPECT_NE(latest.value().image.find_file(dir_b + "/f"), nullptr);
 }
 
+TEST(ShardedMetaStoreTest, StaleHandedRootRetriesFromFreshRoot) {
+  auto clouds = make_clouds(3);
+  ShardConfig cfg = small_shards();
+  cfg.max_delta_objects = 1;  // the second commit to a shard folds it
+  const DeltaPolicy no_byte_folds{.merge_ratio = 1e9,
+                                  .merge_floor = 1u << 30};
+  ShardedMetaStore writer(clouds, "pass", cfg);
+  ShardedMetaStore reader(clouds, "pass", cfg);
+
+  std::vector<Change> c1{Change::upsert_file(snapshot("/hot/a", "devA"))};
+  SyncFolderImage full = image_of(c1);
+  ASSERT_TRUE(
+      commit_changes(writer, c1, full, stamp("devA", 1), no_byte_folds)
+          .is_ok());
+  // The reader's update check reads root 1...
+  auto update = reader.check_update(stamp("devA", 0));
+  ASSERT_TRUE(update.is_ok());
+  ASSERT_TRUE(update.value().has_value());
+  const RootPointer stale = *update.value();
+  auto manifest = writer.fetch_manifest();
+  ASSERT_TRUE(manifest.is_ok());
+  const ShardEntry* entry =
+      manifest.value().find(shard_of_path("/hot/a", writer.num_shards()));
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->deltas.size(), 1u);
+  const std::string delta_key = entry->deltas.front().key;
+
+  // ...then a fold commits root 2 and prunes root 1's delta object.
+  std::vector<Change> c2{Change::upsert_file(snapshot("/hot/b", "devA"))};
+  apply_change(full, c2.front());
+  ASSERT_TRUE(
+      commit_changes(writer, c2, full, stamp("devA", 2), no_byte_folds)
+          .is_ok());
+  ASSERT_EQ(writer.kv().get(delta_key).code(), ErrorCode::kNotFound);
+
+  // Handed the stale root, the fetch retries from a fresh one.
+  auto fetched = reader.fetch_latest(stale);
+  ASSERT_TRUE(fetched.is_ok()) << fetched.status().to_string();
+  EXPECT_EQ(fetched.value().version, stamp("devA", 2));
+  EXPECT_NE(fetched.value().image.find_file("/hot/a"), nullptr);
+  EXPECT_NE(fetched.value().image.find_file("/hot/b"), nullptr);
+}
+
+// True when the update check reports a root newer than `local`.
+bool reports_update(ShardedMetaStore& store, const VersionStamp& local) {
+  const auto update = store.check_update(local);
+  return update.is_ok() && update.value().has_value();
+}
+
 TEST(ShardedMetaStoreTest, HasCloudUpdateComparesRootVersion) {
   auto clouds = make_clouds(3);
   ShardedMetaStore store(clouds, "pass", small_shards());
-  EXPECT_FALSE(store.has_cloud_update(stamp("devA", 0)));
+  EXPECT_FALSE(reports_update(store, stamp("devA", 0)));
   std::vector<Change> cs{Change::upsert_file(snapshot("/a", "devA"))};
   ASSERT_TRUE(
       commit_changes(store, cs, image_of(cs), stamp("devA", 1)).is_ok());
-  EXPECT_TRUE(store.has_cloud_update(stamp("devA", 0)));
-  EXPECT_FALSE(store.has_cloud_update(stamp("devA", 1)));
+  EXPECT_TRUE(reports_update(store, stamp("devA", 0)));
+  EXPECT_FALSE(reports_update(store, stamp("devA", 1)));
+  // The check hands back the root it read.
+  const auto update = store.check_update(stamp("devA", 0));
+  ASSERT_TRUE(update.is_ok());
+  ASSERT_TRUE(update.value().has_value());
+  EXPECT_EQ(update.value()->version, stamp("devA", 1));
 }
 
 // The metadata store's availability contract: no root before the first
@@ -652,7 +875,8 @@ TEST(ShardedMetaStoreTest, HasCloudUpdateComparesRootVersion) {
 TEST(MetaStoreTest, NoMetadataIsNotFound) {
   auto clouds = make_clouds(5);
   ShardedMetaStore store(clouds, "pass", small_shards());
-  EXPECT_EQ(store.fetch_remote_version().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.check_update(stamp("devA", 0)).code(),
+            ErrorCode::kNotFound);
   EXPECT_EQ(store.fetch_latest().code(), ErrorCode::kNotFound);
 }
 
