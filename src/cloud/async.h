@@ -128,8 +128,11 @@ using ListCb = std::function<void(Result<std::vector<FileInfo>>)>;
 //
 // All pointers are NON-owning. The owner of the runtime (client, test)
 // must keep the pool and wheel alive until every operation launched with
-// this context has completed or been cancelled — the drivers guarantee
-// that by waiting out all completions. Ops must never keep the pool alive
+// this context has completed or been cancelled. A driver's destructor
+// waits out its completions, but a restore returns before its redundant
+// fetches land, so the client parks each such restore and destroys it —
+// waiting — before it replaces or drops the pool and the async clouds
+// (UniDriveClient::draining_restores_). Ops must never keep the pool alive
 // themselves: a queued task holding the last reference to its own
 // executor would run ~Executor on a worker thread and self-join.
 struct AsyncContext {

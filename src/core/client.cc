@@ -91,6 +91,9 @@ UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
 }
 
 void UniDriveClient::rebuild_guards() {
+  // The parked restores' stragglers run on the executor and async clouds
+  // replaced below: wait them out first.
+  draining_restores_.clear();
   guarded_ = cloud::guard_clouds(clouds_, config_.retry, health_, clock_,
                                  config_.sleep, rng_, obs_);
   executor_ = make_executor(config_, clouds_.size());
@@ -196,11 +199,20 @@ std::unique_ptr<UploadPipeline> UniDriveClient::make_pipeline(
 
 std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
     LocalFs& fs) {
+  std::erase_if(draining_restores_,
+                [](const auto& restore) { return restore->drained(); });
   const sched::CodeParams params = code_params();
   return std::make_unique<DownloadPipeline>(
       params.k, codec_for(params), cloud_ids(), config_.driver, monitor_,
       executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
       config_.pipeline, fs, health_, obs_);
+}
+
+std::vector<DownloadPipeline::FileResult> UniDriveClient::finish_restore(
+    std::unique_ptr<DownloadPipeline> pipeline) {
+  std::vector<DownloadPipeline::FileResult> results = pipeline->finish();
+  if (!pipeline->drained()) draining_restores_.push_back(std::move(pipeline));
+  return results;
 }
 
 Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
@@ -306,7 +318,7 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
       pipeline->add_file(*snapshot, target, &held);
     }
     const std::vector<DownloadPipeline::FileResult> results =
-        pipeline->finish();
+        finish_restore(std::move(pipeline));
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!results[i].status.is_ok()) {
         if (batch.is_ok()) batch = results[i].status;
@@ -907,7 +919,7 @@ Status UniDriveClient::restore_previous_version(const std::string& path) {
                            previous.segment_ids.end()});
   auto pipeline = make_download_pipeline(*fs_);
   pipeline->add_file(previous, image_, &held);
-  return pipeline->finish().front().status;
+  return finish_restore(std::move(pipeline)).front().status;
 }
 
 // Plaintext bytes of a segment, for re-encoding blocks during rebalances
@@ -937,10 +949,12 @@ Result<Bytes> UniDriveClient::segment_content(
   snapshot.size = trusted.size;
   snapshot.segment_ids = {segment_id};
 
+  // A parked pipeline outlives `scratch`; it holds no reference into it
+  // once the file committed or aborted.
   MemoryLocalFs scratch;
   auto pipeline = make_download_pipeline(scratch);
   pipeline->add_file(snapshot, source, &held);
-  UNI_RETURN_IF_ERROR(pipeline->finish().front().status);
+  UNI_RETURN_IF_ERROR(finish_restore(std::move(pipeline)).front().status);
   return scratch.read(snapshot.path);
 }
 

@@ -244,9 +244,15 @@ class UniDriveClient {
       const sched::CodeParams& params);
   // Restore mirror: a streaming DownloadPipeline into `fs` over the same
   // executor, guards and observability (overlapped fetch → parallel decode
-  // → in-order write with a bounded prefetch window).
+  // → in-order write with a bounded prefetch window). First reaps the
+  // drained entries of draining_restores_.
   [[nodiscard]] std::unique_ptr<DownloadPipeline> make_download_pipeline(
       LocalFs& fs);
+  // finish() of a restore built by make_download_pipeline: returns once
+  // every segment is decided, and parks the pipeline in draining_restores_
+  // while redundant fetches are still in flight.
+  std::vector<DownloadPipeline::FileResult> finish_restore(
+      std::unique_ptr<DownloadPipeline> pipeline);
 
   // Plaintext of a segment of `image`, restored through a DownloadPipeline
   // into a scratch folder: the verified local copy `held` reads when one
@@ -367,6 +373,13 @@ class UniDriveClient {
   lock::LockManager locks_;
   sched::ThroughputMonitor monitor_;
   ScanCache scan_cache_;  // (size, mtime) fingerprints; avoids re-hashing
+  // Finished restores whose redundant fetches are still in flight. Their
+  // completions use executor_, async_clouds_, monitor_ and obs_, so this is
+  // declared last (destroyed first: each destructor waits its stragglers
+  // out) and cleared, waiting, before rebuild_guards() replaces the
+  // executor and the async clouds. Client state like image_: only the
+  // thread that drives the client touches it.
+  std::vector<std::unique_ptr<DownloadPipeline>> draining_restores_;
 };
 
 }  // namespace unidrive::core

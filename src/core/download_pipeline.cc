@@ -118,6 +118,8 @@ DownloadPipeline::~DownloadPipeline() {
   cv_.wait(lock, [&] { return decode_queue_ == 0; });
 }
 
+bool DownloadPipeline::drained() const { return driver_->in_flight() == 0; }
+
 std::size_t DownloadPipeline::inflight_bytes() const {
   std::lock_guard<std::mutex> guard(mem_mutex_);
   return inflight_;
@@ -316,7 +318,7 @@ cloud::AsyncHandle DownloadPipeline::transfer_async(
   // The fetched bytes are stored before `done` fires, so the driver's
   // segment-fetched callback always sees them; `this` stays valid because
   // the pipeline destructor waits out the driver, which waits out every
-  // launched completion.
+  // launched completion — also one landing after finish() returned.
   return provider->download_async(
       metadata::block_path(seg, index),
       [this, seg, index, done = std::move(done)](Result<Bytes> data) {
@@ -326,9 +328,11 @@ cloud::AsyncHandle DownloadPipeline::transfer_async(
         }
         {
           std::lock_guard<std::mutex> cache(cache_mutex_);
-          auto& blocks = shard_cache_[seg];
-          // Keep the first copy (a hedge duplicate may land second).
-          blocks.emplace(index, std::move(data).take());
+          // Keep the first copy (a hedge duplicate may land second). After
+          // finish() nothing decodes: a late redundant block is dropped.
+          if (!finished_) {
+            shard_cache_[seg].emplace(index, std::move(data).take());
+          }
         }
         done(Status::ok());
       });
@@ -511,6 +515,7 @@ void DownloadPipeline::fail_file_locked(FileState& f, Status status) {
   --open_files_;
   f.status = std::move(status);
   if (f.writer != nullptr) f.writer->abort();
+  f.writer.reset();
   // Release this file's claim on every admitted-but-unwritten segment.
   for (std::size_t p = f.next_write; p < f.admitted; ++p) {
     consume_waiter_locked(f.segs[p]);
@@ -542,6 +547,9 @@ void DownloadPipeline::finalize_file_locked(FileState& f) {
     f.status = committed.status();
     if (committed.is_ok()) f.mtime = committed.value();
   }
+  // A closed file holds no writer: a draining pipeline keeps no reference
+  // into the folder it restored into.
+  f.writer.reset();
   cv_.notify_all();
 }
 
@@ -555,9 +563,16 @@ std::vector<DownloadPipeline::FileResult> DownloadPipeline::finish() {
               open_files_ == 0);
     });
   }
-  // All segments decided (or the job was cancelled): drain the straggler
-  // transfers, then the decode tasks already queued.
-  driver_->wait();
+  // All segments decided (or the job was cancelled): stop assignment and
+  // return without waiting out the fetches still in flight — a hedge or a
+  // faster holder made them redundant. No segment is open in the driver
+  // any more, so the cancel sweep fails nothing; after a cancel() it fails
+  // the pending ones, whose decode tasks are awaited below. The stragglers
+  // land after the return, and the owner keeps this object alive until
+  // drained().
+  driver_->cancel();
+  obs::add_counter(obs_.get(), "restore.detached_fetches",
+                   driver_->in_flight());
   std::vector<FileResult> results;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -590,6 +605,7 @@ std::vector<DownloadPipeline::FileResult> DownloadPipeline::finish() {
   {
     std::lock_guard<std::mutex> cache(cache_mutex_);
     shard_cache_.clear();
+    finished_ = true;
   }
   // Anything still charged (cancelled mid-flight) is released now.
   {

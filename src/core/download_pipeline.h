@@ -28,6 +28,8 @@
 // alone (the gate opens when the pipeline is empty) so progress is always
 // possible. Deliberately uncharged overshoot: straggler-hedge duplicates
 // and corrupt-search extra blocks (both rare, both one block at a time).
+// A redundant block landing after finish() is dropped on arrival, never
+// cached.
 //
 // Integrity: every segment, decoded or read locally, is verified against
 // its id (SHA-256 of the plaintext; legacy ids are SHA-1). On a decode
@@ -40,11 +42,14 @@
 //
 // One long-lived scheduler/driver pair serves the whole batch: per-cloud
 // connection pools stay busy across segment and file boundaries, and
-// straggler hedging spans the batch. finish() drains every stage and
-// returns one status per file in feed order. cancel() aborts without
-// deadlocking even when a cloud call hangs: pending segments fail fast,
-// running transfers finish their current request, and all reserved bytes
-// are released.
+// straggler hedging spans the batch. finish() returns one status per file
+// in feed order as soon as every segment is decided (decoded and written,
+// or failed): fetches a hedge or a faster holder made redundant may still
+// be in flight. They land later, metered and fed to the throughput
+// monitor, and the owner keeps the pipeline alive until drained(); the
+// destructor waits them out. cancel() aborts without deadlocking even when
+// a cloud call hangs: pending segments fail fast, running transfers finish
+// their current request, and all reserved bytes are released.
 #pragma once
 
 #include <atomic>
@@ -140,9 +145,17 @@ class DownloadPipeline {
                 const metadata::SyncFolderImage& image,
                 const HeldSegments* held = nullptr);
 
-  // End of stream: drain every stage and return one status per file, in
-  // feed order. Call exactly once.
+  // End of stream: wait until every segment is decided and every file
+  // committed or aborted, stop assigning fetches, and return one status
+  // per file, in feed order. Fetches still in flight are not waited for
+  // (restore.detached_fetches counts them); their bytes are dropped when
+  // they land. Call exactly once.
   std::vector<FileResult> finish();
+
+  // True once no fetch is in flight. After finish() it only turns from
+  // false to true; destroying a pipeline that is not drained blocks until
+  // it is.
+  [[nodiscard]] bool drained() const;
 
   // Abort: stop assigning fetches, fail pending segments, release every
   // blocked producer and all reserved bytes. In-flight cloud requests
@@ -174,7 +187,7 @@ class DownloadPipeline {
     std::vector<std::string> segs;  // segment ids, snapshot order
     std::size_t admitted = 0;       // prefix of segs fed to the driver
     std::size_t next_write = 0;     // next position to append
-    std::unique_ptr<LocalFs::FileWriter> writer;
+    std::unique_ptr<LocalFs::FileWriter> writer;  // released once closed
     crypto::Sha1 hasher;
     std::uint64_t written = 0;
     Status status = Status::ok();
@@ -230,9 +243,11 @@ class DownloadPipeline {
   std::atomic<bool> cancelled_{false};
 
   // Fetched shard bytes, keyed by segment id then block index. Written by
-  // transfer completions, consumed by decode tasks.
+  // transfer completions, consumed by decode tasks; set finished_ stops
+  // the writes once finish() returned.
   mutable std::mutex cache_mutex_;
   std::map<std::string, std::map<std::uint32_t, Bytes>> shard_cache_;
+  bool finished_ = false;
 
   // Pipeline state: files in feed order, live segments by id. cv_ signals
   // segment resolution and file completion.

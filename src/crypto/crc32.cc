@@ -66,6 +66,43 @@ std::uint32_t update_sw(std::uint32_t state, const std::uint8_t* p,
   return c;
 }
 
+#if defined(__x86_64__)
+// The zero-extension operator of one lane: the raw state after
+// kCrc32cLaneBytes zero bytes, as a function of the state before. It is
+// linear over GF(2), so four byte tables (the images of each byte of the
+// state) apply it, and it joins lanes: on the raw state,
+// crc(A || B) = shift(crc(A)) ^ crc_0(B) for |B| = one lane, crc_0 starting
+// from state 0.
+struct LaneShift {
+  std::array<std::array<std::uint32_t, 256>, 4> t{};
+  LaneShift() noexcept {
+    static constexpr std::array<std::uint8_t, kCrc32cLaneBytes> kZeros{};
+    std::array<std::uint32_t, 32> bit_image{};
+    for (std::size_t bit = 0; bit < 32; ++bit) {
+      bit_image[bit] = update_sw(1u << bit, kZeros.data(), kZeros.size());
+    }
+    for (std::size_t byte = 0; byte < 4; ++byte) {
+      for (std::uint32_t v = 0; v < 256; ++v) {
+        std::uint32_t image = 0;
+        for (std::size_t bit = 0; bit < 8; ++bit) {
+          if (((v >> bit) & 1) != 0) image ^= bit_image[byte * 8 + bit];
+        }
+        t[byte][v] = image;
+      }
+    }
+  }
+  [[nodiscard]] std::uint32_t operator()(std::uint32_t c) const noexcept {
+    return t[0][c & 0xFF] ^ t[1][(c >> 8) & 0xFF] ^ t[2][(c >> 16) & 0xFF] ^
+           t[3][c >> 24];
+  }
+};
+
+const LaneShift& lane_shift() noexcept {
+  static const LaneShift shift;
+  return shift;
+}
+#endif  // __x86_64__
+
 #if UNIDRIVE_CRC_X86
 __attribute__((target("sse4.2"))) std::uint32_t update_hw(
     std::uint32_t state, const std::uint8_t* p, std::size_t n) {
@@ -76,6 +113,34 @@ __attribute__((target("sse4.2"))) std::uint32_t update_hw(
     c = _mm_crc32_u8(static_cast<std::uint32_t>(c), *p++);
     --n;
   }
+  // One chain is bound by the instruction's 3-cycle latency; three
+  // independent chains, one per lane of each three-lane block, keep it
+  // busy every cycle, and two lane shifts join them.
+  constexpr std::size_t kLane = kCrc32cLaneBytes;
+  if (n >= 3 * kLane) {
+    const LaneShift& shift = lane_shift();
+    do {
+      std::uint64_t c1 = 0;
+      std::uint64_t c2 = 0;
+      for (std::size_t i = 0; i < kLane; i += 8) {
+        std::uint64_t w0;
+        std::uint64_t w1;
+        std::uint64_t w2;
+        std::memcpy(&w0, p + i, 8);
+        std::memcpy(&w1, p + kLane + i, 8);
+        std::memcpy(&w2, p + 2 * kLane + i, 8);
+        c = _mm_crc32_u64(c, w0);
+        c1 = _mm_crc32_u64(c1, w1);
+        c2 = _mm_crc32_u64(c2, w2);
+      }
+      c = shift(shift(static_cast<std::uint32_t>(c)) ^
+                static_cast<std::uint32_t>(c1)) ^
+          static_cast<std::uint32_t>(c2);
+      p += 3 * kLane;
+      n -= 3 * kLane;
+    } while (n >= 3 * kLane);
+  }
+  // The tail keeps the single chain.
   while (n >= 8) {
     std::uint64_t w;
     std::memcpy(&w, p, 8);

@@ -4,16 +4,25 @@
 // block-compare screen all use it, so a torn upload or flipped bit is
 // rejected for the cost of a CRC instead of a cryptographic hash.
 //
-// Dispatch (common/cpu.h): the SSE4.2 crc32 instruction (one u64 per cycle
-// class throughput) when the CPU has it, otherwise a slicing-by-8 table
-// fallback. Seed chaining composes: crc32c(b, crc32c(a)) == crc32c(a || b).
+// Dispatch (common/cpu.h): the SSE4.2 crc32 instruction when the CPU has
+// it, otherwise a slicing-by-8 table fallback. One chain of crc32 is bound
+// by the instruction's latency (3 cycles per u64), not its throughput (1
+// per cycle), so inputs of at least three lanes run three independent
+// chains over the three lanes of each block and join them with a
+// precomputed zero-extension operator (the layout of Mark Adler's
+// crc32c.c); shorter inputs and the tail run one chain. Seed chaining
+// composes: crc32c(b, crc32c(a)) == crc32c(a || b).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
 
 namespace unidrive::crypto {
+
+// Bytes per lane of the hardware kernel's three-chain blocks.
+inline constexpr std::size_t kCrc32cLaneBytes = 4096;
 
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) noexcept;
 

@@ -95,6 +95,12 @@ void TransferEngine<Scheduler, FileSpec>::wait() {
 }
 
 template <class Scheduler, class FileSpec>
+std::size_t TransferEngine<Scheduler, FileSpec>::in_flight() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return outstanding_;
+}
+
+template <class Scheduler, class FileSpec>
 bool TransferEngine<Scheduler, FileSpec>::cancelled() const {
   std::lock_guard<std::mutex> guard(lock_);
   return cancelled_;

@@ -32,7 +32,11 @@
 //    *decided* segments.
 //
 // cancel() stops all future assignment; transfers already running finish
-// (cloud calls are not interruptible) and are awaited by wait().
+// (cloud calls are not interruptible) and are awaited by wait(). An owner
+// that must not wait — the restore pipeline, once every segment is decided
+// — cancels, returns, and polls in_flight() until the stragglers land; each
+// still runs its full completion (metering, monitor, scheduler books), and
+// a cancelled engine neither pumps nor arms a hedge timer.
 #pragma once
 
 #include <condition_variable>
@@ -109,6 +113,11 @@ class TransferEngine {
   // Blocks until the job is done: nothing in flight AND (cancelled, or
   // closed with the scheduler finished).
   void wait();
+
+  // The idle query: transfers launched and not yet completed, 0 when the
+  // engine is idle. Unlike wait() it never blocks, so an owner can return
+  // once the job's outcome is known and watch a cancelled engine drain.
+  [[nodiscard]] std::size_t in_flight() const;
 
   [[nodiscard]] bool cancelled() const;
 

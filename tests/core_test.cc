@@ -8,6 +8,7 @@
 
 #include "chunker/segmenter.h"
 #include "cloud/faulty_cloud.h"
+#include "cloud/latent_cloud.h"
 #include "cloud/memory_cloud.h"
 #include "common/rng.h"
 #include "core/change_scanner.h"
@@ -225,6 +226,14 @@ class RecordingCloud final : public cloud::CloudProvider {
     std::lock_guard<std::mutex> g(mu_);
     return static_cast<std::size_t>(
         std::count(downloads_.begin(), downloads_.end(), path));
+  }
+  [[nodiscard]] std::size_t data_downloads() const {
+    std::lock_guard<std::mutex> g(mu_);
+    return static_cast<std::size_t>(
+        std::count_if(downloads_.begin(), downloads_.end(),
+                      [](const std::string& path) {
+                        return path.starts_with(metadata::kDataDir);
+                      }));
   }
 
  private:
@@ -1104,6 +1113,187 @@ TEST_F(ClientTest, PullReadsTheRootOnce) {
   EXPECT_TRUE(pull.value().applied_cloud);
   EXPECT_EQ(root_reads(), 2 * clouds_.size());
   EXPECT_NE(reader.image().find_file("/g"), nullptr);
+}
+
+// --- early return of a restore -----------------------------------------------
+
+// One device's links to the five clouds: the downlink to cloud 4 crawls
+// (a data block takes over a second on it), the other four are free. Each
+// link sits over a RecordingCloud, which counts a download when it
+// launches; the client meters it when it completes. The waits are link
+// time on the timer wheel, so no pool thread sleeps through them.
+cloud::MultiCloud crawling_links(
+    const cloud::MultiCloud& clouds,
+    std::vector<std::shared_ptr<RecordingCloud>>* recorders) {
+  cloud::MultiCloud links;
+  for (const cloud::CloudPtr& c : clouds) {
+    recorders->push_back(std::make_shared<RecordingCloud>(c));
+    cloud::LinkProfile link;
+    if (c->id() == 4) link.down_bytes_per_sec = 8 << 10;
+    links.push_back(
+        std::make_shared<cloud::LatentCloud>(recorders->back(), link));
+  }
+  return links;
+}
+
+// One connection per cloud: a cold restore puts exactly one block on each
+// cloud at its first pump, cloud 4 included.
+ClientConfig crawl_config(const std::string& device) {
+  ClientConfig cfg = test_config(device);
+  cfg.driver.connections_per_cloud = 1;
+  return cfg;
+}
+
+// Data-block fetches launched on cloud 4 that the client has not seen
+// complete.
+std::uint64_t crawling_fetches(const RecordingCloud& cloud4,
+                               const obs::Observability& obs) {
+  const obs::MetricsSnapshot snap = obs.metrics.snapshot();
+  return cloud4.data_downloads() -
+         snap.counter_value("cloud.cloud4.download.data.ok") -
+         snap.counter_value("cloud.cloud4.download.data.err");
+}
+
+// A cold pull over the crawling links: it applies `content` at /f and
+// returns while cloud 4's redundant fetch is still in flight.
+void pull_before_crawler_lands(UniDriveClient& reader, const LocalFs& fs,
+                               const RecordingCloud& cloud4,
+                               const Bytes& content) {
+  const auto pull = reader.sync();
+  const std::uint64_t left = crawling_fetches(cloud4, *reader.observability());
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_TRUE(pull.value().applied_cloud);
+  EXPECT_EQ(fs.read("/f").value(), content);
+  EXPECT_GE(left, 1u) << "the pull waited out the crawling fetch";
+  EXPECT_GE(counter(reader, "restore.detached_fetches"), left);
+}
+
+// A pull returns once every segment is decided. On a cold start the reader
+// puts a block on every cloud; the free links decide every segment and
+// hedge the block crawling on cloud 4, so that fetch is redundant and must
+// not hold the pull. A second sync works while it is still parked, and
+// destroying the client waits it out.
+TEST_F(ClientTest, PullReturnsBeforeSlowLinkFetchesLand) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto writer = make_client("devA", fs_a);
+  Rng rng(81);
+  const Bytes content = rng.bytes(400000);
+  ASSERT_TRUE(fs_a->write("/f", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(writer->sync().is_ok());
+
+  {
+    std::vector<std::shared_ptr<RecordingCloud>> recorders;
+    auto fs_b = std::make_shared<MemoryLocalFs>();
+    UniDriveClient reader(crawling_links(clouds_, &recorders), fs_b,
+                          crawl_config("devB"));
+    pull_before_crawler_lands(reader, *fs_b, *recorders[4], content);
+    const auto again = reader.sync();
+    ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+    EXPECT_FALSE(again.value().committed);
+    EXPECT_FALSE(again.value().applied_cloud);
+    EXPECT_EQ(fs_b->read("/f").value(), content);
+  }
+
+  std::vector<std::shared_ptr<RecordingCloud>> recorders;
+  auto fs_c = std::make_shared<MemoryLocalFs>();
+  obs::ObsPtr obs;
+  {
+    UniDriveClient reader(crawling_links(clouds_, &recorders), fs_c,
+                          crawl_config("devC"));
+    obs = reader.observability();
+    pull_before_crawler_lands(reader, *fs_c, *recorders[4], content);
+  }
+  EXPECT_EQ(crawling_fetches(*recorders[4], *obs), 0u)
+      << "the client was destroyed under a fetch in flight";
+}
+
+// Repair and rebalance reconstruct segments through the same restore, so a
+// reconstruction returns early too. The client has measured no download
+// yet; with one connection per cloud and only the blocks on cloud 4 and
+// on two free clouds (one holding two blocks) trusted, its first pump puts
+// a block on cloud 4, and the free cloud's second block then hedges it.
+// segment_content's scratch folder is gone before that fetch lands.
+TEST_F(ClientTest, ReconstructSegmentReturnsBeforeSlowLinkFetchLands) {
+  std::vector<std::shared_ptr<RecordingCloud>> recorders;
+  auto fs = std::make_shared<MemoryLocalFs>();
+  obs::ObsPtr obs;
+  {
+    UniDriveClient client(crawling_links(clouds_, &recorders), fs,
+                          crawl_config("devA"));
+    obs = client.observability();
+    Rng rng(82);
+    const Bytes content = rng.bytes(400000);
+    ASSERT_TRUE(fs->write("/f", ByteSpan(content)).is_ok());
+    ASSERT_TRUE(client.sync().is_ok());
+    ASSERT_TRUE(fs->remove("/f").is_ok());  // no local copy to read
+
+    // The first segment with a free cloud holding two of its blocks.
+    std::uint64_t offset = 0;
+    for (const std::string& id : client.image().files().at("/f").segment_ids) {
+      const metadata::SegmentInfo& seg = *client.image().find_segment(id);
+      std::map<cloud::CloudId, std::size_t> held;
+      for (const metadata::BlockLocation& loc : seg.blocks) ++held[loc.cloud];
+      const auto twin = std::find_if(held.begin(), held.end(), [](auto& h) {
+        return h.first != 4 && h.second >= 2;
+      });
+      const auto other = std::find_if(held.begin(), held.end(), [&](auto& h) {
+        return h.first != 4 && h.first != twin->first;
+      });
+      if (twin == held.end() || other == held.end() || held.count(4) == 0) {
+        offset += seg.size;
+        continue;
+      }
+      std::vector<metadata::BlockLocation> exclude;
+      for (const metadata::BlockLocation& loc : seg.blocks) {
+        if (loc.cloud != 4 && loc.cloud != twin->first &&
+            loc.cloud != other->first) {
+          exclude.push_back(loc);
+        }
+      }
+      const auto plain = client.reconstruct_segment(id, exclude);
+      const std::uint64_t left = crawling_fetches(*recorders[4], *obs);
+      ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+      EXPECT_EQ(plain.value(),
+                Bytes(content.begin() + static_cast<long>(offset),
+                      content.begin() + static_cast<long>(offset + seg.size)));
+      EXPECT_GE(left, 1u) << "the reconstruction waited out cloud 4";
+      break;
+    }
+    ASSERT_GE(counter(client, "restore.detached_fetches"), 1u)
+        << "no segment had the placement this test needs";
+  }
+  EXPECT_EQ(crawling_fetches(*recorders[4], *obs), 0u);
+}
+
+// A membership change while a pull's redundant fetch is parked: the parked
+// restore is drained before rebuild_guards() replaces the executor and the
+// async clouds its fetch runs on, and the rebalance onto the new cloud
+// works.
+TEST_F(ClientTest, MembershipChangeDrainsParkedRestore) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto writer = make_client("devA", fs_a);
+  Rng rng(83);
+  const Bytes content = rng.bytes(400000);
+  ASSERT_TRUE(fs_a->write("/f", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(writer->sync().is_ok());
+
+  std::vector<std::shared_ptr<RecordingCloud>> recorders;
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  UniDriveClient reader(crawling_links(clouds_, &recorders), fs_b,
+                        crawl_config("devB"));
+  pull_before_crawler_lands(reader, *fs_b, *recorders[4], content);
+
+  auto joining = std::make_shared<cloud::MemoryCloud>(5, "cloud5");
+  ASSERT_TRUE(reader.add_cloud(joining).is_ok());
+  EXPECT_EQ(crawling_fetches(*recorders[4], *reader.observability()), 0u);
+  EXPECT_FALSE(joining->list(metadata::kDataDir).value().empty());
+
+  ASSERT_TRUE(fs_a->write("/g", ByteSpan(rng.bytes(30000))).is_ok());
+  auto up = writer->sync();
+  ASSERT_TRUE(up.is_ok()) << up.status().to_string();
+  auto pull = reader.sync();
+  ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
+  EXPECT_EQ(fs_b->read("/g").value(), fs_a->read("/g").value());
 }
 
 }  // namespace

@@ -175,6 +175,34 @@ TEST(Crc32cKernelTest, MatchesSoftwareReference) {
   }
 }
 
+// The dispatched kernel (three chains over the lanes of each three-lane
+// block, one chain for the rest) against the table reference: every length
+// through one full block and past it, and +-8 bytes around each lane
+// boundary of the first two blocks at every start alignment 0-7, each with
+// a random seed.
+TEST(Crc32cKernelTest, LaneBoundariesMatchSoftwareReference) {
+  constexpr std::size_t kLane = crypto::kCrc32cLaneBytes;
+  constexpr std::size_t kBlock = 3 * kLane;
+  Rng rng(test_seed(0xc3e));
+  const Bytes buf = rng.bytes(2 * kBlock + 16);
+  for (std::size_t len = 0; len <= kBlock + 64; ++len) {
+    const ByteSpan view = ByteSpan(buf).first(len);
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(crypto::crc32c(view, seed), crypto::crc32c_sw(view, seed))
+        << "len=" << len;
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t edge = kLane; edge <= 2 * kBlock; edge += kLane) {
+      for (std::size_t len = edge - 8; len <= edge + 8; ++len) {
+        const ByteSpan view = ByteSpan(buf).subspan(offset, len);
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        ASSERT_EQ(crypto::crc32c(view, seed), crypto::crc32c_sw(view, seed))
+            << "len=" << len << " off=" << offset;
+      }
+    }
+  }
+}
+
 TEST(Crc32cKernelTest, ChainingComposesAcrossRandomSplits) {
   Rng rng(test_seed(0xc3d));
   for (int iter = 0; iter < 100; ++iter) {

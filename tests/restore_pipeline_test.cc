@@ -795,8 +795,8 @@ TEST(RestorePipelineTest, HedgeTimerRescuesABlockStalledPastItsP95) {
                             PipelineConfig{}, fs, nullptr, obs);
   const auto start = std::chrono::steady_clock::now();
   pipeline.add_file(snap, image);
-  // The file commits once its segment decodes, before finish() drains the
-  // stalled request.
+  // The file commits once its segment decodes, while the stalled request
+  // still hangs.
   bool restored = false;
   for (int spin = 0; spin < 5000 && !restored; ++spin) {
     restored = fs.read("/stall.bin").is_ok();
@@ -815,6 +815,77 @@ TEST(RestorePipelineTest, HedgeTimerRescuesABlockStalledPastItsP95) {
   ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
   EXPECT_EQ(fs.read("/stall.bin").value(), content);
   EXPECT_EQ(obs->metrics.snapshot().counter_value("driver.hedge_tasks"), 1u);
+}
+
+// finish() returns once every segment is decided, not once every launched
+// fetch has landed: the block stalled on cloud 0 was hedged and made
+// redundant, so it must not hold the restore. It lands after the return,
+// the pipeline then reads drained(), and the destructor returns.
+TEST(RestorePipelineTest, FinishReturnsBeforeRedundantFetchLands) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(3);
+  metadata::SyncFolderImage image;
+  Rng rng(50);
+
+  const Bytes content = rng.bytes(theta);  // one segment, block b on cloud b
+  const auto snap =
+      publish_file("/early.bin", content, theta, code, 3, clouds, image);
+
+  HangGate gate;
+  cloud::FaultProfile hang_profile;
+  hang_profile.hang_rate = 1.0;
+  hang_profile.hang_seconds = 1.0;
+  auto stalling = std::make_shared<cloud::FaultyCloud>(
+      clouds[0], hang_profile, /*seed=*/1, [&gate](Duration) { gate.wait(); });
+  const cloud::MultiCloud providers = {stalling, clouds[1], clouds[2]};
+
+  // As in HedgeTimerRescuesABlockStalledPastItsP95: cloud 0 ranks first and
+  // takes a block, which turns overdue at ~0.2 s and is hedged.
+  sched::ThroughputMonitor monitor;
+  monitor.record(0, sched::Direction::kDownload, 32 << 10, 0.2);
+  monitor.record(1, sched::Direction::kDownload, 32 << 10, 0.3);
+  monitor.record(2, sched::Direction::kDownload, 32 << 10, 0.4);
+
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(providers, executor.get());
+  auto obs = std::make_shared<obs::Observability>();
+  MemoryLocalFs fs;
+  const auto start = std::chrono::steady_clock::now();
+  // Opens the gate after 2 s, whether or not finish() returned.
+  std::jthread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    gate.release();
+  });
+  {
+    DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
+                              monitor, executor, async_lookup(twins),
+                              PipelineConfig{}, fs, nullptr, obs);
+    pipeline.add_file(snap, image);
+    const auto results = pipeline.finish();
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(elapsed, 1.0) << "finish() waited out the redundant fetch";
+    EXPECT_FALSE(pipeline.drained());
+    EXPECT_EQ(
+        obs->metrics.snapshot().counter_value("restore.detached_fetches"),
+        1u);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.message();
+    EXPECT_EQ(fs.read("/early.bin").value(), content);
+
+    opener.join();
+    for (int spin = 0; spin < 5000 && !pipeline.drained(); ++spin) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    EXPECT_TRUE(pipeline.drained());
+  }
+  EXPECT_EQ(stalling->hangs(), 1u);
+  // The late completion still ran the engine's bookkeeping.
+  EXPECT_EQ(obs->metrics.snapshot().counter_value("driver.down.cloud0.ok"),
+            1u);
 }
 
 // Cancel mid-flight with completion-based fetches wedged in an injected
