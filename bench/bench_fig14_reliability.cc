@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -156,8 +157,7 @@ std::unique_ptr<RepairWorld> make_repair_world(std::uint64_t seed) {
   return world;
 }
 
-// A referenced placement, addressable identically in both worlds (same
-// seeds, same data -> the committed images are identical).
+// A referenced placement of one world's image.
 struct Placement {
   std::string segment_id;
   std::uint32_t block_index = 0;
@@ -280,7 +280,9 @@ bool run_repair_curve() {
   std::printf("\n=== Figure 14b: durability under silent defects, "
               "scrub-and-repair on vs off ===\n\n");
 
-  // Two identical worlds (same seeds -> same placements); only one heals.
+  // Two worlds with the same seeds and data; only one heals. Over-provisioned
+  // placements follow upload completion order, so each world is trimmed to
+  // its fair share: both then start equally redundant.
   auto on = make_repair_world(97000);
   auto off = make_repair_world(97000);
   std::map<std::string, Bytes> files;
@@ -292,8 +294,9 @@ bool run_repair_curve() {
     for (const auto& [path, content] : files) {
       (void)world->fs->write(path, ByteSpan(content));
     }
-    if (!world->client->sync().is_ok()) {
-      std::fprintf(stderr, "seed sync failed\n");
+    if (!world->client->sync().is_ok() ||
+        !world->client->cleanup_overprovisioned().is_ok()) {
+      std::fprintf(stderr, "seed sync or trim failed\n");
       return false;
     }
   }
@@ -320,27 +323,37 @@ bool run_repair_curve() {
   std::printf("%-7d %18zu %18zu %16zu %16zu\n", 0, full.min_surviving,
               full.min_surviving, std::size_t{0}, std::size_t{0});
 
-  // Identical injections each round: 2 blocks dropped on cloud 1, 2 blocks
-  // rotted on cloud 3 (the "2 of N misbehaving providers" scenario). The
-  // ON world then scrubs and drains its repair backlog.
+  // Each round injects into each world 2 drops on cloud 1 and 2 rots on
+  // cloud 3 (the "2 of N misbehaving providers" scenario). The
+  // ON world then scrubs and drains its repair backlog. Each world picks
+  // its victims from its own image, with identically seeded draws: which
+  // block index a cloud holds also follows completion order, so a path
+  // taken from one world's image may name no block in the other's.
   std::vector<GroundTruth> curve_on, curve_off;
   std::size_t injected_drops = 0, injected_rots = 0;
-  Rng pick(31337);
+  Rng pick_on(31337);
+  Rng pick_off(31337);
+  const auto inject = [](RepairWorld& world, Rng& pick) {
+    std::size_t drops = 0, rots = 0;
+    const auto drop_victims = placements_on(world.client->image(), 1);
+    const auto rot_victims = placements_on(world.client->image(), 3);
+    for (int j = 0; j < 2 && !drop_victims.empty(); ++j) {
+      const Placement& p = drop_victims[pick.next_below(drop_victims.size())];
+      const std::string path = metadata::block_path(p.segment_id, p.block_index);
+      if (world.faulty[1]->drop_stored(path).is_ok()) ++drops;
+    }
+    for (int j = 0; j < 2 && !rot_victims.empty(); ++j) {
+      const Placement& p = rot_victims[pick.next_below(rot_victims.size())];
+      const std::string path = metadata::block_path(p.segment_id, p.block_index);
+      if (world.faulty[3]->rot_stored(path).is_ok()) ++rots;
+    }
+    return std::pair{drops, rots};
+  };
   for (int round = 1; round <= kDefectRounds; ++round) {
-    const auto drops = placements_on(on->client->image(), 1);
-    const auto rots = placements_on(on->client->image(), 3);
-    for (int j = 0; j < 2 && !drops.empty(); ++j) {
-      const Placement& p = drops[pick.next_below(drops.size())];
-      const std::string path = metadata::block_path(p.segment_id, p.block_index);
-      if (on->faulty[1]->drop_stored(path).is_ok()) ++injected_drops;
-      (void)off->faulty[1]->drop_stored(path);
-    }
-    for (int j = 0; j < 2 && !rots.empty(); ++j) {
-      const Placement& p = rots[pick.next_below(rots.size())];
-      const std::string path = metadata::block_path(p.segment_id, p.block_index);
-      if (on->faulty[3]->rot_stored(path).is_ok()) ++injected_rots;
-      (void)off->faulty[3]->rot_stored(path);
-    }
+    const auto [drops, rots] = inject(*on, pick_on);
+    injected_drops += drops;
+    injected_rots += rots;
+    (void)inject(*off, pick_off);
 
     (void)scrubber.run_pass();
     on->clock.advance(30.0);  // detection -> repair pacing gap (MTTR)

@@ -3,12 +3,33 @@
 #include <algorithm>
 #include <set>
 
-#include "crypto/sha1.h"
+#include "crypto/convergent.h"
 
 namespace unidrive::core {
 
 using metadata::Change;
 using metadata::FileSnapshot;
+
+namespace {
+
+// True when `data` is exactly `snapshot`'s committed segments, each range
+// checked against its id (one hash pass, no CDC, whatever theta is now).
+// A segment the pool does not describe leaves the file unproven.
+bool holds_committed_segments(const metadata::SyncFolderImage& image,
+                              const FileSnapshot& snapshot, ByteSpan data) {
+  std::uint64_t offset = 0;
+  for (const std::string& id : snapshot.segment_ids) {
+    const metadata::SegmentInfo* seg = image.find_segment(id);
+    if (seg == nullptr || seg->size > data.size() - offset) return false;
+    if (!crypto::verify_segment_id(id, data.subspan(offset, seg->size))) {
+      return false;
+    }
+    offset += seg->size;
+  }
+  return offset == data.size();
+}
+
+}  // namespace
 
 const std::string* ScanCache::lookup(const std::string& path,
                                      std::uint64_t size, double mtime) const {
@@ -55,21 +76,36 @@ ScanResult scan_local_changes(const LocalFs& fs,
     if (!content.is_ok()) continue;
     const Bytes& data = content.value();
     ++result.files_hashed;
-    const std::string hash = crypto::Sha1::hex(ByteSpan(data));
-    if (cache != nullptr) cache->update(path, data.size(), mtime, hash);
-    if (known != nullptr && known->content_hash == hash) continue;
+    // Unchanged when the bytes still are the committed segments. The
+    // snapshot keeps its own content hash, legacy SHA-1 included, so a
+    // folder committed before segment-list hashes never re-commits.
+    if (known != nullptr && known->size == data.size() &&
+        holds_committed_segments(image, *known, ByteSpan(data))) {
+      if (cache != nullptr) {
+        cache->update(path, data.size(), mtime, known->content_hash);
+      }
+      continue;
+    }
 
+    const std::vector<chunker::Segment> segments =
+        chunker::segment_file(ByteSpan(data), seg_params);
     FileSnapshot snapshot;
     snapshot.path = path;
     snapshot.size = data.size();
     snapshot.mtime = mtime;
-    snapshot.content_hash = hash;
     snapshot.origin_device = device;
-
-    const std::vector<chunker::Segment> segments =
-        chunker::segment_file(ByteSpan(data), seg_params);
     for (const chunker::Segment& seg : segments) {
       snapshot.segment_ids.push_back(seg.id);
+    }
+    snapshot.content_hash = crypto::file_content_hash(snapshot.segment_ids);
+    if (cache != nullptr) {
+      cache->update(path, data.size(), mtime, snapshot.content_hash);
+    }
+    if (known != nullptr && known->content_hash == snapshot.content_hash) {
+      continue;
+    }
+
+    for (const chunker::Segment& seg : segments) {
       // Dedup: only segments unknown to the pool (and not already scheduled
       // in this scan) need uploading.
       if (image.find_segment(seg.id) != nullptr) continue;

@@ -2,8 +2,11 @@
 // the last committed metadata image (the role of the native apps' file
 // watcher; scan-based so it works identically on every LocalFs backend).
 //
-// Files whose size and content hash match their image snapshot are
-// unchanged; everything else produces a ChangedFileList entry. The scanner
+// A file is unchanged when its bytes still are its snapshot's committed
+// segments, each range checked against its segment id; otherwise CDC
+// segments it and its content hash is minted from the new segment ids
+// (crypto::file_content_hash), so no byte is hashed twice. Everything that
+// differs from its snapshot produces a ChangedFileList entry. The scanner
 // also streams the *new* segments of added/edited files (dedup against the
 // pool) to a sink, so the data plane encodes and uploads exactly those.
 #pragma once
@@ -28,10 +31,12 @@ struct ScanResult {
   std::size_t files_hashed = 0;  // cache misses (had to read + hash)
 };
 
-// Fingerprint cache: maps (path, size, mtime) to the last computed content
-// hash so repeated scans of an unchanged folder read nothing. Backends with
-// coarse mtimes still work — a content change without an mtime/size change
-// is missed until either moves, the same trade-off real sync clients make.
+// Fingerprint cache: maps (path, size, mtime) to the content hash the
+// file's bytes last matched — its snapshot's own hash when the segment
+// walk proved it unchanged, else the hash minted for it — so repeated
+// scans of an unchanged folder read nothing. Backends with coarse mtimes
+// still work — a content change without an mtime/size change is missed
+// until either moves, the same trade-off real sync clients make.
 class ScanCache {
  public:
   // Returns the cached content hash, or nullptr on miss.

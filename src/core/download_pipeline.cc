@@ -203,6 +203,7 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
     f.path = snapshot.path;
     f.expected_size = snapshot.size;
     f.content_hash = snapshot.content_hash;
+    f.hash_kind = crypto::content_hash_kind(f.content_hash);
     f.segs = snapshot.segment_ids;
     ++open_files_;
     auto writer = fs_.open_write(snapshot.path);
@@ -482,7 +483,9 @@ void DownloadPipeline::advance_file_locked(std::size_t file_index) {
         return;
       }
     }
-    f.hasher.update(ByteSpan(seg.plain));
+    if (f.hash_kind == crypto::ContentHashKind::kLegacySha1) {
+      f.hasher.update(ByteSpan(seg.plain));
+    }
     f.written += seg.plain.size();
     ++f.next_write;
     consume_waiter_locked(seg_id);
@@ -534,11 +537,7 @@ void DownloadPipeline::finalize_file_locked(FileState& f) {
     f.writer->abort();
     f.status = make_error(ErrorCode::kCorrupt,
                           "assembled size mismatch for " + f.path);
-  } else if (!f.content_hash.empty() &&
-             [&] {
-               const crypto::Sha1::Digest d = f.hasher.finish();
-               return to_hex(ByteSpan(d.data(), d.size())) != f.content_hash;
-             }()) {
+  } else if (!content_hash_matches(f)) {
     f.writer->abort();
     f.status = make_error(ErrorCode::kCorrupt,
                           "content hash mismatch for " + f.path);
@@ -551,6 +550,23 @@ void DownloadPipeline::finalize_file_locked(FileState& f) {
   // into the folder it restored into.
   f.writer.reset();
   cv_.notify_all();
+}
+
+bool DownloadPipeline::content_hash_matches(FileState& f) {
+  switch (f.hash_kind) {
+    case crypto::ContentHashKind::kNone:
+      return true;
+    case crypto::ContentHashKind::kSegmentList:
+      // Each written segment matched its id, so the ids stand for the bytes.
+      return crypto::file_content_hash(f.segs) == f.content_hash;
+    case crypto::ContentHashKind::kLegacySha1: {
+      const crypto::Sha1::Digest d = f.hasher.finish();
+      return to_hex(ByteSpan(d.data(), d.size())) == f.content_hash;
+    }
+    case crypto::ContentHashKind::kMalformed:
+      return false;
+  }
+  return false;
 }
 
 std::vector<DownloadPipeline::FileResult> DownloadPipeline::finish() {

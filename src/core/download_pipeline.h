@@ -37,8 +37,11 @@
 // distinct block from the driver, retry every k-subset — until a clean
 // subset decodes or supply runs out. Completed files additionally verify
 // total size and the snapshot's content hash before the FileWriter
-// commits; a failed file never leaves a partial write behind (the writer
-// aborts).
+// commits. With every segment verified, a segment-list hash is checked
+// against the snapshot's id list, so no written byte is hashed again; only
+// a legacy whole-file SHA-1 hash re-hashes the bytes as they are written;
+// an empty hash checks nothing and a malformed one fails (kCorrupt). A
+// failed file never leaves a partial write behind (the writer aborts).
 //
 // One long-lived scheduler/driver pair serves the whole batch: per-cloud
 // connection pools stay busy across segment and file boundaries, and
@@ -70,6 +73,7 @@
 #include "common/executor.h"
 #include "core/local_fs.h"
 #include "core/upload_pipeline.h"  // PipelineConfig, FindAsyncCloudFn
+#include "crypto/convergent.h"
 #include "crypto/sha1.h"
 #include "erasure/rs.h"
 #include "metadata/image.h"
@@ -184,11 +188,12 @@ class DownloadPipeline {
     std::string path;
     std::uint64_t expected_size = 0;
     std::string content_hash;
+    crypto::ContentHashKind hash_kind = crypto::ContentHashKind::kNone;
     std::vector<std::string> segs;  // segment ids, snapshot order
     std::size_t admitted = 0;       // prefix of segs fed to the driver
     std::size_t next_write = 0;     // next position to append
     std::unique_ptr<LocalFs::FileWriter> writer;  // released once closed
-    crypto::Sha1 hasher;
+    crypto::Sha1 hasher;  // fed only for a legacy whole-file SHA-1 hash
     std::uint64_t written = 0;
     Status status = Status::ok();
     double mtime = 0;     // of the committed bytes
@@ -223,6 +228,8 @@ class DownloadPipeline {
   void advance_file_locked(std::size_t file_index);
   void fail_file_locked(FileState& file, Status status);
   void finalize_file_locked(FileState& file);
+  // The completed file's bytes against its snapshot's content hash.
+  static bool content_hash_matches(FileState& file);
   void consume_waiter_locked(const std::string& seg_id);
   void maybe_release_segment_locked(const std::string& seg_id);
   void release_bytes(std::size_t n);

@@ -1,7 +1,9 @@
 #include "crypto/convergent.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
 
 #include "crypto/aes.h"
 #include "crypto/sha1.h"
@@ -62,6 +64,38 @@ bool verify_segment_id(std::string_view id, ByteSpan plaintext) {
       return false;
   }
   return false;
+}
+
+ContentHashKind content_hash_kind(std::string_view hash) noexcept {
+  if (hash.empty()) return ContentHashKind::kNone;
+  switch (segment_id_kind(hash)) {
+    case SegmentIdKind::kSha256:
+      return ContentHashKind::kSegmentList;
+    case SegmentIdKind::kLegacySha1:
+      return ContentHashKind::kLegacySha1;
+    case SegmentIdKind::kUnknown:
+      break;
+  }
+  return ContentHashKind::kMalformed;
+}
+
+std::string file_content_hash(const std::vector<std::string>& segment_ids) {
+  Sha256 h;
+  static constexpr char kDomain[] = "unidrive.file.v1";
+  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(kDomain),
+                    sizeof(kDomain) - 1));
+  for (const std::string& id : segment_ids) {
+    std::array<std::uint8_t, 8> length{};
+    std::uint64_t n = id.size();
+    for (auto it = length.rbegin(); it != length.rend(); ++it, n >>= 8) {
+      *it = static_cast<std::uint8_t>(n & 0xff);
+    }
+    h.update(ByteSpan(length.data(), length.size()));
+    h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(id.data()),
+                      id.size()));
+  }
+  const Sha256::Digest d = h.finish();
+  return to_hex(ByteSpan(d.data(), d.size()));
 }
 
 std::string storage_address(std::string_view id) {

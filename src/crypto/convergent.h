@@ -19,6 +19,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -38,6 +39,25 @@ enum class SegmentIdKind {
 
 // True when `plaintext` hashes to `id` under the id's own hash family.
 [[nodiscard]] bool verify_segment_id(std::string_view id, ByteSpan plaintext);
+
+// A file's content hash names its bytes through its segment ids: each
+// segment is already verified against its id, so the ordered id list pins
+// the whole file and nothing re-hashes its bytes. Snapshots committed
+// before that carry a SHA-1 of the whole file, which still verifies.
+enum class ContentHashKind {
+  kNone,         // empty: nothing to check (e.g. a one-segment repair read)
+  kSegmentList,  // 64 hex chars: file_content_hash over the segment ids
+  kLegacySha1,   // 40 hex chars: SHA-1 of the whole file's bytes
+  kMalformed,    // anything else: matches no content
+};
+
+[[nodiscard]] ContentHashKind content_hash_kind(std::string_view hash) noexcept;
+
+// Canonical content hash for newly minted snapshots, as 64 lowercase hex:
+// SHA-256 over the tag "unidrive.file.v1" and then, for each id in order,
+// its length as 8 big-endian bytes followed by its characters.
+[[nodiscard]] std::string file_content_hash(
+    const std::vector<std::string>& segment_ids);
 
 // Data-plane name stem of a segment's block objects. The convergent key IS
 // the id's leading bytes, so the id must never appear on the shared /data

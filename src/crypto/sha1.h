@@ -1,9 +1,9 @@
-// SHA-1 (FIPS 180-4). The whole-file content hash: the scanner fingerprints
-// every file with it and restore verifies each reassembled file against it.
-// Segment ids are SHA-256 (crypto/sha256.h); legacy 40-hex SHA-1 segment
-// ids (crypto/convergent.h) still verify through this class, and the DES
-// baseline derives its passphrase key and CBC IV from it. SHA-1's collision
-// resistance is not load-bearing here; it is an identifier, as in the paper.
+// SHA-1 (FIPS 180-4). Segment ids and file content hashes are SHA-256
+// (crypto/convergent.h); legacy 40-hex SHA-1 segment ids and legacy
+// whole-file SHA-1 content hashes, from snapshots committed before them,
+// still verify through this class, and the DES baseline derives its
+// passphrase key and CBC IV from it. SHA-1's collision resistance is not
+// load-bearing here; it is an identifier, as in the paper.
 //
 // Dispatch (common/cpu.h): SHA-NI (sha1rnds4 and the message-schedule
 // instructions, fully unrolled) when the CPU has it, otherwise the portable

@@ -1,7 +1,8 @@
 // SHA-256 (FIPS 180-4). A segment's id is the SHA-256 of its plaintext
 // (crypto/convergent.h): the id keys the convergent seal, domain-separated
-// SHA-256s of it give the seal nonce and the one-way storage address, and
-// restore re-hashes every opened segment against its id. The metadata
+// SHA-256s of it give the seal nonce and the one-way storage address,
+// restore re-hashes every opened segment against its id, and a file's
+// content hash is a domain-separated SHA-256 over its ids. The metadata
 // envelope (metadata/codec.h) carries a SHA-256 of its payload, and the
 // AES/ChaCha20 passphrase keys are SHA-256 truncations.
 //

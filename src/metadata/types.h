@@ -40,7 +40,9 @@ struct FileSnapshot {
   std::string path;              // normalized "/docs/a.txt"
   double mtime = 0.0;            // local modification time (informational)
   std::uint64_t size = 0;        // total file size in bytes
-  std::string content_hash;      // SHA-1 hex of the whole file
+  // crypto::file_content_hash of segment_ids (64 hex); snapshots committed
+  // before it carry a SHA-1 hex of the whole file (40 hex).
+  std::string content_hash;
   std::vector<std::string> segment_ids;
   std::string origin_device;     // device that produced this snapshot
 

@@ -15,6 +15,8 @@
 #include "core/client.h"
 #include "core/sync_daemon.h"
 #include "core/local_fs.h"
+#include "crypto/convergent.h"
+#include "crypto/sha1.h"
 
 namespace unidrive::core {
 namespace {
@@ -112,14 +114,32 @@ TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
 // handed over twice would appear twice).
 using SunkSegments = std::vector<std::pair<std::string, Bytes>>;
 
-// Scans at theta = 64 KiB, collecting new segments into `sunk` when given.
+// Scans at `theta` (64 KiB by default), collecting new segments into
+// `sunk` when given.
 ScanResult scan(const LocalFs& fs, const metadata::SyncFolderImage& image,
-                ScanCache* cache = nullptr, SunkSegments* sunk = nullptr) {
+                ScanCache* cache = nullptr, SunkSegments* sunk = nullptr,
+                std::size_t theta = 64 << 10) {
   return scan_local_changes(
-      fs, image, chunker::SegmenterParams{64 << 10}, "dev", cache,
+      fs, image, chunker::SegmenterParams{theta}, "dev", cache,
       [sunk](const std::string& id, Bytes bytes) {
         if (sunk != nullptr) sunk->emplace_back(id, std::move(bytes));
       });
+}
+
+// Commits `result`'s changes and sunk segments into `image`, as a sync
+// round would.
+void commit_scan(const ScanResult& result, const SunkSegments& sunk,
+                 metadata::SyncFolderImage& image) {
+  for (const metadata::Change& c : result.changes.changes()) {
+    apply_change(image, c);
+  }
+  for (const auto& [id, data] : sunk) {
+    metadata::SegmentInfo seg;
+    seg.id = id;
+    seg.size = data.size();
+    seg.refcount = 1;
+    image.upsert_segment(seg);
+  }
 }
 
 TEST(ChangeScannerTest, DetectsAdditions) {
@@ -146,16 +166,7 @@ TEST(ChangeScannerTest, UnchangedFileNotReported) {
   ASSERT_TRUE(fs.write("/f", ByteSpan(content)).is_ok());
   metadata::SyncFolderImage image;
   SunkSegments sunk;
-  const ScanResult first = scan(fs, image, nullptr, &sunk);
-  for (const metadata::Change& c : first.changes.changes()) {
-    apply_change(image, c);
-  }
-  for (const auto& [id, data] : sunk) {
-    metadata::SegmentInfo seg;
-    seg.id = id;
-    seg.size = data.size();
-    image.upsert_segment(seg);
-  }
+  commit_scan(scan(fs, image, nullptr, &sunk), sunk, image);
   const ScanResult second = scan(fs, image);
   EXPECT_TRUE(second.changes.empty());
 }
@@ -186,6 +197,109 @@ TEST(ChangeScannerTest, DedupAcrossIdenticalFiles) {
   EXPECT_EQ(result.touched.size(), 2u);
   // Identical content -> shared segments -> handed to the sink once.
   EXPECT_EQ(sunk.size(), 1u);
+}
+
+TEST(ChangeScannerTest, UnchangedFileIsRecognisedBySegmentIds) {
+  MemoryLocalFs fs;
+  Rng rng(4);
+  const Bytes content = rng.bytes(300000);
+  ASSERT_TRUE(fs.write("/f", ByteSpan(content)).is_ok());
+  metadata::SyncFolderImage image;
+  SunkSegments sunk;
+  commit_scan(scan(fs, image, nullptr, &sunk), sunk, image);
+  const metadata::FileSnapshot* known = image.find_file("/f");
+  ASSERT_NE(known, nullptr);
+  ASSERT_GT(known->segment_ids.size(), 1u);
+  EXPECT_EQ(known->content_hash, crypto::file_content_hash(known->segment_ids));
+
+  // Cold cache, and a theta at which CDC would cut other segments: only a
+  // check of the committed segments against the bytes finds no change.
+  ScanCache cache;
+  SunkSegments again;
+  const ScanResult rescan = scan(fs, image, &cache, &again, 16 << 10);
+  EXPECT_TRUE(rescan.changes.empty());
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(rescan.files_hashed, 1u);
+  const std::string* cached =
+      cache.lookup("/f", content.size(), fs.mtime("/f").value());
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(*cached, known->content_hash);
+}
+
+TEST(ChangeScannerTest, LegacySnapshotIsNotRecommitted) {
+  // A folder committed before segment-list hashes: a whole-file SHA-1
+  // content hash and SHA-1 segment ids at fixed 64 KiB offsets.
+  const std::size_t theta = 64 << 10;
+  MemoryLocalFs fs;
+  Rng rng(5);
+  const Bytes content = rng.bytes(3 * theta + 1000);
+  ASSERT_TRUE(fs.write("/legacy", ByteSpan(content)).is_ok());
+  metadata::SyncFolderImage image;
+  metadata::FileSnapshot snap;
+  snap.path = "/legacy";
+  snap.size = content.size();
+  snap.content_hash = crypto::Sha1::hex(ByteSpan(content));
+  for (std::size_t off = 0; off < content.size(); off += theta) {
+    const std::size_t len = std::min(theta, content.size() - off);
+    metadata::SegmentInfo seg;
+    seg.id = crypto::Sha1::hex(ByteSpan(content).subspan(off, len));
+    seg.size = len;
+    seg.refcount = 1;
+    image.upsert_segment(seg);
+    snap.segment_ids.push_back(seg.id);
+  }
+  image.upsert_file(snap);
+
+  ScanCache cache;  // cold
+  SunkSegments sunk;
+  const ScanResult first = scan(fs, image, &cache, &sunk);
+  EXPECT_TRUE(first.changes.empty());
+  EXPECT_TRUE(first.touched.empty());
+  EXPECT_TRUE(sunk.empty());
+  EXPECT_EQ(first.files_hashed, 1u);
+
+  // The cache keeps the legacy hash, so the next scan reads nothing.
+  const ScanResult second = scan(fs, image, &cache, &sunk);
+  EXPECT_TRUE(second.changes.empty());
+  EXPECT_EQ(second.files_hashed, 0u);
+  EXPECT_TRUE(sunk.empty());
+}
+
+TEST(ChangeScannerTest, SameSizeEditIsDetected) {
+  MemoryLocalFs fs;
+  Rng rng(6);
+  Bytes content = rng.bytes(300000);
+  ASSERT_TRUE(fs.write("/f", ByteSpan(content)).is_ok());
+  metadata::SyncFolderImage image;
+  SunkSegments sunk;
+  commit_scan(scan(fs, image, nullptr, &sunk), sunk, image);
+  const std::string old_hash = image.find_file("/f")->content_hash;
+
+  content[150000] ^= 0x01;
+  ASSERT_TRUE(fs.write("/f", ByteSpan(content)).is_ok());
+  SunkSegments edited;
+  const ScanResult result = scan(fs, image, nullptr, &edited);
+  ASSERT_EQ(result.touched.size(), 1u);
+  EXPECT_EQ(result.changes.size(), 1u);
+  const metadata::FileSnapshot& snap = result.touched[0];
+  EXPECT_EQ(snap.size, content.size());
+  EXPECT_EQ(crypto::content_hash_kind(snap.content_hash),
+            crypto::ContentHashKind::kSegmentList);
+  EXPECT_EQ(snap.content_hash, crypto::file_content_hash(snap.segment_ids));
+  EXPECT_NE(snap.content_hash, old_hash);
+  // The segments around the flipped byte are new and sunk; the rest dedup
+  // against the pool.
+  ASSERT_FALSE(edited.empty());
+  for (const auto& [id, data] : edited) {
+    EXPECT_EQ(image.find_segment(id), nullptr) << id;
+    EXPECT_TRUE(crypto::verify_segment_id(id, ByteSpan(data)));
+  }
+  for (const std::string& id : snap.segment_ids) {
+    const bool sunk_now =
+        std::any_of(edited.begin(), edited.end(),
+                    [&](const auto& entry) { return entry.first == id; });
+    EXPECT_TRUE(sunk_now || image.find_segment(id) != nullptr) << id;
+  }
 }
 
 // --- end-to-end client -----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "crypto/convergent.h"
 #include "crypto/crc32.h"
 #include "crypto/des.h"
 #include "crypto/sha1.h"
@@ -212,6 +213,64 @@ TEST(DesCbcTest, CiphertextHidesPlaintextStructure) {
 TEST(DesKeyTest, PassphraseDeterministic) {
   EXPECT_EQ(des_key_from_passphrase("a"), des_key_from_passphrase("a"));
   EXPECT_NE(des_key_from_passphrase("a"), des_key_from_passphrase("b"));
+}
+
+// --- File content hash (segment-list format) ----------------------------------
+
+// SHA-256("abc") and SHA-1("abc"): one id of each family.
+constexpr char kAbcSha256[] =
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+constexpr char kAbcSha1[] = "a9993e364706816aba3e25717850c26c9cd0d89d";
+
+// Pins the exact encoding. Computed outside this code with Python:
+//   m = hashlib.sha256(b"unidrive.file.v1")
+//   for i in ids: m.update(struct.pack(">Q", len(i)) + i.encode())
+TEST(ContentHashTest, KnownAnswerOverTheExactEncoding) {
+  EXPECT_EQ(file_content_hash({kAbcSha256, kAbcSha1}),
+            "049ea2c6e5d386cd755edc73bdfbe7036610b2527dafec9f206a971a83ae27d3");
+  EXPECT_EQ(file_content_hash({}),
+            "334a6ce1837dc072f24e90a80842597c1e3cca8bb8429264c8197606ef260c7a");
+}
+
+TEST(ContentHashTest, DeterministicAndSensitiveToOrderAndToEachId) {
+  const std::vector<std::string> ids = {kAbcSha256, kAbcSha1};
+  EXPECT_EQ(file_content_hash(ids), file_content_hash(ids));
+  EXPECT_EQ(file_content_hash({kAbcSha1, kAbcSha256}),
+            "0cbb3997e3777c828549310423fcb0a887900f4344e25c927dd0348db8eea378");
+  EXPECT_NE(file_content_hash({kAbcSha1, kAbcSha256}), file_content_hash(ids));
+  std::vector<std::string> edited = ids;
+  edited[1].back() = edited[1].back() == '0' ? '1' : '0';
+  EXPECT_NE(file_content_hash(edited), file_content_hash(ids));
+  // Length prefixes keep id boundaries: moving characters between ids, or
+  // dropping an empty id, changes the hash.
+  EXPECT_NE(file_content_hash({"ab", "c"}), file_content_hash({"a", "bc"}));
+  EXPECT_NE(file_content_hash({"abc", ""}), file_content_hash({"abc"}));
+}
+
+TEST(ContentHashTest, IsSixtyFourLowercaseHex) {
+  Rng rng(7);
+  for (int n = 0; n < 8; ++n) {
+    std::vector<std::string> ids;
+    for (int i = 0; i < n; ++i) ids.push_back(Sha256::hex(rng.bytes(100)));
+    const std::string hash = file_content_hash(ids);
+    ASSERT_EQ(hash.size(), 64u);
+    for (const char c : hash) {
+      EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hash;
+    }
+    EXPECT_EQ(content_hash_kind(hash), ContentHashKind::kSegmentList);
+  }
+}
+
+TEST(ContentHashTest, KindDispatchesOnLengthAndAlphabet) {
+  EXPECT_EQ(content_hash_kind(kAbcSha256), ContentHashKind::kSegmentList);
+  EXPECT_EQ(content_hash_kind(kAbcSha1), ContentHashKind::kLegacySha1);
+  EXPECT_EQ(content_hash_kind(""), ContentHashKind::kNone);
+  EXPECT_EQ(content_hash_kind("x"), ContentHashKind::kMalformed);
+  EXPECT_EQ(content_hash_kind(std::string(kAbcSha1) + "00"),
+            ContentHashKind::kMalformed);  // 42 hex: neither family
+  std::string not_hex = kAbcSha256;
+  not_hex[10] = 'g';
+  EXPECT_EQ(content_hash_kind(not_hex), ContentHashKind::kMalformed);
 }
 
 }  // namespace

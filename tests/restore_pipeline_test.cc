@@ -23,6 +23,7 @@
 #include "core/client.h"
 #include "core/download_pipeline.h"
 #include "core/local_fs.h"
+#include "crypto/convergent.h"
 #include "crypto/sha1.h"
 #include "erasure/rs.h"
 #include "metadata/image.h"
@@ -1159,6 +1160,56 @@ TEST(RestorePipelineTest, MissingSegmentFailsOnlyThatFile) {
   EXPECT_FALSE(results[1].status.is_ok());
   EXPECT_EQ(fs.read("/good.bin").value(), good);
   EXPECT_FALSE(fs.read("/bad.bin").is_ok());
+}
+
+TEST(RestorePipelineTest, RejectsSegmentListThatContradictsItsContentHash) {
+  const std::size_t k = 2;
+  const std::size_t theta = 64 << 10;
+  const erasure::RsCode code(16, k);
+  cloud::MultiCloud clouds = make_clouds(3);
+  metadata::SyncFolderImage image;
+  Rng rng(47);
+  const Bytes content = rng.bytes(3 * theta);
+  const metadata::FileSnapshot published =
+      publish_file("/f.bin", content, theta, code, 3, clouds, image);
+  ASSERT_EQ(published.segment_ids.size(), 3u);
+
+  // One set of segments, all of which verify, under four content hashes.
+  const auto variant = [&](const std::string& path, std::string hash) {
+    metadata::FileSnapshot snap = published;
+    snap.path = path;
+    snap.content_hash = std::move(hash);
+    return snap;
+  };
+  std::vector<std::string> reordered = published.segment_ids;
+  std::swap(reordered[0], reordered[2]);
+  const std::vector<metadata::FileSnapshot> snaps = {
+      variant("/list.bin", crypto::file_content_hash(published.segment_ids)),
+      variant("/contradicted.bin", crypto::file_content_hash(reordered)),
+      variant("/malformed.bin", "c0ffee"),
+      variant("/legacy-mismatch.bin",
+              crypto::Sha1::hex(ByteSpan(rng.bytes(100)))),
+  };
+
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+  MemoryLocalFs fs;
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
+                            monitor, executor, async_lookup(twins),
+                            PipelineConfig{}, fs, nullptr, nullptr);
+  for (const metadata::FileSnapshot& snap : snaps) {
+    pipeline.add_file(snap, image);
+  }
+  const auto results = pipeline.finish();
+
+  ASSERT_EQ(results.size(), snaps.size());
+  EXPECT_TRUE(results[0].status.is_ok()) << results[0].status.message();
+  EXPECT_EQ(fs.read("/list.bin").value(), content);
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    EXPECT_EQ(results[i].status.code(), ErrorCode::kCorrupt) << snaps[i].path;
+    EXPECT_FALSE(fs.read(snaps[i].path).is_ok()) << snaps[i].path;
+  }
 }
 
 // --- DownloadPipeline: local source -------------------------------------------
