@@ -234,35 +234,35 @@ bool empty_folder_restore_ok(RepairWorld& world,
   return true;
 }
 
-// Total wall-clock seconds for kFgRounds foreground daemon rounds over a
-// churning folder, with the scrub-and-repair maintenance task on or off.
-// Silent defects drip in either way so the workloads are identical; the
-// admission budget (shrunk after busy rounds) plus maintenance pacing are
-// what keep the delta small.
-double foreground_seconds(bool with_repair, std::uint64_t seed) {
-  auto world = make_repair_world(seed);
-  Rng rng(seed + 17);
-  const std::vector<std::string> paths = {"/w0", "/w1", "/w2", "/w3"};
-  for (const std::string& path : paths) {
-    (void)world->fs->write(path, ByteSpan(rng.bytes(64 << 10)));
+// One foreground world: a churning folder under a sync daemon, with the
+// scrub-and-repair maintenance task on or off. Silent defects drip in
+// either way so the workloads are identical; the admission budget (shrunk
+// after busy rounds) plus maintenance pacing are what keep the delta small.
+struct ForegroundWorld {
+  explicit ForegroundWorld(bool with_repair, std::uint64_t seed)
+      : world(make_repair_world(seed)), rng(seed + 17) {
+    for (const std::string& path : paths) {
+      (void)world->fs->write(path, ByteSpan(rng.bytes(64 << 10)));
+    }
+    core::DaemonConfig daemon_cfg;
+    if (with_repair) {
+      repair::RepairServiceConfig service_cfg;
+      service_cfg.scrub.deep_verify_segments = 1;
+      daemon_cfg.maintenance =
+          std::make_shared<repair::RepairService>(*world->client, service_cfg);
+      daemon_cfg.maintenance_every = 4;
+    }
+    daemon = std::make_unique<core::SyncDaemon>(*world->client, daemon_cfg);
+    (void)daemon->sync_once();
   }
-  core::DaemonConfig daemon_cfg;
-  if (with_repair) {
-    repair::RepairServiceConfig service_cfg;
-    service_cfg.scrub.deep_verify_segments = 1;
-    daemon_cfg.maintenance =
-        std::make_shared<repair::RepairService>(*world->client, service_cfg);
-    daemon_cfg.maintenance_every = 4;
-  }
-  core::SyncDaemon daemon(*world->client, daemon_cfg);
-  (void)daemon.sync_once();
 
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t round = 0; round < kFgRounds; ++round) {
-    (void)world->fs->write(paths[round % paths.size()],
+  // One foreground round, its wall time added to `seconds`.
+  void round(std::size_t index) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)world->fs->write(paths[index % paths.size()],
                            ByteSpan(rng.bytes(64 << 10)));
-    (void)daemon.sync_once();
-    if (round % 10 == 9) {  // keep a real defect backlog trickling in
+    (void)daemon->sync_once();
+    if (index % 10 == 9) {  // keep a real defect backlog trickling in
       const auto victims = placements_on(world->client->image(), 1);
       if (!victims.empty()) {
         const Placement& p = victims[rng.next_below(victims.size())];
@@ -270,10 +270,31 @@ double foreground_seconds(bool with_repair, std::uint64_t seed) {
             metadata::block_path(p.segment_id, p.block_index));
       }
     }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    seconds += elapsed.count();
   }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
+
+  const std::vector<std::string> paths = {"/w0", "/w1", "/w2", "/w3"};
+  std::unique_ptr<RepairWorld> world;
+  Rng rng;
+  std::unique_ptr<core::SyncDaemon> daemon;
+  double seconds = 0;
+};
+
+// Relative foreground slowdown with maintenance on, over kFgRounds rounds
+// per world. Both worlds are built first and their rounds interleave, the
+// leader swapping every round, so host drift lands on both sides alike.
+double foreground_hit(std::uint64_t seed) {
+  ForegroundWorld off(false, seed);
+  ForegroundWorld on(true, seed);
+  for (std::size_t round = 0; round < kFgRounds; ++round) {
+    ForegroundWorld& first = round % 2 == 0 ? off : on;
+    ForegroundWorld& second = round % 2 == 0 ? on : off;
+    first.round(round);
+    second.round(round);
+  }
+  return (on.seconds - off.seconds) / off.seconds;
 }
 
 bool run_repair_curve() {
@@ -387,9 +408,7 @@ bool run_repair_curve() {
   // single trial, not across all of them.
   double hit = 1e9;
   for (int trial = 0; trial < kFgTrials; ++trial) {
-    const double off_s = foreground_seconds(false, 88000 + trial);
-    const double on_s = foreground_seconds(true, 88000 + trial);
-    hit = std::min(hit, (on_s - off_s) / off_s);
+    hit = std::min(hit, foreground_hit(88000 + trial));
   }
 
   // Hard gates (acceptance criteria of the repair subsystem).

@@ -20,7 +20,7 @@ CdcParams cdc_params_for(const SegmenterParams& p) noexcept {
 
 }  // namespace
 
-std::vector<Segment> segment_file(ByteSpan content,
+std::vector<Segment> cut_segments(ByteSpan content,
                                   const SegmenterParams& params) {
   std::vector<Segment> segments;
   if (content.empty()) return segments;
@@ -74,8 +74,16 @@ std::vector<Segment> segment_file(ByteSpan content,
     Segment seg;
     seg.offset = c.offset;
     seg.length = c.length;
-    seg.id = crypto::segment_id(content.subspan(c.offset, c.length));
     segments.push_back(std::move(seg));
+  }
+  return segments;
+}
+
+std::vector<Segment> segment_file(ByteSpan content,
+                                  const SegmenterParams& params) {
+  std::vector<Segment> segments = cut_segments(content, params);
+  for (Segment& seg : segments) {
+    seg.id = crypto::segment_id(content.subspan(seg.offset, seg.length));
   }
   return segments;
 }

@@ -34,6 +34,12 @@ struct SegmenterParams {
 std::vector<Segment> segment_file(ByteSpan content,
                                   const SegmenterParams& params);
 
+// The cut alone: segment_file()'s offsets and lengths, ids left empty, so
+// a caller can hash the segments elsewhere (crypto::segment_id on each
+// range gives segment_file()'s ids).
+std::vector<Segment> cut_segments(ByteSpan content,
+                                  const SegmenterParams& params);
+
 // Extract a segment's bytes.
 Bytes segment_bytes(ByteSpan content, const Segment& seg);
 

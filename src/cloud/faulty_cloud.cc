@@ -53,7 +53,8 @@ FaultDecision FaultyCloud::draw_decision(std::size_t payload_bytes,
 
 Bytes rot_bytes(ByteSpan data) {
   Bytes rotted(data.begin(), data.end());
-  if (!rotted.empty()) rotted[rotted.size() / 2] ^= 0x01;
+  // An add, not an XOR: rotting a block again must not restore it.
+  if (!rotted.empty()) ++rotted[rotted.size() / 2];
   return rotted;
 }
 

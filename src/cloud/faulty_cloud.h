@@ -60,8 +60,9 @@ struct FaultDecision {
 // outage, kUnavailable otherwise. Shared with the async twin.
 [[nodiscard]] Status fail_status(bool outage, const std::string& name);
 
-// The payload with its middle byte flipped: size-preserving bit-rot, so
-// only a content check (the scrubber's deep verify) can catch it.
+// The payload with one added to its middle byte: size-preserving bit-rot,
+// so only a content check (the scrubber's deep verify) can catch it, and
+// rotting a block again leaves it corrupt (fewer than 256 times over).
 [[nodiscard]] Bytes rot_bytes(ByteSpan data);
 
 class FaultyCloud final : public CloudProvider {
@@ -105,7 +106,7 @@ class FaultyCloud final : public CloudProvider {
   // Deterministic silent-defect injection for tests/benches: corrupt or
   // delete an object ALREADY stored on the inner cloud, behind the
   // provider's back (no decision draw, but counted like the probabilistic
-  // variants). rot flips the middle byte, preserving the size.
+  // variants). rot adds one to the middle byte, preserving the size.
   Status rot_stored(const std::string& path);
   Status drop_stored(const std::string& path);
 

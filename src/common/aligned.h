@@ -46,7 +46,7 @@ struct AlignedAllocator {
   }
 };
 
-// Shard-sized scratch rows on the encode/decode hot path.
+// Kernel rows that start on a cache-line boundary (kernel tests, benches).
 using AlignedBytes = std::vector<std::uint8_t, AlignedAllocator<std::uint8_t>>;
 
 }  // namespace unidrive

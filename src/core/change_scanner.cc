@@ -1,6 +1,10 @@
 #include "core/change_scanner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
 
 #include "crypto/convergent.h"
@@ -29,6 +33,42 @@ bool holds_committed_segments(const metadata::SyncFolderImage& image,
   return offset == data.size();
 }
 
+// A file read and cut by the producer whose segment ids are hashed on the
+// executor while the producer reads and cuts the next file. Each id is a
+// claim-once task: a pool thread runs it, or the producer does when it
+// needs the ids first, so a busy or one-thread pool never stalls the scan.
+// Shared with the queued tasks; a task that finds its id claimed touches
+// nothing but its flag, so the bytes can leave once the ids are in.
+struct HashedFile {
+  std::string path;
+  double mtime = 0;
+  const FileSnapshot* known = nullptr;
+  Bytes data;
+  std::vector<chunker::Segment> segments;  // ids filled in by hash()
+  std::vector<std::atomic<bool>> claimed;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t remaining = 0;  // ids claimed-or-not still to be hashed
+
+  void hash(std::size_t i) {
+    if (claimed[i].exchange(true)) return;
+    chunker::Segment& seg = segments[i];
+    seg.id = crypto::segment_id(ByteSpan(data).subspan(seg.offset, seg.length));
+    std::lock_guard<std::mutex> lock(mu);
+    if (--remaining == 0) cv.notify_all();
+  }
+  [[nodiscard]] bool hashed() {
+    std::lock_guard<std::mutex> lock(mu);
+    return remaining == 0;
+  }
+  // Hashes every id no pool thread has started, then waits for the rest.
+  void finish_hashing() {
+    for (std::size_t i = 0; i < segments.size(); ++i) hash(i);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return remaining == 0; });
+  }
+};
+
 }  // namespace
 
 const std::string* ScanCache::lookup(const std::string& path,
@@ -50,7 +90,7 @@ ScanResult scan_local_changes(const LocalFs& fs,
                               const metadata::SyncFolderImage& image,
                               const chunker::SegmenterParams& seg_params,
                               const std::string& device, ScanCache* cache,
-                              const SegmentSink& sink) {
+                              Executor& executor, const SegmentSink& sink) {
   ScanResult result;
   std::set<std::string> emitted;  // within-scan dedup of new segments
 
@@ -58,7 +98,45 @@ ScanResult scan_local_changes(const LocalFs& fs,
   const std::set<std::string> local_set(local_files.begin(),
                                         local_files.end());
 
-  // Added / edited files.
+  // Files are finalized in path order, each once its ids are in.
+  const auto finalize = [&](HashedFile& file) {
+    file.finish_hashing();
+    Bytes data = std::move(file.data);
+    FileSnapshot snapshot;
+    snapshot.path = file.path;
+    snapshot.size = data.size();
+    snapshot.mtime = file.mtime;
+    snapshot.origin_device = device;
+    for (const chunker::Segment& seg : file.segments) {
+      snapshot.segment_ids.push_back(seg.id);
+    }
+    snapshot.content_hash = crypto::file_content_hash(snapshot.segment_ids);
+    if (cache != nullptr) {
+      cache->update(file.path, data.size(), file.mtime, snapshot.content_hash);
+    }
+    if (file.known != nullptr &&
+        file.known->content_hash == snapshot.content_hash) {
+      return;
+    }
+
+    for (const chunker::Segment& seg : file.segments) {
+      // Dedup: only segments unknown to the pool (and not already scheduled
+      // in this scan) need uploading.
+      if (image.find_segment(seg.id) != nullptr) continue;
+      if (emitted.insert(seg.id).second) {
+        // A one-segment file hands over its read buffer whole.
+        sink(seg.id, file.segments.size() == 1
+                         ? std::move(data)
+                         : chunker::segment_bytes(ByteSpan(data), seg));
+      }
+    }
+    result.changes.record(Change::upsert_file(snapshot));
+    result.touched.push_back(std::move(snapshot));
+  };
+
+  // Added / edited files. At most one file is read ahead of the one being
+  // finalized, so at most two files' bytes are resident.
+  std::shared_ptr<HashedFile> ahead;
   for (const std::string& path : local_files) {
     ++result.files_scanned;
     const metadata::FileSnapshot* known = image.find_file(path);
@@ -72,50 +150,40 @@ ScanResult scan_local_changes(const LocalFs& fs,
       if (cached != nullptr && *cached == known->content_hash) continue;
     }
 
+    if (ahead != nullptr && ahead->hashed()) {
+      finalize(*ahead);
+      ahead.reset();
+    }
     auto content = fs.read(path);
     if (!content.is_ok()) continue;
-    const Bytes& data = content.value();
     ++result.files_hashed;
     // Unchanged when the bytes still are the committed segments. The
     // snapshot keeps its own content hash, legacy SHA-1 included, so a
     // folder committed before segment-list hashes never re-commits.
-    if (known != nullptr && known->size == data.size() &&
-        holds_committed_segments(image, *known, ByteSpan(data))) {
+    if (known != nullptr && known->size == content.value().size() &&
+        holds_committed_segments(image, *known, ByteSpan(content.value()))) {
       if (cache != nullptr) {
-        cache->update(path, data.size(), mtime, known->content_hash);
+        cache->update(path, content.value().size(), mtime,
+                      known->content_hash);
       }
       continue;
     }
 
-    const std::vector<chunker::Segment> segments =
-        chunker::segment_file(ByteSpan(data), seg_params);
-    FileSnapshot snapshot;
-    snapshot.path = path;
-    snapshot.size = data.size();
-    snapshot.mtime = mtime;
-    snapshot.origin_device = device;
-    for (const chunker::Segment& seg : segments) {
-      snapshot.segment_ids.push_back(seg.id);
+    auto file = std::make_shared<HashedFile>();
+    file->path = path;
+    file->mtime = mtime;
+    file->known = known;
+    file->data = std::move(content).take();
+    file->segments = chunker::cut_segments(ByteSpan(file->data), seg_params);
+    file->claimed = std::vector<std::atomic<bool>>(file->segments.size());
+    file->remaining = file->segments.size();
+    for (std::size_t i = 0; i < file->segments.size(); ++i) {
+      executor.submit([file, i] { file->hash(i); });
     }
-    snapshot.content_hash = crypto::file_content_hash(snapshot.segment_ids);
-    if (cache != nullptr) {
-      cache->update(path, data.size(), mtime, snapshot.content_hash);
-    }
-    if (known != nullptr && known->content_hash == snapshot.content_hash) {
-      continue;
-    }
-
-    for (const chunker::Segment& seg : segments) {
-      // Dedup: only segments unknown to the pool (and not already scheduled
-      // in this scan) need uploading.
-      if (image.find_segment(seg.id) != nullptr) continue;
-      if (emitted.insert(seg.id).second) {
-        sink(seg.id, chunker::segment_bytes(ByteSpan(data), seg));
-      }
-    }
-    result.changes.record(Change::upsert_file(snapshot));
-    result.touched.push_back(std::move(snapshot));
+    if (ahead != nullptr) finalize(*ahead);
+    ahead = std::move(file);
   }
+  if (ahead != nullptr) finalize(*ahead);
 
   // Deleted files.
   for (const auto& [path, snapshot] : image.files()) {

@@ -9,6 +9,11 @@
 // differs from its snapshot produces a ChangedFileList entry. The scanner
 // also streams the *new* segments of added/edited files (dedup against the
 // pool) to a sink, so the data plane encodes and uploads exactly those.
+//
+// The producer thread only reads and cuts: the segment ids of a cut file
+// are hashed on the executor while the producer reads and cuts the next
+// one. Files are finalized (snapshot, cache, dedup, sink) strictly in path
+// order, so at most two files' bytes are resident at once.
 #pragma once
 
 #include <functional>
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "chunker/segmenter.h"
+#include "common/executor.h"
 #include "core/local_fs.h"
 #include "metadata/changelist.h"
 #include "metadata/image.h"
@@ -62,17 +68,20 @@ using SegmentSink = std::function<void(const std::string& id, Bytes bytes)>;
 
 // `seg_params.theta` is the target segment size; `device` stamps snapshot
 // origin. `cache` (may be null) skips re-hashing files whose (size, mtime)
-// fingerprint is unchanged and is updated in place.
+// fingerprint is unchanged and is updated in place. Segment ids are hashed
+// on `executor` (a client passes its own pool, other callers
+// Executor::shared()); the calling thread hashes any id no pool thread has
+// started by the time it needs it, so any pool size makes progress.
 //
 // Each new segment's bytes — not yet in the image's pool, and deduped
-// within the scan — are handed to `sink` as soon as the segment is
-// discovered, so the sync pipeline encodes and uploads while the scan is
-// still hashing later files. The sink may block (backpressure from a
-// bounded pipeline).
+// within the scan — are handed to `sink` as soon as its file is finalized,
+// so the sync pipeline encodes and uploads while the scan is still reading
+// later files. A one-segment file's read buffer is handed over whole. The
+// sink may block (backpressure from a bounded pipeline).
 ScanResult scan_local_changes(const LocalFs& fs,
                               const metadata::SyncFolderImage& image,
                               const chunker::SegmenterParams& seg_params,
                               const std::string& device, ScanCache* cache,
-                              const SegmentSink& sink);
+                              Executor& executor, const SegmentSink& sink);
 
 }  // namespace unidrive::core

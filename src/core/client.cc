@@ -62,6 +62,8 @@ UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
       guarded_(cloud::guard_clouds(clouds_, config_.retry, health_, clock_,
                                    config_.sleep, rng_, obs_)),
       executor_(make_executor(config_, clouds_.size())),
+      shard_pool_(std::make_shared<ShardPool>(
+          config_.pipeline.max_inflight_bytes, obs_)),
       store_(guarded_, config_.passphrase, config_.meta, obs_,
              config_.cipher, executor_),
       locks_(guarded_, config_.device, config_.lock, clock_, rng_.fork(),
@@ -194,7 +196,8 @@ std::unique_ptr<UploadPipeline> UniDriveClient::make_pipeline(
   return std::make_unique<UploadPipeline>(
       params, codec_for(params), cloud_ids(), config_.driver, monitor_,
       executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
-      config_.pipeline, health_, obs_, config_.pool, config_.folder_id);
+      config_.pipeline, health_, obs_, config_.pool, config_.folder_id,
+      shard_pool_);
 }
 
 std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
@@ -673,7 +676,7 @@ Result<SyncReport> UniDriveClient::sync() {
   {
     obs::Span scan_span = round_span.child("sync.scan");
     scan = scan_local_changes(*fs_, image_, seg_params, config_.device,
-                              &scan_cache_,
+                              &scan_cache_, *executor_,
                               [&](const std::string& id, Bytes bytes) {
                                 has_new_data = true;
                                 if (pipeline != nullptr) {

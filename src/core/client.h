@@ -239,7 +239,7 @@ class UniDriveClient {
 
  private:
   // Data plane: a staged UploadPipeline wired to this client's executor,
-  // guarded clouds and observability.
+  // shard pool, guarded clouds and observability.
   [[nodiscard]] std::unique_ptr<UploadPipeline> make_pipeline(
       const sched::CodeParams& params);
   // Restore mirror: a streaming DownloadPipeline into `fs` over the same
@@ -364,6 +364,9 @@ class UniDriveClient {
   // unless config_.pipeline.threads (or UNIDRIVE_PIPELINE_THREADS)
   // overrides. Rebuilt on membership changes.
   std::shared_ptr<Executor> executor_;
+  // Coded-row buffers every upload round recycles, bounded with the
+  // pipeline's in-flight bytes by config_.pipeline.max_inflight_bytes.
+  std::shared_ptr<ShardPool> shard_pool_;
   // The completion-based twin of each guarded cloud. The twins share
   // breaker/counter/quota/link state with their blocking halves.
   cloud::AsyncMultiCloud async_clouds_;

@@ -16,17 +16,11 @@ Result<Bytes> decode_verified(const erasure::RsCode& code,
                               const std::vector<erasure::Shard>& shards,
                               const SegmentInfo& segment, std::size_t k,
                               Executor* executor) {
-  std::vector<std::size_t> pick(k);
+  std::vector<const erasure::Shard*> subset(k);
   std::function<Result<Bytes>(std::size_t, std::size_t)> search =
       [&](std::size_t depth, std::size_t start) -> Result<Bytes> {
     if (depth == k) {
-      std::vector<erasure::Shard> subset;
-      subset.reserve(k);
-      for (const std::size_t i : pick) subset.push_back(shards[i]);
-      auto decoded = executor != nullptr
-                         ? code.decode_shards_parallel(subset, segment.size,
-                                                       *executor)
-                         : code.decode(subset, segment.size);
+      auto decoded = code.decode_subset(subset, segment.size, executor);
       if (decoded.is_ok()) {
         // Decoded bytes are the sealed payload; open unseals (identity for
         // legacy SHA-1 ids) and verifies against the id's hash family.
@@ -37,7 +31,7 @@ Result<Bytes> decode_verified(const erasure::RsCode& code,
       return make_error(ErrorCode::kCorrupt, "subset failed");
     }
     for (std::size_t i = start; i + (k - depth) <= shards.size(); ++i) {
-      pick[depth] = i;
+      subset[depth] = &shards[i];
       auto result = search(depth + 1, i + 1);
       if (result.is_ok()) return result;
     }
@@ -364,11 +358,15 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
   Result<Bytes> decoded = make_error(ErrorCode::kUnavailable, "not fetched");
   bool searching = false;
   if (!stale && ok && !cancelled_.load()) {
+    // The blocks move out of the cache for the decode, none copied.
     std::vector<erasure::Shard> shards;
     {
       std::lock_guard<std::mutex> cache(cache_mutex_);
-      for (const auto& [index, bytes] : shard_cache_[id]) {
-        shards.push_back({index, bytes});
+      auto node = shard_cache_.extract(id);
+      if (!node.empty()) {
+        for (auto& [index, bytes] : node.mapped()) {
+          shards.push_back({index, std::move(bytes)});
+        }
       }
     }
     const TimePoint start = RealClock::instance().now();
@@ -377,7 +375,17 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
                  RealClock::instance().now() - start);
     if (!decoded.is_ok() && !cancelled_.load()) {
       // Corrupt-shard search: some fetched shard is bad but unidentifiable;
-      // raise the budget by one distinct block and re-try when it lands.
+      // put the blocks back, raise the budget by one distinct block and
+      // re-try every subset when it lands.
+      {
+        std::lock_guard<std::mutex> cache(cache_mutex_);
+        if (!finished_) {
+          auto& blocks = shard_cache_[id];
+          for (erasure::Shard& shard : shards) {
+            blocks.emplace(shard.index, std::move(shard.data));
+          }
+        }
+      }
       {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = segments_.find(id);

@@ -32,10 +32,12 @@
 // cached.
 //
 // Integrity: every segment, decoded or read locally, is verified against
-// its id (SHA-256 of the plaintext; legacy ids are SHA-1). On a decode
-// mismatch the pipeline runs the corrupt-shard search — request one more
-// distinct block from the driver, retry every k-subset — until a clean
-// subset decodes or supply runs out. Completed files additionally verify
+// its id (SHA-256 of the plaintext; legacy ids are SHA-1). A decode moves
+// the fetched blocks out of the shard cache and reads them in place, so no
+// shard is copied on its way to the kernel. On a decode mismatch the
+// blocks go back into the cache and the pipeline runs the corrupt-shard
+// search — request one more distinct block from the driver, retry every
+// k-subset — until a clean subset decodes or supply runs out. Completed files additionally verify
 // total size and the snapshot's content hash before the FileWriter
 // commits. With every segment verified, a segment-list hash is checked
 // against the snapshot's id list, so no written byte is hashed again; only
@@ -87,8 +89,9 @@ namespace unidrive::core {
 // Decodes `segment` from any k-subset of `shards` whose plaintext matches
 // the segment's content hash (its id). |shards| stays small (<= code_n),
 // so the combinatorial search is cheap; with at most one corrupt shard a
-// single extra block already guarantees a clean subset. With a non-null
-// executor each candidate decode fans its k data rows out in parallel.
+// single extra block already guarantees a clean subset. Each subset
+// borrows its shards (none is copied). With a non-null executor each
+// candidate decode fans its k data rows out in parallel.
 Result<Bytes> decode_verified(const erasure::RsCode& code,
                               const std::vector<erasure::Shard>& shards,
                               const metadata::SegmentInfo& segment,
@@ -250,7 +253,8 @@ class DownloadPipeline {
   std::atomic<bool> cancelled_{false};
 
   // Fetched shard bytes, keyed by segment id then block index. Written by
-  // transfer completions, consumed by decode tasks; set finished_ stops
+  // transfer completions, moved out by decode tasks (and back in while a
+  // corrupt-shard search waits for its extra block); set finished_ stops
   // the writes once finish() returned.
   mutable std::mutex cache_mutex_;
   std::map<std::string, std::map<std::uint32_t, Bytes>> shard_cache_;

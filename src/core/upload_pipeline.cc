@@ -18,6 +18,90 @@ constexpr std::size_t kEncodeWorkers = 2;
 constexpr std::size_t kEncodeQueueCapacity = 4;
 }  // namespace
 
+ShardPool::ShardPool(std::size_t cap, obs::ObsPtr obs)
+    : cap_(cap), obs_(std::move(obs)) {}
+
+Bytes ShardPool::take(std::size_t n) {
+  if (n >= kMinPooledBytes) {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto it = free_.lower_bound(n);
+    if (it != free_.end() && it->first <= n + n / 4) {
+      Bytes buffer = std::move(it->second);
+      pooled_ -= it->first;
+      free_.erase(it);
+      publish_locked();
+      lock.unlock();
+      obs::add_counter(obs_.get(), "pipeline.shard_pool.reused");
+      buffer.resize(n);
+      return buffer;
+    }
+  }
+  obs::add_counter(obs_.get(), "pipeline.shard_pool.allocated");
+  return Bytes(n);
+}
+
+std::shared_ptr<const Bytes> ShardPool::share(Bytes buffer) {
+  return std::shared_ptr<Bytes>(
+      new Bytes(std::move(buffer)), [pool = shared_from_this()](Bytes* shard) {
+        pool->give_back(std::move(*shard));
+        delete shard;
+      });
+}
+
+void ShardPool::give_back(Bytes buffer) {
+  const std::size_t bytes = buffer.capacity();
+  bool kept = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (bytes >= kMinPooledBytes && pooled_ + inflight_ + bytes <= cap_) {
+      pooled_ += bytes;
+      free_.emplace(bytes, std::move(buffer));
+      publish_locked();
+      kept = true;
+    }
+  }
+  // A buffer not kept is freed on return, outside the lock.
+  obs::add_counter(obs_.get(), kept ? "pipeline.shard_pool.kept"
+                                    : "pipeline.shard_pool.freed");
+}
+
+void ShardPool::charge(std::size_t n) {
+  std::vector<Bytes> evicted;  // freed on return, outside the lock
+  std::lock_guard<std::mutex> lock(mu_);
+  inflight_ += n;
+  trim_locked(evicted);
+  publish_locked();
+}
+
+void ShardPool::discharge(std::size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  inflight_ -= std::min(inflight_, n);
+  publish_locked();
+}
+
+std::size_t ShardPool::pooled_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pooled_;
+}
+
+void ShardPool::trim_locked(std::vector<Bytes>& evicted) {
+  while (!free_.empty() && pooled_ + inflight_ > cap_) {
+    const auto largest = std::prev(free_.end());
+    pooled_ -= largest->first;
+    evicted.push_back(std::move(largest->second));
+    free_.erase(largest);
+    obs::add_counter(obs_.get(), "pipeline.shard_pool.freed");
+  }
+}
+
+void ShardPool::publish_locked() {
+  peak_ = std::max(peak_, pooled_ + inflight_);
+  obs::set_gauge(obs_.get(), "pipeline.shard_pool.bytes",
+                 static_cast<double>(pooled_));
+  obs::set_gauge(obs_.get(), "pipeline.shard_pool.peak_bytes",
+                 static_cast<double>(peak_));
+}
+
 UploadPipeline::UploadPipeline(const sched::CodeParams& params,
                                erasure::RsCode code,
                                std::vector<cloud::CloudId> clouds,
@@ -28,7 +112,8 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
                                PipelineConfig pipeline_config,
                                std::shared_ptr<cloud::CloudHealthRegistry> health,
                                obs::ObsPtr obs, dedup::PoolIndexPtr pool,
-                               std::string folder)
+                               std::string folder,
+                               std::shared_ptr<ShardPool> shard_pool)
     : params_(params),
       code_(std::move(code)),
       executor_(std::move(executor)),
@@ -37,6 +122,10 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
       folder_(std::move(folder)),
       config_(pipeline_config),
       obs_(std::move(obs)),
+      shard_pool_(shard_pool != nullptr
+                      ? std::move(shard_pool)
+                      : std::make_shared<ShardPool>(
+                            pipeline_config.max_inflight_bytes, obs_)),
       queue_(kEncodeQueueCapacity),
       driver_(
           params_, std::move(clouds), driver_config, monitor, executor_,
@@ -49,6 +138,8 @@ UploadPipeline::UploadPipeline(const sched::CodeParams& params,
 UploadPipeline::~UploadPipeline() {
   cancel();
   join_encode_workers();
+  // An aborted round leaves no charge in the client's shard pool.
+  release_all();
   // driver_ cancels and drains in its own destructor.
 }
 
@@ -58,7 +149,9 @@ std::size_t UploadPipeline::inflight_bytes() const {
 }
 
 void UploadPipeline::release_bytes_locked(std::size_t n) {
-  inflight_ -= std::min(inflight_, n);
+  const std::size_t released = std::min(inflight_, n);
+  inflight_ -= released;
+  shard_pool_->discharge(released);
   obs::set_gauge(obs_.get(), "pipeline.inflight_bytes",
                  static_cast<double>(inflight_));
   mem_cv_.notify_all();
@@ -108,6 +201,7 @@ void UploadPipeline::feed(const std::string& id, Bytes bytes) {
     fed_ids_.insert(id);
     fed_.emplace_back(id, plain);
     inflight_ += footprint;
+    shard_pool_->charge(footprint);
     footprint_[id] = footprint;
     peak_inflight_ = std::max(peak_inflight_, inflight_);
     obs::set_gauge(obs_.get(), "pipeline.inflight_bytes",
@@ -148,20 +242,25 @@ void UploadPipeline::encode_worker() {
     // still covers the bytes): blocks stored in the shared pool are coded
     // ciphertext, deterministic per segment so dedup survives encryption.
     crypto::convergent_seal_inplace(job->id, job->bytes);
-    std::vector<erasure::Shard> shards =
-        code_.encode_shards_parallel(ByteSpan(job->bytes), indices,
-                                     *executor_);
+    std::vector<Bytes> rows(indices.size());
+    std::vector<std::uint8_t*> out(indices.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = shard_pool_->take(code_.shard_size(plain));
+      out[i] = rows[i].data();
+    }
+    code_.encode_shards_parallel(ByteSpan(job->bytes), indices, out,
+                                 *executor_);
     obs::observe(obs_.get(), "pipeline.stage.encode.latency",
                  RealClock::instance().now() - start);
     Bytes().swap(job->bytes);  // plaintext no longer needed
 
+    std::vector<std::shared_ptr<const Bytes>> shards(indices.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      shards[indices[i]] = shard_pool_->share(std::move(rows[i]));
+    }
     {
       std::lock_guard<std::mutex> cache(cache_mutex_);
-      auto& slot = shards_[job->id];
-      slot.assign(params_.code_n(), nullptr);
-      for (erasure::Shard& s : shards) {
-        slot[s.index] = std::make_shared<const Bytes>(std::move(s.data));
-      }
+      shards_[job->id] = std::move(shards);
     }
     {
       std::lock_guard<std::mutex> lock(mem_mutex_);
@@ -182,17 +281,28 @@ void UploadPipeline::encode_worker() {
 }
 
 // Runs under the streaming driver's lock; the driver has already abandoned
-// the segment, so these bytes can never be requested again.
+// the segment, so these bytes can never be requested again. The charge is
+// released first, so the shards returning to the pool are not counted
+// twice against the cap.
 void UploadPipeline::on_segment_settled(const std::string& id) {
   {
-    std::lock_guard<std::mutex> cache(cache_mutex_);
-    shards_.erase(id);
+    std::lock_guard<std::mutex> lock(mem_mutex_);
+    const auto it = footprint_.find(id);
+    if (it != footprint_.end()) {
+      release_bytes_locked(it->second);
+      footprint_.erase(it);
+    }
   }
-  std::lock_guard<std::mutex> lock(mem_mutex_);
-  const auto it = footprint_.find(id);
-  if (it == footprint_.end()) return;
-  release_bytes_locked(it->second);
-  footprint_.erase(it);
+  std::vector<std::shared_ptr<const Bytes>> settled;
+  {
+    std::lock_guard<std::mutex> cache(cache_mutex_);
+    const auto it = shards_.find(id);
+    if (it == shards_.end()) return;
+    settled = std::move(it->second);
+    shards_.erase(it);
+  }
+  // `settled` drops here, outside the locks: every shard no transfer still
+  // holds goes back to the pool.
 }
 
 cloud::AsyncHandle UploadPipeline::transfer_async(
@@ -222,11 +332,13 @@ cloud::AsyncHandle UploadPipeline::transfer_async(
   }
   // The captured shared_ptr keeps the shard bytes alive until the
   // completion runs (or the handle is cancelled) — a settle that drops the
-  // cache entry cannot invalidate the span on the wire.
+  // cache entry cannot invalidate the span on the wire. The completion lets
+  // go before it reports, so a drained driver holds no shard.
   return provider->upload_async(
       metadata::block_path(task.segment_id, task.block_index),
       ByteSpan(*shard),
-      [shard, done = std::move(done)](Status status) {
+      [shard, done = std::move(done)](Status status) mutable {
+        shard.reset();
         done(std::move(status));
       });
 }
@@ -259,6 +371,19 @@ void UploadPipeline::release_retained_pins() {
 UploadPipeline::DedupStats UploadPipeline::dedup_stats() const {
   std::lock_guard<std::mutex> lock(mem_mutex_);
   return dedup_;
+}
+
+void UploadPipeline::release_all() {
+  {
+    std::lock_guard<std::mutex> lock(mem_mutex_);
+    footprint_.clear();
+    release_bytes_locked(inflight_);
+  }
+  std::map<std::string, std::vector<std::shared_ptr<const Bytes>>> shards;
+  {
+    std::lock_guard<std::mutex> cache(cache_mutex_);
+    shards.swap(shards_);
+  }
 }
 
 void UploadPipeline::join_encode_workers() {
@@ -327,15 +452,7 @@ Result<std::vector<SegmentInfo>> UploadPipeline::finish() {
   // Anything still charged (cancelled mid-flight, or segments whose
   // settle callback never fired) is released now; the driver is drained,
   // so no transfer can touch the cache anymore.
-  {
-    std::lock_guard<std::mutex> cache(cache_mutex_);
-    shards_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mem_mutex_);
-    footprint_.clear();
-    release_bytes_locked(inflight_);
-  }
+  release_all();
 
   if (cancelled_.load()) {
     if (fed_.empty()) return std::vector<SegmentInfo>{};

@@ -1,9 +1,12 @@
 // UploadPipeline — the staged, streaming data-plane write path:
 //
 //   scan/CDC  ──feed()──►  [dedup probe]  ──►  [bounded encode queue]  ──►  encode workers
-//   (producer)             (pool-hit short-circuit)      (seal + RS fan-out
-//                                                        on the shared
-//                                                        Executor)
+//   (producer; ids         (pool-hit short-circuit)      (seal + RS fan-out
+//   hashed one file                                      on the shared
+//   ahead on the                                         Executor, rows read
+//   Executor)                                            in place, coded rows
+//                                                        into ShardPool
+//                                                        buffers)
 //                                                              │ add_file()
 //                                                              ▼
 //                                                     StreamingUploadDriver
@@ -17,7 +20,9 @@
 // the shard portion when the transfer stage reports the segment settled
 // (every placed block acked, nothing more assignable). A segment larger
 // than the whole cap is admitted alone (the gate opens when the pipeline
-// is empty) so progress is always possible.
+// is empty) so progress is always possible. The coded rows live in buffers
+// of the client's ShardPool, which keeps pooled + in-flight bytes within
+// the same cap, so the bound covers the recycled buffers too.
 //
 // Block transfers launch through the completion-based AsyncCloud twins of
 // the guarded clouds, so no executor thread is held while a request is on
@@ -69,9 +74,57 @@ struct PipelineConfig {
 // provider, or nullptr.
 using FindAsyncCloudFn = std::function<cloud::AsyncCloud*(cloud::CloudId)>;
 
+// Coded-row buffers recycled across upload rounds, so the encode stage
+// stops faulting in fresh pages every round. A client owns one; a shard
+// handed out by share() returns when its last reference drops (on settle,
+// or when a late transfer completion lets go of it), and its deleter keeps
+// the pool alive. Three bounds:
+//   - pooled bytes plus the in-flight bytes pipelines charge() never exceed
+//     `cap` (PipelineConfig::max_inflight_bytes): an admission trims the
+//     pool, and a returning buffer that would break the bound is freed;
+//   - buffers under kMinPooledBytes, glibc's default mmap threshold, are
+//     never pooled: malloc serves them from its bins without page faults;
+//   - a request for n bytes takes only a buffer of capacity within
+//     [n, n + n/4], so a large buffer never pins memory for a small request.
+// Counters: pipeline.shard_pool.{reused,allocated,kept,freed}; gauges:
+// pipeline.shard_pool.bytes and .peak_bytes (pooled + in-flight).
+class ShardPool : public std::enable_shared_from_this<ShardPool> {
+ public:
+  static constexpr std::size_t kMinPooledBytes = 128 << 10;
+
+  ShardPool(std::size_t cap, obs::ObsPtr obs);
+
+  // A buffer of n bytes (contents unspecified), recycled when one fits.
+  [[nodiscard]] Bytes take(std::size_t n);
+  // `buffer` as a shard that returns to the pool when released.
+  [[nodiscard]] std::shared_ptr<const Bytes> share(Bytes buffer);
+
+  // In-flight bytes a pipeline admitted or released. charge() trims the
+  // pool so that pooled + in-flight stays within the cap.
+  void charge(std::size_t n);
+  void discharge(std::size_t n);
+
+  [[nodiscard]] std::size_t pooled_bytes() const;
+
+ private:
+  void give_back(Bytes buffer);
+  // Evicts pooled buffers until pooled + in-flight fits the cap.
+  void trim_locked(std::vector<Bytes>& evicted);
+  void publish_locked();
+
+  const std::size_t cap_;
+  obs::ObsPtr obs_;
+  mutable std::mutex mu_;
+  std::multimap<std::size_t, Bytes> free_;  // keyed by capacity
+  std::size_t pooled_ = 0;
+  std::size_t inflight_ = 0;
+  std::size_t peak_ = 0;
+};
+
 // With a non-null `pool`, feed() probes the content-addressed segment pool
 // before encode: a hit skips encode + transfer entirely and only a
-// file→segment reference is committed.
+// file→segment reference is committed. Coded rows come from `shard_pool`
+// (the client's); without one the pipeline recycles through its own.
 class UploadPipeline {
  public:
   UploadPipeline(const sched::CodeParams& params, erasure::RsCode code,
@@ -82,7 +135,8 @@ class UploadPipeline {
                  FindAsyncCloudFn find_cloud, PipelineConfig pipeline_config,
                  std::shared_ptr<cloud::CloudHealthRegistry> health,
                  obs::ObsPtr obs, dedup::PoolIndexPtr pool = nullptr,
-                 std::string folder = {});
+                 std::string folder = {},
+                 std::shared_ptr<ShardPool> shard_pool = nullptr);
   ~UploadPipeline();
 
   UploadPipeline(const UploadPipeline&) = delete;
@@ -132,6 +186,9 @@ class UploadPipeline {
                                     sched::TransferDoneFn done);
   void release_bytes_locked(std::size_t n);  // mem_mutex_ held
   void release_retained_pins();  // roll back pool pins of an aborted round
+  // Releases every remaining charge, then drops the cached shards, which
+  // return to the shard pool once no transfer holds them.
+  void release_all();
   void join_encode_workers();
   // Segment records in feed order, from the drained driver.
   Result<std::vector<metadata::SegmentInfo>> build_results();
@@ -144,9 +201,11 @@ class UploadPipeline {
   std::string folder_;
   PipelineConfig config_;
   obs::ObsPtr obs_;
+  std::shared_ptr<ShardPool> shard_pool_;
 
-  // Admission gate + accounting. mem_mutex_ is a leaf lock everywhere
-  // except feed(), which holds nothing else.
+  // Admission gate + accounting, mirrored into shard_pool_ (whose lock
+  // nests under it). mem_mutex_ is a leaf lock everywhere except feed(),
+  // which holds nothing else.
   mutable std::mutex mem_mutex_;
   std::condition_variable mem_cv_;
   std::size_t inflight_ = 0;
@@ -173,8 +232,8 @@ class UploadPipeline {
   std::vector<std::thread> encode_threads_;
 
   // Encoded shards awaiting transfer, indexed by block index. shared_ptr
-  // so a transfer in progress keeps its shard alive across a concurrent
-  // (impossible for settled segments, but cheap) release.
+  // so a transfer in progress keeps its shard alive across the settle that
+  // drops the cache entry; the last reference returns it to shard_pool_.
   std::mutex cache_mutex_;
   std::map<std::string, std::vector<std::shared_ptr<const Bytes>>> shards_;
 

@@ -1,10 +1,10 @@
 #include "erasure/rs.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <unordered_set>
 
-#include "common/aligned.h"
 #include "erasure/gf256.h"
 
 namespace unidrive::erasure {
@@ -43,20 +43,28 @@ RsCode::RsCode(std::size_t n, std::size_t k, RsVariant variant)
                                                 : GfMatrix::cauchy(n, k);
 }
 
-std::vector<AlignedBytes> RsCode::split_into_data_shards(
-    ByteSpan segment) const {
+void RsCode::encode_row(ByteSpan segment, std::uint32_t index,
+                        std::uint8_t* out) const {
   const std::size_t size = shard_size(segment.size());
-  // 64-byte-aligned source rows (common/aligned.h): a pure optimization for
-  // the SIMD dot kernel — every kernel accepts arbitrary alignment.
-  std::vector<AlignedBytes> shards(k_, AlignedBytes(size, 0));
-  for (std::size_t i = 0; i < k_; ++i) {
-    const std::size_t begin = i * size;
-    if (begin >= segment.size()) break;
-    const std::size_t len = std::min(size, segment.size() - begin);
-    std::copy_n(segment.begin() + static_cast<std::ptrdiff_t>(begin), len,
-                shards[i].begin());
+  if (size == 0) return;
+  // Data row r is segment bytes [r * size, (r + 1) * size): rows below
+  // `whole` are complete, row `whole` holds the last `tail` bytes, and the
+  // rows after it are all padding.
+  const std::size_t whole = segment.size() / size;
+  const std::size_t tail = segment.size() - whole * size;
+  std::array<const std::uint8_t*, 256> srcs{};
+  std::array<std::uint8_t, 256> coeffs{};
+  for (std::size_t c = 0; c < k_; ++c) {
+    srcs[c] = segment.data() + std::min(c * size, segment.size());
+    coeffs[c] = matrix_.at(index, c);
   }
-  return shards;
+  // Columns [0, tail) read the short row too; columns [tail, size) only
+  // the whole rows, since a zero byte adds nothing to the sum.
+  if (tail > 0) {
+    Gf256::dot_slice(out, srcs.data(), coeffs.data(), whole + 1, tail);
+  }
+  for (std::size_t c = 0; c < whole; ++c) srcs[c] += tail;
+  Gf256::dot_slice(out + tail, srcs.data(), coeffs.data(), whole, size - tail);
 }
 
 std::vector<Shard> RsCode::encode(ByteSpan segment) const {
@@ -67,57 +75,34 @@ std::vector<Shard> RsCode::encode(ByteSpan segment) const {
 
 std::vector<Shard> RsCode::encode_shards(
     ByteSpan segment, const std::vector<std::uint32_t>& indices) const {
-  const std::vector<AlignedBytes> data = split_into_data_shards(segment);
-  const std::size_t size = shard_size(segment.size());
-
-  std::vector<const std::uint8_t*> srcs(k_);
-  for (std::size_t c = 0; c < k_; ++c) srcs[c] = data[c].data();
-
-  std::vector<Shard> out;
-  out.reserve(indices.size());
-  std::vector<std::uint8_t> coeffs(k_);
-  for (const std::uint32_t idx : indices) {
-    Shard shard;
-    shard.index = idx;
-    shard.data.resize(size);
-    for (std::size_t c = 0; c < k_; ++c) coeffs[c] = matrix_.at(idx, c);
-    Gf256::dot_slice(shard.data.data(), srcs.data(), coeffs.data(), k_, size);
-    out.push_back(std::move(shard));
+  std::vector<Shard> out(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    out[i].index = indices[i];
+    out[i].data.resize(shard_size(segment.size()));
+    encode_row(segment, indices[i], out[i].data.data());
   }
   return out;
 }
 
-std::vector<Shard> RsCode::encode_shards_parallel(
-    ByteSpan segment, const std::vector<std::uint32_t>& indices,
-    Executor& executor) const {
-  const std::vector<AlignedBytes> data = split_into_data_shards(segment);
-  const std::size_t size = shard_size(segment.size());
-
-  std::vector<const std::uint8_t*> srcs(k_);
-  for (std::size_t c = 0; c < k_; ++c) srcs[c] = data[c].data();
-
-  std::vector<Shard> out(indices.size());
+void RsCode::encode_shards_parallel(ByteSpan segment,
+                                    const std::vector<std::uint32_t>& indices,
+                                    std::span<std::uint8_t* const> out,
+                                    Executor& executor) const {
   executor.parallel_apply(indices.size(), [&](std::size_t i) {
-    Shard& shard = out[i];
-    shard.index = indices[i];
-    shard.data.resize(size);
-    std::vector<std::uint8_t> coeffs(k_);
-    for (std::size_t c = 0; c < k_; ++c) coeffs[c] = matrix_.at(shard.index, c);
-    Gf256::dot_slice(shard.data.data(), srcs.data(), coeffs.data(), k_, size);
+    encode_row(segment, indices[i], out[i]);
   });
-  return out;
 }
 
 namespace {
 
-// Shared front half of both decode paths: pick the first k shards with
-// distinct in-range indices and invert the matching encode rows.
+// Front half of the decode: pick the first k shards with distinct
+// in-range indices and invert the matching encode rows.
 struct DecodePlan {
   std::vector<const Shard*> chosen;
   GfMatrix inverse;
 };
 
-Result<DecodePlan> plan_decode(const std::vector<Shard>& shards,
+Result<DecodePlan> plan_decode(std::span<const Shard* const> shards,
                                std::size_t shard_size, std::size_t n,
                                std::size_t k, const GfMatrix& matrix) {
   if (shards.size() < k) {
@@ -125,12 +110,12 @@ Result<DecodePlan> plan_decode(const std::vector<Shard>& shards,
   }
   DecodePlan plan;
   std::unordered_set<std::uint32_t> seen;
-  for (const Shard& s : shards) {
-    if (s.index >= n || !seen.insert(s.index).second) continue;
-    if (s.data.size() != shard_size) {
+  for (const Shard* s : shards) {
+    if (s->index >= n || !seen.insert(s->index).second) continue;
+    if (s->data.size() != shard_size) {
       return make_error(ErrorCode::kCorrupt, "RS decode: bad shard size");
     }
-    plan.chosen.push_back(&s);
+    plan.chosen.push_back(s);
     if (plan.chosen.size() == k) break;
   }
   if (plan.chosen.size() < k) {
@@ -147,42 +132,36 @@ Result<DecodePlan> plan_decode(const std::vector<Shard>& shards,
 
 Result<Bytes> RsCode::decode(const std::vector<Shard>& shards,
                              std::size_t original_size) const {
-  const std::size_t size = shard_size(original_size);
-  UNI_ASSIGN_OR_RETURN(const DecodePlan plan,
-                       plan_decode(shards, size, n_, k_, matrix_));
-
-  // data[c] = sum_i inverse[c][i] * shard[i], one fused pass per row.
-  std::vector<const std::uint8_t*> srcs(k_);
-  for (std::size_t i = 0; i < k_; ++i) srcs[i] = plan.chosen[i]->data.data();
-  Bytes out(k_ * size);
-  std::vector<std::uint8_t> coeffs(k_);
-  for (std::size_t c = 0; c < k_; ++c) {
-    for (std::size_t i = 0; i < k_; ++i) coeffs[i] = plan.inverse.at(c, i);
-    Gf256::dot_slice(out.data() + c * size, srcs.data(), coeffs.data(), k_,
-                     size);
-  }
-  out.resize(original_size);
-  return out;
+  std::vector<const Shard*> borrowed;
+  borrowed.reserve(shards.size());
+  for (const Shard& s : shards) borrowed.push_back(&s);
+  return decode_subset(borrowed, original_size, nullptr);
 }
 
-Result<Bytes> RsCode::decode_shards_parallel(const std::vector<Shard>& shards,
-                                             std::size_t original_size,
-                                             Executor& executor) const {
+Result<Bytes> RsCode::decode_subset(std::span<const Shard* const> shards,
+                                    std::size_t original_size,
+                                    Executor* executor) const {
   const std::size_t size = shard_size(original_size);
   UNI_ASSIGN_OR_RETURN(const DecodePlan plan,
                        plan_decode(shards, size, n_, k_, matrix_));
 
-  // Each recovered data row writes a disjoint slice of `out`, so the rows
-  // fan out with no synchronization beyond parallel_apply's join.
+  // data[c] = sum_i inverse[c][i] * shard[i], one fused pass per row. Each
+  // row writes a disjoint slice of `out`, so the rows fan out with no
+  // synchronization beyond parallel_apply's join.
   std::vector<const std::uint8_t*> srcs(k_);
   for (std::size_t i = 0; i < k_; ++i) srcs[i] = plan.chosen[i]->data.data();
   Bytes out(k_ * size);
-  executor.parallel_apply(k_, [&](std::size_t c) {
+  const auto row = [&](std::size_t c) {
     std::vector<std::uint8_t> coeffs(k_);
     for (std::size_t i = 0; i < k_; ++i) coeffs[i] = plan.inverse.at(c, i);
     Gf256::dot_slice(out.data() + c * size, srcs.data(), coeffs.data(), k_,
                      size);
-  });
+  };
+  if (executor != nullptr) {
+    executor->parallel_apply(k_, row);
+  } else {
+    for (std::size_t c = 0; c < k_; ++c) row(c);
+  }
   out.resize(original_size);
   return out;
 }

@@ -9,12 +9,16 @@
 // Shard layout: a segment of S bytes is split into k data shards of
 // ceil(S/k) bytes (zero-padded); encode() produces n coded shards of the
 // same size; decode() recovers the segment from any k distinct shards.
+// Encode reads the data rows in place from the segment: a zero padding row
+// adds nothing to a GF(2^8) sum, so the columns past a short last row
+// combine the whole rows only. No data byte is copied and none is read
+// past the segment's end, and every coded shard equals the padded split's.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/bytes.h"
 #include "common/executor.h"
 #include "common/status.h"
@@ -55,36 +59,40 @@ class RsCode {
   [[nodiscard]] std::vector<Shard> encode_shards(
       ByteSpan segment, const std::vector<std::uint32_t>& indices) const;
 
-  // Same result as encode_shards(), but the per-shard row combinations are
-  // fanned out over `executor` (the calling thread participates, so this is
-  // safe from pool threads and degrades to the serial path on a
-  // single-thread executor). The segment is split into data shards exactly
-  // once, shared read-only by all rows.
-  [[nodiscard]] std::vector<Shard> encode_shards_parallel(
-      ByteSpan segment, const std::vector<std::uint32_t>& indices,
-      Executor& executor) const;
+  // The rows encode_shards() returns, written into caller-owned buffers:
+  // out[i] receives row indices[i] and must hold shard_size(segment.size())
+  // bytes. The rows fan out over `executor` (the calling thread
+  // participates, so this is safe from pool threads and degrades to the
+  // serial path on a single-thread executor).
+  void encode_shards_parallel(ByteSpan segment,
+                              const std::vector<std::uint32_t>& indices,
+                              std::span<std::uint8_t* const> out,
+                              Executor& executor) const;
 
   // Reconstruct the original segment (original_size bytes) from any k
   // shards with distinct indices. Fails with kCorrupt on bad input.
   [[nodiscard]] Result<Bytes> decode(const std::vector<Shard>& shards,
                                      std::size_t original_size) const;
 
-  // Same result as decode(), but the k recovered data rows are fanned out
-  // over `executor` (caller-participating, so this is safe from pool
-  // threads and degrades to the serial path on a single-thread executor).
-  // The matrix inversion stays serial — it is O(k^3) on k-byte rows, dwarfed
-  // by the O(k * shard_size) row combinations this parallelizes.
-  [[nodiscard]] Result<Bytes> decode_shards_parallel(
-      const std::vector<Shard>& shards, std::size_t original_size,
-      Executor& executor) const;
+  // Same result as decode(), over borrowed shards, none copied: the
+  // corrupt-shard search tries its k-subsets through this. With a non-null
+  // `executor` the k recovered data rows fan out over it
+  // (caller-participating, so this is safe from pool threads and degrades
+  // to the serial path on a single-thread executor). The matrix inversion
+  // stays serial — it is O(k^3) on k-byte rows, dwarfed by the
+  // O(k * shard_size) row combinations this parallelizes.
+  [[nodiscard]] Result<Bytes> decode_subset(
+      std::span<const Shard* const> shards, std::size_t original_size,
+      Executor* executor) const;
 
   [[nodiscard]] const GfMatrix& encode_matrix() const noexcept {
     return matrix_;
   }
 
  private:
-  [[nodiscard]] std::vector<AlignedBytes> split_into_data_shards(
-      ByteSpan segment) const;
+  // Coded row `index` of `segment` into out[0, shard_size).
+  void encode_row(ByteSpan segment, std::uint32_t index,
+                  std::uint8_t* out) const;
 
   std::size_t n_;
   std::size_t k_;

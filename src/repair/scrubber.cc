@@ -297,7 +297,7 @@ void Scrubber::verify_segment(const metadata::SegmentInfo& segment,
       continue;
     }
     candidates.push_back(
-        erasure::Shard{loc.block_index, slots[i].bytes});
+        erasure::Shard{loc.block_index, std::move(slots[i].bytes)});
     candidate_slot.push_back(i);
   }
 
@@ -323,8 +323,8 @@ void Scrubber::verify_segment(const metadata::SegmentInfo& segment,
   // Verified plaintext in hand: every fetched block must equal its
   // re-encoded codeword row, byte for byte. This is what catches same-size
   // bit-rot the listing probe cannot see. All candidate rows are re-encoded
-  // in ONE fused pass (the segment is split into data shards once, each row
-  // is one SIMD dot product), and a CRC32C screen runs before the byte
+  // in ONE fused pass (each row is one SIMD dot product over the data rows
+  // read in place), and a CRC32C screen runs before the byte
   // compare so the common all-good case touches each buffer once more at
   // hardware CRC speed instead of a full memcmp mismatch scan.
   std::vector<std::uint32_t> indices;
@@ -343,8 +343,8 @@ void Scrubber::verify_segment(const metadata::SegmentInfo& segment,
     const metadata::BlockLocation& loc = segment.blocks[i];
     const bool matches =
         crypto::crc32c(ByteSpan(expected[c].data)) ==
-            crypto::crc32c(ByteSpan(slots[i].bytes)) &&
-        expected[c].data == slots[i].bytes;
+            crypto::crc32c(ByteSpan(candidates[c].data)) &&
+        expected[c].data == candidates[c].data;
     if (!matches) {
       if (tracker_->record({DefectKind::kCorruptBlock, segment.id,
                             loc.block_index, loc.cloud, now})) {

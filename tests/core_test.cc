@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "chunker/segmenter.h"
@@ -114,13 +115,14 @@ TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
 // handed over twice would appear twice).
 using SunkSegments = std::vector<std::pair<std::string, Bytes>>;
 
-// Scans at `theta` (64 KiB by default), collecting new segments into
-// `sunk` when given.
+// Scans at `theta` (64 KiB by default) on `executor` (the shared pool by
+// default), collecting new segments into `sunk` when given.
 ScanResult scan(const LocalFs& fs, const metadata::SyncFolderImage& image,
                 ScanCache* cache = nullptr, SunkSegments* sunk = nullptr,
-                std::size_t theta = 64 << 10) {
+                std::size_t theta = 64 << 10,
+                Executor& executor = *Executor::shared()) {
   return scan_local_changes(
-      fs, image, chunker::SegmenterParams{theta}, "dev", cache,
+      fs, image, chunker::SegmenterParams{theta}, "dev", cache, executor,
       [sunk](const std::string& id, Bytes bytes) {
         if (sunk != nullptr) sunk->emplace_back(id, std::move(bytes));
       });
@@ -197,6 +199,75 @@ TEST(ChangeScannerTest, DedupAcrossIdenticalFiles) {
   EXPECT_EQ(result.touched.size(), 2u);
   // Identical content -> shared segments -> handed to the sink once.
   EXPECT_EQ(sunk.size(), 1u);
+}
+
+// Ids hashed one file ahead on the pool must match segment_file's, and the
+// sink must see the same calls in the same order, whatever the pool width.
+TEST(ChangeScannerTest, HashingAheadMatchesSegmentFile) {
+  constexpr std::size_t kTheta = 64 << 10;
+  MemoryLocalFs fs;
+  Rng rng(6);
+  const Bytes same = rng.bytes(200000);
+  ASSERT_TRUE(fs.write("/f_same", ByteSpan(same)).is_ok());
+  metadata::SyncFolderImage image;
+  SunkSegments committed;
+  commit_scan(scan(fs, image, nullptr, &committed), committed, image);
+
+  const Bytes shared = rng.bytes(50 << 10);
+  ASSERT_TRUE(fs.write("/a_empty", ByteSpan(Bytes{})).is_ok());
+  ASSERT_TRUE(fs.write("/b_small", ByteSpan(rng.bytes(20 << 10))).is_ok());
+  ASSERT_TRUE(fs.write("/c_multi", ByteSpan(rng.bytes(700 << 10))).is_ok());
+  ASSERT_TRUE(fs.write("/d_dup", ByteSpan(shared)).is_ok());
+  ASSERT_TRUE(fs.write("/e_dup", ByteSpan(shared)).is_ok());
+  ASSERT_TRUE(fs.write("/f_same", ByteSpan(same)).is_ok());  // new mtime
+
+  // The sink calls a serial segment_file scan makes, in order.
+  SunkSegments expected;
+  std::set<std::string> emitted;
+  for (const std::string& path : fs.list_files()) {
+    if (path == "/f_same") continue;
+    const Bytes data = fs.read(path).value();
+    for (const chunker::Segment& seg :
+         chunker::segment_file(ByteSpan(data), chunker::SegmenterParams{kTheta})) {
+      if (emitted.insert(seg.id).second) {
+        expected.emplace_back(seg.id,
+                              chunker::segment_bytes(ByteSpan(data), seg));
+      }
+    }
+  }
+
+  std::vector<ScanResult> results;
+  std::vector<SunkSegments> sinks;
+  for (const std::size_t threads : {8, 1}) {
+    Executor executor(threads);
+    sinks.emplace_back();
+    results.push_back(
+        scan(fs, image, nullptr, &sinks.back(), kTheta, executor));
+  }
+  for (std::size_t run = 0; run < results.size(); ++run) {
+    const ScanResult& result = results[run];
+    EXPECT_EQ(result.files_scanned, 6u);
+    EXPECT_EQ(result.files_hashed, 6u);
+    EXPECT_EQ(sinks[run], expected) << "run " << run;
+    ASSERT_EQ(result.touched.size(), 5u);  // all but the unchanged file
+    for (const metadata::FileSnapshot& snap : result.touched) {
+      EXPECT_NE(snap.path, "/f_same");
+      const Bytes data = fs.read(snap.path).value();
+      std::vector<std::string> ids;
+      for (const chunker::Segment& seg : chunker::segment_file(
+               ByteSpan(data), chunker::SegmenterParams{kTheta})) {
+        ids.push_back(seg.id);
+      }
+      EXPECT_EQ(snap.segment_ids, ids) << snap.path;
+      EXPECT_EQ(snap.content_hash, crypto::file_content_hash(ids));
+      EXPECT_EQ(snap.size, data.size());
+    }
+  }
+  EXPECT_EQ(results[0].touched, results[1].touched);
+  EXPECT_EQ(results[0].changes.aggregated().size(),
+            results[1].changes.aggregated().size());
+  EXPECT_TRUE(results[0].touched[0].segment_ids.empty());  // the empty file
+  EXPECT_GT(results[0].touched[2].segment_ids.size(), 3u);  // multi-segment
 }
 
 TEST(ChangeScannerTest, UnchangedFileIsRecognisedBySegmentIds) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/rng.h"
 #include "test_seed.h"
 #include "erasure/gf256.h"
@@ -399,6 +400,63 @@ TEST(RsCodeTest, EncodeShardsSubsetMatchesFullEncode) {
   EXPECT_EQ(some[0].data, all[7].data);
   EXPECT_EQ(some[1].data, all[2].data);
   EXPECT_EQ(some[2].data, all[9].data);
+}
+
+// The encode the in-place rows replaced, written out: split the segment
+// into k rows of shard_size bytes, zero-padded, then one scalar dot
+// product per coded row.
+Bytes padded_split_row(const RsCode& code, ByteSpan segment,
+                       std::uint32_t index) {
+  const std::size_t size = code.shard_size(segment.size());
+  std::vector<Bytes> rows(code.k(), Bytes(size, 0));
+  std::vector<const std::uint8_t*> srcs;
+  std::vector<std::uint8_t> coeffs;
+  for (std::size_t r = 0; r < code.k(); ++r) {
+    const std::size_t begin = std::min(r * size, segment.size());
+    const std::size_t len = std::min(size, segment.size() - begin);
+    std::copy_n(segment.begin() + static_cast<std::ptrdiff_t>(begin), len,
+                rows[r].begin());
+    srcs.push_back(rows[r].data());
+    coeffs.push_back(code.encode_matrix().at(index, r));
+  }
+  Bytes out(size);
+  Gf256::dot_slice_scalar(out.data(), srcs.data(), coeffs.data(), code.k(),
+                          size);
+  return out;
+}
+
+// Every coded row the client stores (indices below code_n of its default
+// code) must stay byte-identical through both encode entry points. Each
+// segment is the prefix of a longer random buffer, so an encode that reads
+// past a short last row picks up those bytes and differs.
+TEST(RsCodeTest, InPlaceEncodeIsByteIdenticalToPaddedSplit) {
+  const sched::CodeParams params;
+  const RsCode code(64, params.k);  // the client's pinned codec length
+  std::vector<std::uint32_t> indices(params.code_n());
+  std::iota(indices.begin(), indices.end(), 0u);
+  const std::size_t k = params.k;
+  const std::size_t shard = 4096;
+  Rng rng(test_seed(31));
+  Executor executor(4);
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1, 3 * shard - 1,
+        std::size_t{(4 << 20) + 1}}) {
+    const Bytes buffer = rng.bytes(size + 4096);
+    const ByteSpan segment(buffer.data(), size);
+    const std::vector<Shard> serial = code.encode_shards(segment, indices);
+    std::vector<Bytes> parallel(indices.size(),
+                                Bytes(code.shard_size(size)));
+    std::vector<std::uint8_t*> out;
+    for (Bytes& row : parallel) out.push_back(row.data());
+    code.encode_shards_parallel(segment, indices, out, executor);
+    ASSERT_EQ(serial.size(), indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const Bytes expected = padded_split_row(code, segment, indices[i]);
+      EXPECT_EQ(serial[i].index, indices[i]);
+      EXPECT_EQ(serial[i].data, expected) << "size " << size << " row " << i;
+      EXPECT_EQ(parallel[i], expected) << "size " << size << " row " << i;
+    }
+  }
 }
 
 TEST(RsCodeTest, InvalidParamsThrow) {

@@ -163,12 +163,15 @@ TEST(ParallelEncodeTest, MatchesSerialEncodeForEveryShard) {
       code.encode_shards(ByteSpan(segment), indices);
   for (const std::size_t threads : {1, 4}) {
     Executor executor(threads);
-    const std::vector<erasure::Shard> parallel =
-        code.encode_shards_parallel(ByteSpan(segment), indices, executor);
+    std::vector<Bytes> parallel(indices.size(),
+                                Bytes(code.shard_size(segment.size())));
+    std::vector<std::uint8_t*> out;
+    for (Bytes& row : parallel) out.push_back(row.data());
+    code.encode_shards_parallel(ByteSpan(segment), indices, out, executor);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].index, serial[i].index);
-      EXPECT_EQ(parallel[i].data, serial[i].data) << "shard " << i;
+      EXPECT_EQ(serial[i].index, indices[i]);
+      EXPECT_EQ(parallel[i], serial[i].data) << "shard " << i;
     }
   }
 }
@@ -497,6 +500,122 @@ TEST(UploadPipelineTest, LatencyWaitsDoNotPinPoolThreads) {
   EXPECT_LT(elapsed, pinned_seconds / 2)
       << blocks << " blocks at " << kLatencySec * 1e3 << " ms on "
       << kPoolThreads << " pool threads";
+}
+
+// --- UploadPipeline: recycled shard buffers --------------------------------
+
+std::uint64_t counter(const obs::ObsPtr& obs, const std::string& name) {
+  return obs->metrics.snapshot().counter_value(name);
+}
+
+// The client's shard pool outlives its upload rounds: after a round of
+// three 1 MiB segments, a second round's segment of the same size encodes
+// into recycled buffers only. (The first round already recycles whatever
+// settled before a later segment encoded, so its own split between fresh
+// and recycled buffers depends on timing.)
+TEST(UploadPipelineTest, ShardBuffersAreRecycledAcrossRounds) {
+  cloud::MultiCloud clouds = make_clouds(4);
+  auto fs = std::make_shared<MemoryLocalFs>();
+  ClientConfig cfg = test_config("a");
+  cfg.theta = 1 << 20;  // a 1 MiB file is one segment, shards ~341 KiB
+  UniDriveClient client(clouds, fs, cfg);
+  const obs::ObsPtr& obs = client.observability();
+  const std::size_t code_n = client.code_params().code_n();
+
+  Rng rng(71);
+  for (const std::size_t files : {3, 1}) {
+    const std::uint64_t reused = counter(obs, "pipeline.shard_pool.reused");
+    const std::uint64_t allocated =
+        counter(obs, "pipeline.shard_pool.allocated");
+    for (std::size_t i = 0; i < files; ++i) {
+      ASSERT_TRUE(fs->write("/f" + std::to_string(rng.next()),
+                            ByteSpan(rng.bytes(1 << 20)))
+                      .is_ok());
+    }
+    const auto report = client.sync();
+    ASSERT_TRUE(report.is_ok()) << report.status().message();
+    ASSERT_EQ(report.value().segments_uploaded, files);
+    const std::uint64_t fresh =
+        counter(obs, "pipeline.shard_pool.allocated") - allocated;
+    const std::uint64_t recycled =
+        counter(obs, "pipeline.shard_pool.reused") - reused;
+    EXPECT_EQ(fresh + recycled, files * code_n);
+    if (files == 1) {
+      EXPECT_EQ(fresh, 0u);
+      EXPECT_EQ(recycled, code_n);
+    }
+    // Every shard came back once its round settled.
+    EXPECT_EQ(counter(obs, "pipeline.shard_pool.kept"),
+              counter(obs, "pipeline.shard_pool.reused") +
+                  counter(obs, "pipeline.shard_pool.allocated"));
+  }
+}
+
+// Pooled bytes plus the bytes the pipeline admitted stay within
+// max_inflight_bytes, and shards under the pool's floor are never pooled.
+TEST(UploadPipelineTest, PooledAndInflightBytesStayUnderCap) {
+  const sched::CodeParams params{4, 3, 2, 3};  // 8 coded shards per segment
+  ASSERT_TRUE(params.validate().is_ok());
+  cloud::MultiCloud clouds = make_clouds(4);
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+  auto obs = std::make_shared<obs::Observability>();
+  PipelineConfig config;
+  config.max_inflight_bytes = 4 << 20;
+  auto pool = std::make_shared<ShardPool>(config.max_inflight_bytes, obs);
+
+  // Shards of a 300 KiB segment are 100 KiB (under the floor), of a
+  // 600 KiB one 200 KiB; twelve large segments would pool ~19 MiB unbounded.
+  Rng rng(72);
+  const auto round = [&](std::size_t segment_bytes, int segments) {
+    UploadPipeline pipeline(params, erasure::RsCode(16, params.k),
+                            {0, 1, 2, 3}, sched::DriverConfig{2}, monitor,
+                            executor, async_lookup(twins), config, nullptr,
+                            obs, nullptr, {}, pool);
+    for (int i = 0; i < segments; ++i) {
+      pipeline.feed("seg" + std::to_string(rng.next()),
+                    rng.bytes(segment_bytes));
+    }
+    const auto result = pipeline.finish();
+    ASSERT_TRUE(result.is_ok()) << result.status().message();
+  };
+
+  round(300 << 10, 12);
+  EXPECT_EQ(counter(obs, "pipeline.shard_pool.kept"), 0u);
+  EXPECT_EQ(pool->pooled_bytes(), 0u);
+
+  round(600 << 10, 12);
+  round(600 << 10, 12);
+  EXPECT_GT(counter(obs, "pipeline.shard_pool.kept"), 0u);
+  EXPECT_GT(counter(obs, "pipeline.shard_pool.reused"), 0u);
+  EXPECT_GT(counter(obs, "pipeline.shard_pool.freed"), 0u);  // the cap bit
+
+  // Small shards neither take a pooled buffer nor join the pool (which
+  // their admissions may trim).
+  const std::uint64_t reused = counter(obs, "pipeline.shard_pool.reused");
+  const std::uint64_t kept = counter(obs, "pipeline.shard_pool.kept");
+  const std::size_t pooled = pool->pooled_bytes();
+  round(300 << 10, 12);
+  EXPECT_EQ(counter(obs, "pipeline.shard_pool.reused"), reused);
+  EXPECT_EQ(counter(obs, "pipeline.shard_pool.kept"), kept);
+  EXPECT_LE(pool->pooled_bytes(), pooled);
+
+  // A shard a late transfer completion still holds comes back after new
+  // bytes were admitted: it is freed, not pooled past the cap.
+  std::shared_ptr<const Bytes> late = pool->share(pool->take(256 << 10));
+  const std::size_t admitted = config.max_inflight_bytes - (128 << 10);
+  pool->charge(admitted);
+  const std::size_t trimmed = pool->pooled_bytes();
+  late.reset();
+  EXPECT_EQ(pool->pooled_bytes(), trimmed);
+  pool->discharge(admitted);
+
+  const auto metrics = obs->metrics.snapshot();
+  EXPECT_GT(metrics.gauge_value("pipeline.shard_pool.peak_bytes"), 0.0);
+  EXPECT_LE(metrics.gauge_value("pipeline.shard_pool.peak_bytes"),
+            static_cast<double>(config.max_inflight_bytes));
+  EXPECT_LE(pooled, config.max_inflight_bytes);
 }
 
 // --- end-to-end sync through the pipeline -----------------------------------

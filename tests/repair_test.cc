@@ -394,5 +394,24 @@ TEST(FaultyCloudTest, SilentDefectInjectorsReportSuccess) {
   EXPECT_EQ(faulty.bitrots(), 1u);
 }
 
+// A victim picked twice must stay rotten: a rot that undid itself would
+// silently cancel an injection (and heal a repair-off world).
+TEST(FaultyCloudTest, RottingTwiceLeavesTheBlockCorrupt) {
+  auto memory = std::make_shared<cloud::MemoryCloud>(0, "m");
+  cloud::FaultyCloud faulty(memory, cloud::FaultProfile{}, 7);
+  const Bytes payload = Rng(12).bytes(4096);
+  ASSERT_TRUE(memory->upload("/data/z_0", ByteSpan(payload)).is_ok());
+
+  ASSERT_TRUE(faulty.rot_stored("/data/z_0").is_ok());
+  const Bytes once = memory->download("/data/z_0").value();
+  ASSERT_TRUE(faulty.rot_stored("/data/z_0").is_ok());
+  const Bytes twice = memory->download("/data/z_0").value();
+  EXPECT_EQ(twice.size(), payload.size());
+  EXPECT_NE(once, payload);
+  EXPECT_NE(twice, payload);
+  EXPECT_NE(twice, once);
+  EXPECT_EQ(faulty.bitrots(), 2u);
+}
+
 }  // namespace
 }  // namespace unidrive::repair

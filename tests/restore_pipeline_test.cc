@@ -189,10 +189,12 @@ TEST(ParallelDecodeTest, MatchesSerialDecodeOnArbitrarySubsets) {
   ASSERT_TRUE(serial.is_ok());
   ASSERT_EQ(serial.value(), segment);
 
+  const std::vector<const erasure::Shard*> borrowed = {&all[5], &all[9],
+                                                       &all[2], &all[11]};
   for (const std::size_t threads : {1, 4}) {
     Executor executor(threads);
     const auto parallel =
-        code.decode_shards_parallel(subset, segment.size(), executor);
+        code.decode_subset(borrowed, segment.size(), &executor);
     ASSERT_TRUE(parallel.is_ok());
     EXPECT_EQ(parallel.value(), segment) << threads << " threads";
   }
@@ -209,9 +211,9 @@ TEST(ParallelDecodeTest, SafeFromPoolThreadAndRejectsBadInput) {
   Executor executor(1);
   std::atomic<bool> ok{false};
   executor.submit([&] {
-    const std::vector<erasure::Shard> subset = {all[1], all[4], all[6]};
-    const auto decoded =
-        code.decode_shards_parallel(subset, segment.size(), executor);
+    const std::vector<const erasure::Shard*> subset = {&all[1], &all[4],
+                                                       &all[6]};
+    const auto decoded = code.decode_subset(subset, segment.size(), &executor);
     ok.store(decoded.is_ok() && decoded.value() == segment);
   });
   for (int spin = 0; spin < 5000 && !ok.load(); ++spin) {
@@ -220,10 +222,9 @@ TEST(ParallelDecodeTest, SafeFromPoolThreadAndRejectsBadInput) {
   EXPECT_TRUE(ok.load());
 
   // Too few shards fail the same way the serial path does.
-  const std::vector<erasure::Shard> short_set = {all[0], all[1]};
-  EXPECT_FALSE(code.decode_shards_parallel(short_set, segment.size(),
-                                           executor)
-                   .is_ok());
+  const std::vector<const erasure::Shard*> short_set = {&all[0], &all[1]};
+  EXPECT_FALSE(
+      code.decode_subset(short_set, segment.size(), &executor).is_ok());
 }
 
 // --- decode_verified --------------------------------------------------------
