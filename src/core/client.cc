@@ -358,25 +358,7 @@ std::vector<lock::Scope> UniDriveClient::all_scopes() const {
   return scopes;
 }
 
-Result<metadata::ShardManifest> UniDriveClient::publish_and_flip(
-    const SyncFolderImage& next, const std::vector<Change>& changes,
-    const metadata::ShardManifest& fenced, const VersionStamp& stamp) {
-  const auto slices =
-      metadata::split_changes_by_shard(changes, store_.num_shards());
-  std::vector<metadata::ShardEntry> dirty;
-  dirty.reserve(slices.size());
-  for (const metadata::ShardSlice& slice : slices) {
-    UNI_ASSIGN_OR_RETURN(
-        metadata::ShardEntry entry,
-        store_.publish_shard(slice.shard, fenced.find(slice.shard),
-                             slice.changes, next, stamp,
-                             config_.delta_policy));
-    dirty.push_back(std::move(entry));
-  }
-  return store_.commit_manifest(dirty, fenced, stamp);
-}
-
-void UniDriveClient::absorb_foreign_shards(
+bool UniDriveClient::absorb_foreign_shards(
     SyncFolderImage& next, const metadata::ShardManifest& fenced,
     const metadata::ShardManifest& committed,
     const std::vector<metadata::ShardId>& own) {
@@ -386,7 +368,7 @@ void UniDriveClient::absorb_foreign_shards(
     const metadata::ShardEntry* was = fenced.find(e.id);
     if (was == nullptr || was->version < e.version) foreign.insert(e.id);
   }
-  if (foreign.empty()) return;
+  if (foreign.empty()) return false;
 
   // Rebuild the image as (our shards, untouched) + (foreign shards, as
   // committed). Everything routed to a foreign shard is dropped first so a
@@ -412,7 +394,7 @@ void UniDriveClient::absorb_foreign_shards(
     // a cloud update and reconciles through the normal merge path.
     obs::add_counter(obs_.get(), "meta.shard.absorb.err");
     next.set_version(fenced.version);
-    return;
+    return true;
   }
   for (const SyncFolderImage& shard : shards.value()) merged.absorb(shard);
   merged.rebuild_refcounts();
@@ -420,237 +402,124 @@ void UniDriveClient::absorb_foreign_shards(
   merged.set_version(committed.version);
   obs::add_counter(obs_.get(), "meta.shard.absorb.ok", foreign.size());
   next = std::move(merged);
+  return true;
 }
 
-Status UniDriveClient::commit_sharded(const SyncFolderImage& local,
-                                      std::vector<Change> changes,
-                                      SyncReport* report) {
+Result<SyncFolderImage> UniDriveClient::commit(
+    const Rebase& rebase, std::optional<StagedCommit> first,
+    const std::vector<lock::Scope>& extra_scopes) {
+  StagedCommit staged;
+  if (first.has_value()) {
+    staged = std::move(*first);
+  } else {
+    auto fetched = store_.fetch_latest();
+    if (!fetched.is_ok() && fetched.code() != ErrorCode::kNotFound) {
+      return fetched.status();
+    }
+    staged.next = fetched.is_ok() ? std::move(fetched).take().image : image_;
+    staged.basis = staged.next.version();
+    staged.changes = rebase(staged.next);
+  }
+
   constexpr int kMaxAttempts = 4;
   Status last = Status::ok();
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts && !staged.changes.empty();
+       ++attempt) {
     const std::uint32_t n = store_.num_shards();
-    auto slices = metadata::split_changes_by_shard(changes, n);
-    std::vector<lock::Scope> scopes;
-    scopes.reserve(slices.size());
-    for (const metadata::ShardSlice& s : slices) {
-      scopes.push_back(lock::Scope::of_shard(s.shard));
-    }
-    UNI_RETURN_IF_ERROR(locks_.acquire_all(scopes));
-
     metadata::ShardManifest fenced;
+    std::vector<metadata::ShardId> own;
+    metadata::ShardManifest committed;
     {
+      const lock::ReleaseOnExit release(locks_);
+      auto slices = metadata::split_changes_by_shard(staged.changes, n);
+      std::vector<lock::Scope> scopes = extra_scopes;
+      for (const metadata::ShardSlice& s : slices) {
+        scopes.push_back(lock::Scope::of_shard(s.shard));
+      }
+      UNI_RETURN_IF_ERROR(locks_.acquire_all(scopes));
+
       auto manifest = store_.fetch_manifest();
       if (manifest.is_ok()) {
         fenced = std::move(manifest).take();
       } else if (manifest.code() == ErrorCode::kNotFound) {
         fenced.num_shards = n;  // first commit ever
       } else {
-        locks_.release_all();
         return manifest.status();
       }
-    }
-    if (store_.num_shards() != n) {
       // The published manifest was created with a different shard count
       // (that choice is authoritative): re-route and re-lock.
-      locks_.release_all();
-      continue;
-    }
+      if (store_.num_shards() != n) continue;
 
-    SyncFolderImage next = local;
-    if (image_.version() < fenced.version) {
-      // A foreign commit landed since our last reconcile: fetch and 3-way
-      // merge before committing (conflicts keep both copies).
-      auto fetched = store_.fetch_latest();
-      if (!fetched.is_ok()) {
-        locks_.release_all();
-        return fetched.status();
-      }
-      obs::Span merge_span = obs::start_span(obs_.get(), "sync.merge");
-      metadata::MergeResult merged = metadata::merge_images(
-          image_, local, fetched.value().image, config_.device);
-      merge_span.end();
-      if (report != nullptr) report->conflicts = merged.conflicts;
-      obs::add_counter(obs_.get(), "sync.conflicts", merged.conflicts.size());
-      // The merge may have rewritten paths (conflict copies): recompute the
-      // change list as the diff cloud->merged for the shard delta logs.
-      std::vector<Change> merged_changes;
-      for (const auto& [id, seg] : merged.merged.segments()) {
-        if (fetched.value().image.find_segment(id) == nullptr) {
-          merged_changes.push_back(Change::upsert_segment(seg));
+      if (staged.basis < fenced.version) {
+        // A foreign commit landed after the basis: rebase onto it.
+        UNI_ASSIGN_OR_RETURN(metadata::FetchedMetadata fresh,
+                             store_.fetch_latest());
+        staged.basis = fresh.image.version();
+        staged.changes = rebase(fresh.image);
+        staged.next = std::move(fresh.image);
+        if (staged.changes.empty()) break;
+        // The rebase may have routed changes into shards we do not hold
+        // yet (conflict copies in other subtrees): re-lock the full set.
+        slices = metadata::split_changes_by_shard(staged.changes, n);
+        const bool covered = std::all_of(
+            slices.begin(), slices.end(), [&](const metadata::ShardSlice& s) {
+              return locks_.held(lock::Scope::of_shard(s.shard));
+            });
+        if (!covered) {
+          last = make_error(ErrorCode::kLockContention,
+                            "rebase widened the dirty shard set");
+          continue;
         }
       }
-      const metadata::ImageDiff d =
-          metadata::diff_images(fetched.value().image, merged.merged);
-      for (const auto& [path, ec] : d.files) {
-        if (ec.kind == metadata::EntryChangeKind::kDeleted) {
-          merged_changes.push_back(Change::delete_file(path));
-        } else {
-          merged_changes.push_back(Change::upsert_file(*ec.snapshot));
-        }
-      }
-      for (const std::string& dir : d.added_dirs) {
-        merged_changes.push_back(Change::add_dir(dir));
-      }
-      for (const std::string& dir : d.removed_dirs) {
-        merged_changes.push_back(Change::delete_dir(dir));
-      }
-      next = std::move(merged.merged);
-      changes = std::move(merged_changes);
-      if (changes.empty()) {
-        // The cloud already carries everything we have: adopt, no commit.
-        next.set_version(fetched.value().image.version());
-        image_ = std::move(next);
-        locks_.release_all();
-        return Status::ok();
-      }
-      // The merge may have routed changes into shards we do not hold yet
-      // (conflict copies in other subtrees): re-lock with the full set.
-      slices = metadata::split_changes_by_shard(changes, n);
-      bool covered = true;
-      for (const metadata::ShardSlice& s : slices) {
-        if (!locks_.held(lock::Scope::of_shard(s.shard))) {
-          covered = false;
-          break;
-        }
-      }
-      if (!covered) {
-        locks_.release_all();
-        last = make_error(ErrorCode::kLockContention,
-                          "merge widened the dirty shard set");
-        continue;
-      }
-    }
 
-    VersionStamp stamp;
-    stamp.device = config_.device;
-    stamp.counter =
-        std::max(fenced.version.counter, image_.version().counter) + 1;
-    stamp.timestamp = clock_.now();
-    next.set_version(stamp);
+      VersionStamp stamp;
+      stamp.device = config_.device;
+      stamp.counter =
+          std::max(fenced.version.counter, image_.version().counter) + 1;
+      stamp.timestamp = clock_.now();
+      staged.next.set_version(stamp);
 
-    // Stage every dirty shard WITHOUT the root scope — the heavy object
-    // uploads run concurrently with other writers' disjoint commits.
-    std::vector<metadata::ShardId> own;
-    own.reserve(slices.size());
-    std::vector<metadata::ShardEntry> dirty;
-    dirty.reserve(slices.size());
-    Status staged = Status::ok();
-    for (const metadata::ShardSlice& slice : slices) {
-      auto entry = store_.publish_shard(slice.shard, fenced.find(slice.shard),
-                                        slice.changes, next, stamp,
-                                        config_.delta_policy);
-      if (!entry.is_ok()) {
-        staged = entry.status();
-        break;
+      // Stage every dirty shard WITHOUT the root scope — the heavy object
+      // uploads run concurrently with other writers' disjoint commits.
+      std::vector<metadata::ShardEntry> dirty;
+      dirty.reserve(slices.size());
+      for (const metadata::ShardSlice& slice : slices) {
+        UNI_ASSIGN_OR_RETURN(
+            metadata::ShardEntry entry,
+            store_.publish_shard(slice.shard, fenced.find(slice.shard),
+                                 slice.changes, staged.next, stamp,
+                                 config_.delta_policy));
+        own.push_back(slice.shard);
+        dirty.push_back(std::move(entry));
       }
-      own.push_back(slice.shard);
-      dirty.push_back(std::move(entry).take());
-    }
-    if (!staged.is_ok()) {
-      locks_.release_all();
-      return staged;
-    }
 
-    // Root scope only for the manifest flip — the global choke point stays
-    // as narrow as the commit protocol allows.
-    if (const Status s = locks_.acquire(lock::Scope::root()); !s.is_ok()) {
-      locks_.release_all();
-      return s;
-    }
-    auto flipped = store_.commit_manifest(dirty, fenced, stamp);
-    locks_.release_all();
-    if (!flipped.is_ok()) {
-      if (flipped.code() == ErrorCode::kConflict) {
+      // Root scope only for the manifest flip — the global choke point
+      // stays as narrow as the commit protocol allows.
+      UNI_RETURN_IF_ERROR(locks_.acquire(lock::Scope::root()));
+      auto flipped = store_.commit_manifest(dirty, fenced, stamp);
+      if (!flipped.is_ok()) {
+        if (flipped.code() != ErrorCode::kConflict) return flipped.status();
         last = flipped.status();
         continue;  // restage from fresh state
       }
-      return flipped.status();
-    }
-    next.set_version(flipped.value().version);
-    absorb_foreign_shards(next, fenced, flipped.value(), own);
-    image_ = std::move(next);
-    return Status::ok();
-  }
-  return last.is_ok() ? make_error(ErrorCode::kLockContention,
-                                   "sharded commit retry budget exhausted")
-                      : last;
-}
-
-Status UniDriveClient::locked_mutation(
-    const std::function<std::vector<Change>(SyncFolderImage&)>& mutate,
-    bool adopt) {
-  constexpr int kMaxAttempts = 3;
-  Status last = make_error(ErrorCode::kConflict,
-                           "maintenance commit retry budget exhausted");
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    auto fetched = store_.fetch_latest();
-    if (!fetched.is_ok() && fetched.code() != ErrorCode::kNotFound) {
-      return fetched.status();
-    }
-    SyncFolderImage next =
-        fetched.is_ok() ? std::move(fetched).take().image : image_;
-    const VersionStamp basis = next.version();
-
-    std::vector<Change> changes = mutate(next);
-    if (changes.empty()) return Status::ok();
-
-    const std::uint32_t n = store_.num_shards();
-    const auto slices = metadata::split_changes_by_shard(changes, n);
-    std::vector<lock::Scope> scopes;
-    scopes.reserve(slices.size() + 1);
-    for (const metadata::ShardSlice& s : slices) {
-      scopes.push_back(lock::Scope::of_shard(s.shard));
-    }
-    scopes.push_back(lock::Scope::root());
-    UNI_RETURN_IF_ERROR(locks_.acquire_all(scopes));
-
-    metadata::ShardManifest fenced;
-    auto manifest = store_.fetch_manifest();
-    if (manifest.is_ok()) {
-      fenced = std::move(manifest).take();
-    } else if (manifest.code() == ErrorCode::kNotFound) {
-      fenced.num_shards = n;
-    } else {
-      locks_.release_all();
-      return manifest.status();
-    }
-    if (store_.num_shards() != n || fenced.version < basis ||
-        basis < fenced.version) {
-      // A commit landed between our fetch and the locks (the mutation was
-      // computed against stale state): recompute from fresh state.
-      locks_.release_all();
-      last = make_error(ErrorCode::kConflict,
-                        "metadata moved while staging a maintenance commit");
-      continue;
+      committed = std::move(flipped).take();
     }
 
-    VersionStamp stamp;
-    stamp.device = config_.device;
-    stamp.counter =
-        std::max(fenced.version.counter, image_.version().counter) + 1;
-    stamp.timestamp = clock_.now();
-    next.set_version(stamp);
-
-    auto flipped = publish_and_flip(next, changes, fenced, stamp);
-    if (!flipped.is_ok()) {
-      locks_.release_all();
-      if (flipped.code() == ErrorCode::kConflict) {
-        last = flipped.status();
-        continue;
-      }
-      return flipped.status();
-    }
-    if (adopt) {
-      next.set_version(flipped.value().version);
-      image_ = std::move(next);
+    staged.next.set_version(committed.version);
+    const bool foreign =
+        absorb_foreign_shards(staged.next, fenced, committed, own);
+    if (!foreign && staged.basis == image_.version()) {
+      image_ = staged.next;
       if (config_.pool != nullptr) {
         config_.pool->absorb_image(config_.folder_id, image_);
       }
     }
-    locks_.release_all();
-    return Status::ok();
+    return std::move(staged.next);
   }
-  return last;
+  if (staged.changes.empty()) return std::move(staged.next);
+  return last.is_ok() ? make_error(ErrorCode::kLockContention,
+                                   "commit retry budget exhausted")
+                      : last;
 }
 
 Result<SyncReport> UniDriveClient::sync() {
@@ -721,21 +590,54 @@ Result<SyncReport> UniDriveClient::sync() {
       if (c.kind == metadata::ChangeKind::kUpsertFile) ++report.files_uploaded;
     }
 
+    // Built on v_o, with no fetch. When a foreign commit landed since our
+    // last reconcile, the rebase is a 3-way merge against the cloud image
+    // (conflicts keep both copies); the merge may have rewritten paths
+    // (conflict copies), so the change list becomes the diff cloud->merged
+    // for the shard delta logs.
+    const Rebase merge = [&](SyncFolderImage& fresh) {
+      obs::Span merge_span = obs::start_span(obs_.get(), "sync.merge");
+      metadata::MergeResult merged =
+          metadata::merge_images(image_, local, fresh, config_.device);
+      merge_span.end();
+      report.conflicts = merged.conflicts;
+      obs::add_counter(obs_.get(), "sync.conflicts", merged.conflicts.size());
+      std::vector<Change> changes;
+      for (const auto& [id, seg] : merged.merged.segments()) {
+        if (fresh.find_segment(id) == nullptr) {
+          changes.push_back(Change::upsert_segment(seg));
+        }
+      }
+      const metadata::ImageDiff d = metadata::diff_images(fresh, merged.merged);
+      for (const auto& [path, ec] : d.files) {
+        if (ec.kind == metadata::EntryChangeKind::kDeleted) {
+          changes.push_back(Change::delete_file(path));
+        } else {
+          changes.push_back(Change::upsert_file(*ec.snapshot));
+        }
+      }
+      for (const std::string& dir : d.added_dirs) {
+        changes.push_back(Change::add_dir(dir));
+      }
+      for (const std::string& dir : d.removed_dirs) {
+        changes.push_back(Change::delete_dir(dir));
+      }
+      fresh = std::move(merged.merged);
+      return changes;
+    };
+    SyncFolderImage committed;
     {
-      // Sharded commit: locks only the dirty shard scopes (merging against
-      // the cloud state when behind), stages one delta object per dirty
-      // shard and flips the root manifest atomically under the root scope.
       obs::Span commit_span = round_span.child("sync.commit");
-      UNI_RETURN_IF_ERROR(
-          commit_sharded(local, std::move(committed_changes), &report));
+      UNI_ASSIGN_OR_RETURN(
+          committed,
+          commit(merge, StagedCommit{local, std::move(committed_changes),
+                                     image_.version()}));
     }
     report.committed = true;
 
     // Bring the local folder up to the committed state (conflict copies,
     // concurrently added files from other devices). The local folder
-    // currently reflects v_l, so diff from there — commit_sharded already
-    // moved image_ to the merged state.
-    const SyncFolderImage committed = image_;
+    // currently reflects v_l, so diff from there.
     image_ = local;
     obs::Span apply_span = round_span.child("sync.apply_cloud");
     auto applied = apply_cloud_image(committed);
@@ -808,82 +710,79 @@ Result<SyncReport> UniDriveClient::sync() {
 
 Status UniDriveClient::cleanup_overprovisioned() {
   const sched::CodeParams params = code_params();
-  return locked_mutation(
-      [&](SyncFolderImage& next) {
-        std::vector<Change> changes;
-        for (const auto& [id, seg] : next.segments()) {
-          std::map<cloud::CloudId, std::size_t> per_cloud;
-          SegmentInfo trimmed = seg;
-          std::vector<metadata::BlockLocation> keep;
-          for (const metadata::BlockLocation& b : seg.blocks) {
-            if (per_cloud[b.cloud] < params.fair_share()) {
-              keep.push_back(b);
-              ++per_cloud[b.cloud];
-            } else {
-              // Surplus: delete the block from the cloud (best effort,
-              // idempotent if the commit below retries).
-              cloud::CloudProvider* provider = find_cloud(b.cloud);
-              if (provider != nullptr) {
-                (void)provider->remove(metadata::block_path(id, b.block_index));
-              }
-            }
-          }
-          if (keep.size() != seg.blocks.size()) {
-            trimmed.blocks = std::move(keep);
-            changes.push_back(Change::upsert_segment(trimmed));
+  const Rebase trim = [&](SyncFolderImage& next) {
+    std::vector<Change> changes;
+    for (const auto& [id, seg] : next.segments()) {
+      std::map<cloud::CloudId, std::size_t> per_cloud;
+      SegmentInfo trimmed = seg;
+      std::vector<metadata::BlockLocation> keep;
+      for (const metadata::BlockLocation& b : seg.blocks) {
+        if (per_cloud[b.cloud] < params.fair_share()) {
+          keep.push_back(b);
+          ++per_cloud[b.cloud];
+        } else {
+          // Surplus: delete the block from the cloud (best effort,
+          // idempotent if the commit below retries).
+          cloud::CloudProvider* provider = find_cloud(b.cloud);
+          if (provider != nullptr) {
+            (void)provider->remove(metadata::block_path(id, b.block_index));
           }
         }
-        for (const Change& c : changes) apply_change(next, c);
-        return changes;
-      },
-      /*adopt=*/true);
+      }
+      if (keep.size() != seg.blocks.size()) {
+        trimmed.blocks = std::move(keep);
+        changes.push_back(Change::upsert_segment(trimmed));
+      }
+    }
+    for (const Change& c : changes) apply_change(next, c);
+    return changes;
+  };
+  return commit(trim).status();
 }
 
 Result<std::size_t> UniDriveClient::collect_garbage() {
   std::size_t collected = 0;
-  const Status status = locked_mutation(
-      [&](SyncFolderImage& next) {
-        collected = 0;
-        std::vector<Change> changes;
-        for (const std::string& seg_id : next.garbage_segments()) {
-          const SegmentInfo* seg = next.find_segment(seg_id);
-          if (seg == nullptr) continue;
-          // Cross-folder guard: blocks live in a shared content-addressed
-          // namespace, so a segment another folder still references must
-          // keep its physical blocks — we only drop our own record.
-          // try_begin_gc atomically removes the pool entry when nobody else
-          // holds it, so a concurrent probe can no longer hand out the
-          // locations we are about to delete.
-          const bool delete_blocks =
-              config_.pool == nullptr ||
-              config_.pool->try_begin_gc(config_.folder_id, seg_id);
-          if (delete_blocks) {
-            // Blocks first, metadata second: a crash in between leaves a
-            // harmless pool entry pointing at deleted blocks (retried next
-            // GC), never a referenced segment without blocks.
-            for (const metadata::BlockLocation& b : seg->blocks) {
-              cloud::CloudProvider* provider = find_cloud(b.cloud);
-              if (provider != nullptr) {
-                (void)provider->remove(
-                    metadata::block_path(seg_id, b.block_index));
-              }
-            }
-            // Deletes done: lift the tombstone so probes (held off while
-            // the removes were in flight — a racing re-upload of the same
-            // content would land on the exact paths being deleted) can
-            // miss-and-upload safely again.
-            if (config_.pool != nullptr) config_.pool->finish_gc(seg_id);
-          } else {
-            obs::add_counter(obs_.get(), "dedup.gc.shared_keep");
+  const Rebase collect = [&](SyncFolderImage& next) {
+    collected = 0;
+    std::vector<Change> changes;
+    for (const std::string& seg_id : next.garbage_segments()) {
+      const SegmentInfo* seg = next.find_segment(seg_id);
+      if (seg == nullptr) continue;
+      // Cross-folder guard: blocks live in a shared content-addressed
+      // namespace, so a segment another folder still references must
+      // keep its physical blocks — we only drop our own record.
+      // try_begin_gc atomically removes the pool entry when nobody else
+      // holds it, so a concurrent probe can no longer hand out the
+      // locations we are about to delete.
+      const bool delete_blocks =
+          config_.pool == nullptr ||
+          config_.pool->try_begin_gc(config_.folder_id, seg_id);
+      if (delete_blocks) {
+        // Blocks first, metadata second: a crash in between leaves a
+        // harmless pool entry pointing at deleted blocks (retried next
+        // GC), never a referenced segment without blocks.
+        for (const metadata::BlockLocation& b : seg->blocks) {
+          cloud::CloudProvider* provider = find_cloud(b.cloud);
+          if (provider != nullptr) {
+            (void)provider->remove(
+                metadata::block_path(seg_id, b.block_index));
           }
-          changes.push_back(Change::drop_segment(seg_id));
         }
-        collected = changes.size();
-        for (const Change& c : changes) apply_change(next, c);
-        return changes;
-      },
-      /*adopt=*/true);
-  if (!status.is_ok()) return status;
+        // Deletes done: lift the tombstone so probes (held off while
+        // the removes were in flight — a racing re-upload of the same
+        // content would land on the exact paths being deleted) can
+        // miss-and-upload safely again.
+        if (config_.pool != nullptr) config_.pool->finish_gc(seg_id);
+      } else {
+        obs::add_counter(obs_.get(), "dedup.gc.shared_keep");
+      }
+      changes.push_back(Change::drop_segment(seg_id));
+    }
+    collected = changes.size();
+    for (const Change& c : changes) apply_change(next, c);
+    return changes;
+  };
+  UNI_RETURN_IF_ERROR(commit(collect).status());
   return collected;
 }
 
@@ -979,27 +878,21 @@ Status UniDriveClient::commit_repaired_placements(
     std::vector<SegmentInfo> repaired) {
   if (repaired.empty()) return Status::ok();
   bool committed = false;
-  // adopt=false: v_o (image_) deliberately does NOT advance — file changes
-  // committed by other devices since our last sync ride in the fetched
-  // image, and jumping image_ past them would skip their local
-  // materialization. The repair commit arrives through the normal apply
-  // path next round.
-  const Status status = locked_mutation(
-      [&](SyncFolderImage& next) {
-        std::vector<Change> changes;
-        for (const SegmentInfo& seg : repaired) {
-          const SegmentInfo* current = next.find_segment(seg.id);
-          // Vanished (GC'd) or already identical: repair is moot/duplicate.
-          if (current == nullptr || current->blocks == seg.blocks) continue;
-          SegmentInfo updated = *current;  // keep commit-side refcount/size
-          updated.blocks = seg.blocks;
-          changes.push_back(Change::upsert_segment(std::move(updated)));
-        }
-        committed = !changes.empty();
-        for (const Change& c : changes) apply_change(next, c);
-        return changes;
-      },
-      /*adopt=*/false);
+  const Rebase rehome = [&](SyncFolderImage& next) {
+    std::vector<Change> changes;
+    for (const SegmentInfo& seg : repaired) {
+      const SegmentInfo* current = next.find_segment(seg.id);
+      // Vanished (GC'd) or already identical: repair is moot/duplicate.
+      if (current == nullptr || current->blocks == seg.blocks) continue;
+      SegmentInfo updated = *current;  // keep commit-side refcount/size
+      updated.blocks = seg.blocks;
+      changes.push_back(Change::upsert_segment(std::move(updated)));
+    }
+    committed = !changes.empty();
+    for (const Change& c : changes) apply_change(next, c);
+    return changes;
+  };
+  const Status status = commit(rehome).status();
   if (status.is_ok() && committed) {
     obs::add_counter(obs_.get(), "repair.placement_commits");
   }
@@ -1049,122 +942,72 @@ void UniDriveClient::execute_rebalance(const SyncFolderImage& image,
   }
 }
 
-// After a membership swap: re-lock the world on the NEW membership, splice
-// the rebalanced block map onto the freshest committed state (a writer may
-// have committed in the guard-rebuild window — clobbering its image with
-// our pre-swap copy would lose that update) and flip the root.
-Status UniDriveClient::commit_membership_image(SyncFolderImage next) {
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-
-  metadata::ShardManifest fenced;
-  auto manifest = store_.fetch_manifest();
-  if (manifest.is_ok()) {
-    fenced = std::move(manifest).take();
-  } else if (manifest.code() == ErrorCode::kNotFound) {
-    fenced.num_shards = store_.num_shards();
-  } else {
-    locks_.release_all();
-    return manifest.status();
-  }
-
-  std::vector<Change> changes;
-  for (const auto& [id, seg] : next.segments()) {
-    changes.push_back(Change::upsert_segment(seg));
-  }
-
-  SyncFolderImage base = std::move(next);
-  auto fresh = store_.fetch_latest();
-  if (fresh.is_ok()) {
-    // upsert_segment preserves the fresh image's refcounts, so foreign
-    // file commits from the swap window survive with correct references.
-    base = std::move(fresh).take().image;
-    for (const Change& c : changes) apply_change(base, c);
-  }
-
-  VersionStamp stamp;
-  stamp.device = config_.device;
-  stamp.counter =
-      std::max(fenced.version.counter, base.version().counter) + 1;
-  stamp.timestamp = clock_.now();
-  base.set_version(stamp);
-
-  auto flipped = publish_and_flip(base, changes, fenced, stamp);
-  if (!flipped.is_ok()) {
-    locks_.release_all();
-    return flipped.status();
-  }
-  base.set_version(flipped.value().version);
-  image_ = std::move(base);
-  locks_.release_all();
-  return Status::ok();
-}
-
 Status UniDriveClient::add_cloud(cloud::CloudPtr new_cloud) {
-  // Membership changes rewrite placements across every shard: hold every
-  // scope (stop-the-world) while the rebalance runs.
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-  auto fetched = store_.fetch_latest();
-  SyncFolderImage next = fetched.is_ok() ? fetched.value().image : image_;
-
-  std::vector<cloud::CloudId> all_ids = cloud_ids();
-  all_ids.push_back(new_cloud->id());
-  sched::CodeParams params = code_params();
-  params.num_clouds = all_ids.size();
-  const Status valid = params.validate();
-  if (!valid.is_ok()) {
-    locks_.release_all();
-    return valid;
-  }
-
-  const sched::RebalancePlan plan =
-      sched::plan_add_cloud(next, new_cloud->id(), all_ids, params);
-  // The joining cloud gets the same resilience guard as enrolled ones for
-  // the rebalance uploads.
-  cloud::RetryingCloud added_guard(new_cloud, config_.retry, health_, clock_,
-                                   config_.sleep, rng_.fork(), obs_);
-  execute_rebalance(next, plan, codec_for(params), &added_guard);
-  sched::apply_rebalance(next, plan);
-
-  locks_.release_all();  // release on the OLD membership before rebuilding
-  clouds_.push_back(std::move(new_cloud));
-  rebuild_guards();
-  return commit_membership_image(std::move(next));
+  return change_membership(std::move(new_cloud), std::nullopt);
 }
 
 Status UniDriveClient::remove_cloud(cloud::CloudId removed) {
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-  auto fetched = store_.fetch_latest();
-  SyncFolderImage next = fetched.is_ok() ? fetched.value().image : image_;
+  return change_membership(nullptr, removed);
+}
 
-  std::vector<cloud::CloudId> survivors;
+Status UniDriveClient::change_membership(
+    cloud::CloudPtr joining, std::optional<cloud::CloudId> leaving) {
+  std::vector<cloud::CloudId> ids;  // the new membership
   for (const cloud::CloudPtr& c : clouds_) {
-    if (c->id() != removed) survivors.push_back(c->id());
+    if (c->id() != leaving) ids.push_back(c->id());
   }
-  if (survivors.size() == clouds_.size()) {
-    locks_.release_all();
+  if (ids.size() == clouds_.size() && leaving.has_value()) {
     return make_error(ErrorCode::kInvalidArgument, "cloud not enrolled");
   }
+  if (joining != nullptr) ids.push_back(joining->id());
   sched::CodeParams params = code_params();
-  params.num_clouds = survivors.size();
-  const Status valid = params.validate();
-  if (!valid.is_ok()) {
-    locks_.release_all();
-    return valid;
-  }
+  params.num_clouds = ids.size();
+  UNI_RETURN_IF_ERROR(params.validate());
 
-  const sched::RebalancePlan plan =
-      sched::plan_remove_cloud(next, removed, survivors, params);
-  execute_rebalance(next, plan, codec_for(params), nullptr);
-  sched::apply_rebalance(next, plan);
+  std::vector<Change> block_map;
+  {
+    // Membership changes rewrite placements across every shard: hold every
+    // scope (stop-the-world) on the OLD membership while the rebalance runs.
+    const lock::ReleaseOnExit release(locks_);
+    UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
+    auto fetched = store_.fetch_latest();
+    if (!fetched.is_ok() && fetched.code() != ErrorCode::kNotFound) {
+      return fetched.status();
+    }
+    SyncFolderImage next =
+        fetched.is_ok() ? std::move(fetched).take().image : image_;
+    const sched::RebalancePlan plan =
+        joining != nullptr
+            ? sched::plan_add_cloud(next, joining->id(), ids, params)
+            : sched::plan_remove_cloud(next, *leaving, ids, params);
+    // The joining cloud gets the same resilience guard as enrolled ones for
+    // the rebalance uploads.
+    std::optional<cloud::RetryingCloud> added;
+    if (joining != nullptr) {
+      added.emplace(joining, config_.retry, health_, clock_, config_.sleep,
+                    rng_.fork(), obs_);
+    }
+    execute_rebalance(next, plan, codec_for(params),
+                      added.has_value() ? &*added : nullptr);
+    sched::apply_rebalance(next, plan);
+    for (const auto& [id, seg] : next.segments()) {
+      block_map.push_back(Change::upsert_segment(seg));
+    }
+  }  // released on the OLD membership before rebuilding
 
-  locks_.release_all();  // release on the OLD membership before rebuilding
-  clouds_.erase(std::remove_if(clouds_.begin(), clouds_.end(),
-                               [&](const cloud::CloudPtr& c) {
-                                 return c->id() == removed;
-                               }),
-                clouds_.end());
+  std::erase_if(clouds_,
+                [&](const cloud::CloudPtr& c) { return c->id() == leaving; });
+  if (joining != nullptr) clouds_.push_back(std::move(joining));
   rebuild_guards();
-  return commit_membership_image(std::move(next));
+  // Splice the rebalanced block map onto the freshest committed image: a
+  // writer may have committed in the guard-rebuild window, and clobbering
+  // its image with our pre-swap copy would lose that update. upsert_segment
+  // keeps the fresh image's refcounts.
+  const Rebase splice = [&](SyncFolderImage& next) {
+    for (const Change& c : block_map) apply_change(next, c);
+    return block_map;
+  };
+  return commit(splice, std::nullopt, all_scopes()).status();
 }
 
 }  // namespace unidrive::core

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "cloud/async.h"
 #include "cloud/health.h"
@@ -229,11 +230,9 @@ class UniDriveClient {
   Result<Bytes> reconstruct_segment(
       const std::string& segment_id,
       const std::vector<metadata::BlockLocation>& exclude);
-  // Commits repaired block placements under the quorum lock (fetch-latest,
+  // Commits repaired block placements through commit() (fetch-latest,
   // re-validate each segment against the freshest image, upsert, commit).
-  // v_o (image_) is deliberately NOT advanced: the repair commit reaches
-  // the local folder through the normal apply path next round, so file
-  // changes committed by other devices in between are never skipped.
+  // Like every commit, it advances v_o only when it was built on v_o.
   Status commit_repaired_placements(
       std::vector<metadata::SegmentInfo> repaired);
 
@@ -285,38 +284,46 @@ class UniDriveClient {
   Result<ApplyOutcome> apply_cloud_image(
       const metadata::SyncFolderImage& target);
 
-  // The sharded commit path for sync(): locks only the dirty shard scopes,
-  // merges against the cloud state when behind, stages one delta (or folded
-  // base) per dirty shard and flips the root manifest atomically. Retries
-  // from fresh state on fence conflicts. On success image_ holds the
-  // committed image.
-  Status commit_sharded(const metadata::SyncFolderImage& local,
-                        std::vector<metadata::Change> changes,
-                        SyncReport* report);
+  // One staged attempt of a commit: the image to commit, the changes that
+  // take the committed image `basis` to it, and that version.
+  struct StagedCommit {
+    metadata::SyncFolderImage next;
+    std::vector<metadata::Change> changes;
+    metadata::VersionStamp basis;
+  };
+  // Turns `next`, a freshly fetched committed image, into the image to
+  // commit, in place, and returns the changes that take the cloud there.
+  // None means there is nothing to commit.
+  using Rebase = std::function<std::vector<metadata::Change>(
+      metadata::SyncFolderImage& next)>;
 
-  // Stages `changes` (already applied to `next`) against the `fenced`
-  // manifest and flips the root. All required scopes must already be held.
-  // Returns the committed manifest.
-  Result<metadata::ShardManifest> publish_and_flip(
-      const metadata::SyncFolderImage& next,
-      const std::vector<metadata::Change>& changes,
-      const metadata::ShardManifest& fenced,
-      const metadata::VersionStamp& stamp);
+  // The one commit path (Algorithm 1's locked commit) for sync, trim, GC,
+  // repair and membership. Starting from `first`, or else from `rebase`
+  // applied to a fresh fetch_latest(), each attempt locks the dirty shards
+  // plus `extra_scopes`, reads the fence, rebases under the locks when the
+  // fence is past the basis, stages each shard, takes the root for the flip
+  // only, flips, releases and absorbs foreign shards; a fence conflict
+  // restages. Returns the image that stands: the committed one, or the
+  // rebased one when nothing was left to commit. v_o advances to it only
+  // when the commit was built on v_o: its basis is v_o's version and no
+  // foreign shard was absorbed (sync() then writes it to the folder itself).
+  Result<metadata::SyncFolderImage> commit(
+      const Rebase& rebase, std::optional<StagedCommit> first = std::nullopt,
+      const std::vector<lock::Scope>& extra_scopes = {});
 
-  // Fetch-latest → mutate → lock dirty scopes (+ root) → freshness check →
-  // publish+flip retry loop shared by the maintenance commits (cleanup, GC,
-  // repair). `adopt` advances image_ (v_o) to the committed state; repair
-  // passes false so foreign file changes still reach the apply path.
-  Status locked_mutation(
-      const std::function<std::vector<metadata::Change>(
-          metadata::SyncFolderImage&)>& mutate,
-      bool adopt);
+  // add_cloud (`joining`) and remove_cloud (`leaving`): under every scope
+  // on the old membership, plans the rebalance on a fresh image, executes
+  // and applies it; then swaps clouds_, rebuilds the guards and commits the
+  // rebalanced block map on the new membership.
+  Status change_membership(cloud::CloudPtr joining,
+                           std::optional<cloud::CloudId> leaving);
 
   // Folds shards that advanced between `fenced` and `committed` by foreign
   // writers into `next` (our shards in `own` are kept as-is). Falls back to
   // advertising the fenced version on fetch failure so the next round
-  // reconciles through the normal cloud-update path.
-  void absorb_foreign_shards(metadata::SyncFolderImage& next,
+  // reconciles through the normal cloud-update path. Returns whether any
+  // foreign shard had advanced.
+  bool absorb_foreign_shards(metadata::SyncFolderImage& next,
                              const metadata::ShardManifest& fenced,
                              const metadata::ShardManifest& committed,
                              const std::vector<metadata::ShardId>& own);
@@ -324,11 +331,6 @@ class UniDriveClient {
   // Every shard scope plus root — the stop-the-world set membership changes
   // take while they rewrite placements across the whole image.
   [[nodiscard]] std::vector<lock::Scope> all_scopes() const;
-
-  // Commits the rebalanced image after a membership swap: re-locks all
-  // scopes on the new membership, splices the block map onto the freshest
-  // committed state and flips the root.
-  Status commit_membership_image(metadata::SyncFolderImage next);
 
   [[nodiscard]] std::vector<cloud::CloudId> cloud_ids() const;
   // Resolves to the GUARDED provider — all I/O goes through the resilience

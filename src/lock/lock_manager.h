@@ -15,8 +15,9 @@
 // Deadlock freedom: acquire_all() sorts scopes canonically (shards by id
 // ascending, root last) and acquires in that order, releasing everything on
 // the first failure (all-or-nothing). Every multi-scope holder therefore
-// climbs the same ladder, and the root — the global choke point — is held
-// for the shortest possible window (manifest flip only).
+// climbs the same ladder. The root — the global choke point — is taken
+// only for the manifest flip, except by membership changes, which hold
+// every scope.
 #pragma once
 
 #include <map>
@@ -85,6 +86,19 @@ class LockManager {
   // Scope -> its QuorumLock, created lazily on first acquire. std::map keeps
   // references stable across inserts.
   std::map<Scope, QuorumLock> locks_;
+};
+
+// Releases every scope a LockManager holds when it goes out of scope, so a
+// locked section has one release point whichever way it exits.
+class ReleaseOnExit {
+ public:
+  explicit ReleaseOnExit(LockManager& locks) noexcept : locks_(locks) {}
+  ReleaseOnExit(const ReleaseOnExit&) = delete;
+  ReleaseOnExit& operator=(const ReleaseOnExit&) = delete;
+  ~ReleaseOnExit() { locks_.release_all(); }
+
+ private:
+  LockManager& locks_;
 };
 
 }  // namespace unidrive::lock

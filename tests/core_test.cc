@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <thread>
 
@@ -1479,6 +1482,216 @@ TEST_F(ClientTest, MembershipChangeDrainsParkedRestore) {
   auto pull = reader.sync();
   ASSERT_TRUE(pull.is_ok()) << pull.status().to_string();
   EXPECT_EQ(fs_b->read("/g").value(), fs_a->read("/g").value());
+}
+
+// --- maintenance commits and v_o ----------------------------------------------
+
+// Devices A and B are current on `clouds`; for `with_garbage`, A then
+// deletes one of its own files and syncs, so that GC has work. B commits
+// /b.bin, and A, which has not pulled it, runs `maintain`; the maintenance
+// must commit something. A's next sync must then write /b.bin to A's
+// folder, not commit its deletion: a fresh device C reads it, and B still
+// holds it after B syncs.
+void expect_stale_maintenance_keeps_foreign_files(
+    const cloud::MultiCloud& clouds, bool with_garbage,
+    const std::function<Status(UniDriveClient&)>& maintain) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  UniDriveClient a(clouds, fs_a, test_config("devA"));
+  UniDriveClient b(clouds, fs_b, test_config("devB"));
+  Rng rng(96);
+  ASSERT_TRUE(fs_a->write("/a.bin", ByteSpan(rng.bytes(50000))).is_ok());
+  ASSERT_TRUE(fs_a->write("/junk.bin", ByteSpan(rng.bytes(50000))).is_ok());
+  ASSERT_TRUE(a.sync().is_ok());
+  ASSERT_TRUE(b.sync().is_ok());
+  if (with_garbage) {
+    ASSERT_TRUE(fs_a->remove("/junk.bin").is_ok());
+    ASSERT_TRUE(a.sync().is_ok());
+  }
+  const Bytes foreign = rng.bytes(40000);
+  ASSERT_TRUE(fs_b->write("/b.bin", ByteSpan(foreign)).is_ok());
+  ASSERT_TRUE(b.sync().is_ok());
+
+  const std::uint64_t commits = counter(a, "meta.shard.commits");
+  const Status maintained = maintain(a);
+  ASSERT_TRUE(maintained.is_ok()) << maintained.to_string();
+  ASSERT_GT(counter(a, "meta.shard.commits"), commits)
+      << "the maintenance committed nothing";
+
+  auto round = a.sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_a->read("/b.bin").value_or(Bytes{}), foreign);
+
+  auto fs_c = std::make_shared<MemoryLocalFs>();
+  UniDriveClient c(a.clouds(), fs_c, test_config("devC"));
+  round = c.sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_c->read("/b.bin").value_or(Bytes{}), foreign);
+
+  round = b.sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_b->read("/b.bin").value_or(Bytes{}), foreign);
+}
+
+TEST_F(ClientTest, GarbageCollectionOnStaleDeviceKeepsForeignFiles) {
+  expect_stale_maintenance_keeps_foreign_files(
+      clouds_, /*with_garbage=*/true,
+      [](UniDriveClient& a) { return a.collect_garbage().status(); });
+}
+
+TEST_F(ClientTest, TrimOnStaleDeviceKeepsForeignFiles) {
+  expect_stale_maintenance_keeps_foreign_files(
+      clouds_, /*with_garbage=*/false,
+      [](UniDriveClient& a) { return a.cleanup_overprovisioned(); });
+}
+
+TEST_F(ClientTest, MembershipChangeOnStaleDeviceKeepsForeignFiles) {
+  expect_stale_maintenance_keeps_foreign_files(
+      clouds_, /*with_garbage=*/false, [](UniDriveClient& a) {
+        return a.add_cloud(std::make_shared<cloud::MemoryCloud>(5, "cloud5"));
+      });
+}
+
+// Runs `action` once, just before the first lock-file upload after it is
+// armed.
+struct LockTrap {
+  std::atomic<bool> armed{false};
+  std::function<void()> action;
+};
+
+class TrappedCloud final : public cloud::CloudProvider {
+ public:
+  TrappedCloud(cloud::CloudPtr inner, std::shared_ptr<LockTrap> trap)
+      : inner_(std::move(inner)), trap_(std::move(trap)) {}
+
+  [[nodiscard]] cloud::CloudId id() const noexcept override {
+    return inner_->id();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  Status upload(const std::string& path, ByteSpan data) override {
+    if (path.starts_with("/lock") && trap_->armed.exchange(false)) {
+      trap_->action();
+    }
+    return inner_->upload(path, data);
+  }
+  Result<Bytes> download(const std::string& path) override {
+    return inner_->download(path);
+  }
+  Status create_dir(const std::string& path) override {
+    return inner_->create_dir(path);
+  }
+  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
+    return inner_->list(dir);
+  }
+  Status remove(const std::string& path) override {
+    return inner_->remove(path);
+  }
+
+ private:
+  cloud::CloudPtr inner_;
+  std::shared_ptr<LockTrap> trap_;
+};
+
+// B commits between A's GC staging its first attempt and A's fence read:
+// the fence is past the GC's basis, so the GC rebases under its locks. It
+// still commits its drops, the committed image keeps B's file, and A,
+// which never pulled that file, writes it to its folder on its next sync.
+TEST_F(ClientTest, GarbageCollectionRebasesWhenTheFenceMovesPastItsBasis) {
+  auto trap = std::make_shared<LockTrap>();
+  cloud::MultiCloud trapped;
+  for (const cloud::CloudPtr& c : clouds_) {
+    trapped.push_back(std::make_shared<TrappedCloud>(c, trap));
+  }
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  UniDriveClient a(trapped, fs_a, test_config("devA"));
+  auto b = make_client("devB", fs_b);
+  Rng rng(97);
+  ASSERT_TRUE(fs_a->write("/a.bin", ByteSpan(rng.bytes(50000))).is_ok());
+  ASSERT_TRUE(fs_a->write("/junk.bin", ByteSpan(rng.bytes(50000))).is_ok());
+  ASSERT_TRUE(a.sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+  const std::vector<std::string> junk =
+      a.image().files().at("/junk.bin").segment_ids;
+  ASSERT_TRUE(fs_a->remove("/junk.bin").is_ok());
+  ASSERT_TRUE(a.sync().is_ok());
+
+  const Bytes foreign = rng.bytes(40000);
+  ASSERT_TRUE(fs_b->write("/b.bin", ByteSpan(foreign)).is_ok());
+  Status b_round = make_error(ErrorCode::kInternal, "trap never fired");
+  trap->action = [&] { b_round = b->sync().status(); };
+  trap->armed = true;
+  auto collected = a.collect_garbage();
+  ASSERT_TRUE(collected.is_ok()) << collected.status().to_string();
+  ASSERT_TRUE(b_round.is_ok()) << b_round.to_string();
+  EXPECT_EQ(collected.value(), junk.size());
+
+  // The committed image holds B's file and lacks the collected segments.
+  auto fs_c = std::make_shared<MemoryLocalFs>();
+  auto c = make_client("devC", fs_c);
+  auto round = c->sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_c->read("/b.bin").value_or(Bytes{}), foreign);
+  for (const std::string& id : junk) {
+    EXPECT_EQ(c->image().find_segment(id), nullptr) << id;
+  }
+
+  round = a.sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_a->read("/b.bin").value_or(Bytes{}), foreign);
+  for (const std::string& id : junk) {
+    EXPECT_EQ(a.image().find_segment(id), nullptr) << id;
+  }
+  round = b->sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_EQ(fs_b->read("/b.bin").value_or(Bytes{}), foreign);
+}
+
+// Lock- and metadata-area calls the client has made, ok and err: the
+// cloud.<cloud>.<verb>.<area>.<outcome> counters with area lock or meta.
+std::uint64_t control_calls(const UniDriveClient& client) {
+  static const std::regex kControl(
+      R"(cloud\.[^.]+\.[^.]+\.(lock|meta)\.(ok|err))");
+  std::uint64_t n = 0;
+  for (const auto& [name, value] :
+       client.observability()->metrics.snapshot().counters) {
+    if (std::regex_match(name, kControl)) n += value;
+  }
+  return n;
+}
+
+// The control-plane calls of a 1-file sync commit, on a current device and
+// on one that must merge a foreign commit. A change that adds or drops a
+// wave on the commit path perfbench times moves them. Data-area calls are
+// left out: over-provisioning follows completion order.
+TEST_F(ClientTest, SyncCommitControlCallsArePinned) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(98);
+  ASSERT_TRUE(fs_a->write("/one", ByteSpan(rng.bytes(20000))).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  // A 1-file commit on a current device.
+  ASSERT_TRUE(fs_a->write("/two", ByteSpan(rng.bytes(20000))).is_ok());
+  std::uint64_t before = control_calls(*a);
+  auto round = a->sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_TRUE(round.value().committed);
+  EXPECT_EQ(control_calls(*a) - before, 117u);
+
+  // A 1-file commit that must merge one foreign commit.
+  ASSERT_TRUE(fs_b->write("/three", ByteSpan(rng.bytes(20000))).is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+  ASSERT_TRUE(fs_a->write("/four", ByteSpan(rng.bytes(20000))).is_ok());
+  before = control_calls(*a);
+  round = a->sync();
+  ASSERT_TRUE(round.is_ok()) << round.status().to_string();
+  EXPECT_TRUE(round.value().committed);
+  EXPECT_TRUE(fs_a->read("/three").is_ok());
+  EXPECT_EQ(control_calls(*a) - before, 130u);
 }
 
 }  // namespace

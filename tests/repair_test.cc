@@ -297,50 +297,68 @@ TEST(RepairEngineTest, OrphanGcWaitsOutQuarantineAndSparesLiveBlocks) {
   EXPECT_EQ(rig->client->durability()->orphans_quarantined(), 0u);
 }
 
-TEST(RepairEngineTest, CloudLostBlocksAreRehomedOntoHealthyClouds) {
-  auto rig = make_rig();
-  ASSERT_TRUE(rig->fs->write("/a", ByteSpan(Rng(8).bytes(100 << 10))).is_ok());
-  ASSERT_TRUE(rig->client->sync().is_ok());
+// Cloud 4 of the rig dies for good; two scrub passes declare it lost, and
+// one repair slice re-homes its blocks and commits the new placements.
+void rehome_lost_cloud(Rig& rig) {
+  ASSERT_TRUE(rig.fs->write("/a", ByteSpan(Rng(8).bytes(100 << 10))).is_ok());
+  ASSERT_TRUE(rig.client->sync().is_ok());
   // Trim to fair share (1 block per cloud per segment) so healthy clouds
   // have room under the ks security cap for re-homed blocks.
-  ASSERT_TRUE(rig->client->cleanup_overprovisioned().is_ok());
+  ASSERT_TRUE(rig.client->cleanup_overprovisioned().is_ok());
 
   // Cloud 4 dies for good. A foreground round trips its breaker.
-  rig->faulty[4]->set_outage(true);
-  ASSERT_TRUE(rig->fs->write("/b", ByteSpan(Rng(9).bytes(20 << 10))).is_ok());
-  ASSERT_TRUE(rig->client->sync().is_ok());
-  ASSERT_EQ(rig->client->health()->state(4), cloud::BreakerState::kOpen);
+  rig.faulty[4]->set_outage(true);
+  ASSERT_TRUE(rig.fs->write("/b", ByteSpan(Rng(9).bytes(20 << 10))).is_ok());
+  ASSERT_TRUE(rig.client->sync().is_ok());
+  ASSERT_EQ(rig.client->health()->state(4), cloud::BreakerState::kOpen);
 
   ScrubConfig scrub_cfg;
   scrub_cfg.deep_verify_segments = 0;
   scrub_cfg.cloud_lost_after_passes = 2;
-  Scrubber scrubber(*rig->client, rig->client->durability(), scrub_cfg);
+  Scrubber scrubber(*rig.client, rig.client->durability(), scrub_cfg);
   const ScrubReport pass1 = scrubber.run_pass();
   EXPECT_EQ(pass1.cloud_lost, 0u);  // one dark pass is not yet "lost"
   const ScrubReport pass2 = scrubber.run_pass();
   EXPECT_GE(pass2.cloud_lost, 1u);
 
-  RepairEngine engine(*rig->client, rig->client->durability(), RepairConfig{});
+  RepairEngine engine(*rig.client, rig.client->durability(), RepairConfig{});
   const RepairOutcome outcome = engine.run_slice(100);
   EXPECT_GE(outcome.rehomed, 1u);
   EXPECT_TRUE(outcome.committed);
-  EXPECT_EQ(rig->client->durability()->backlog(), 0u);
+  EXPECT_EQ(rig.client->durability()->backlog(), 0u);
+}
 
-  // The placement commit arrives through the normal apply path; after the
-  // next round no referenced block lives on the dead cloud and every
-  // segment is back above the floor (degraded stays true only because the
-  // breaker is still open).
-  auto report = rig->client->sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_EQ(report.value().durability.under_replicated, 0u);
-  for (const auto& [id, seg] : rig->client->image().segments()) {
+void expect_nothing_on_cloud4(const metadata::SyncFolderImage& image) {
+  for (const auto& [id, seg] : image.segments()) {
     if (seg.refcount == 0) continue;
     for (const metadata::BlockLocation& loc : seg.blocks) {
       EXPECT_NE(loc.cloud, 4u) << "segment " << id << " still references the "
                                << "lost cloud";
     }
   }
+}
+
+TEST(RepairEngineTest, CloudLostBlocksAreRehomedOntoHealthyClouds) {
+  auto rig = make_rig();
+  rehome_lost_cloud(*rig);
+
+  // After the next round no referenced block lives on the dead cloud and
+  // every segment is back above the floor (degraded stays true only
+  // because the breaker is still open).
+  auto report = rig->client->sync();
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_EQ(report.value().durability.under_replicated, 0u);
+  expect_nothing_on_cloud4(rig->client->image());
   expect_all_blocks_intact(*rig);
+}
+
+// The re-home commit of a device that was current is built on its v_o, so
+// the device takes the re-homed placements at once, with no pull between.
+TEST(RepairEngineTest, CurrentDeviceAdoptsItsRehomeCommit) {
+  auto rig = make_rig();
+  rehome_lost_cloud(*rig);
+  expect_nothing_on_cloud4(rig->client->image());
+  EXPECT_FALSE(rig->client->cloud_update_pending());
 }
 
 TEST(RepairServiceTest, DaemonHealsDefectsAsBackgroundMaintenance) {
