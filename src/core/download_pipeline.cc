@@ -484,17 +484,23 @@ void DownloadPipeline::advance_file_locked(std::size_t file_index) {
       fail_file_locked(f, seg.failure);
       return;
     }
+    if (f.hash_kind == crypto::ContentHashKind::kLegacySha1) {
+      f.hasher.update(ByteSpan(seg.plain));
+    }
+    f.written += seg.plain.size();
     if (f.writer != nullptr) {
-      const Status appended = f.writer->append(ByteSpan(seg.plain));
+      // The last position waiting for the segment takes its plaintext; one
+      // written while another still waits (a dedup position) copies it.
+      // The segment leaves the map with its last waiter, so no later
+      // position can attach to the moved-from buffer.
+      Bytes piece = seg.waiters_remaining == 1 ? std::move(seg.plain)
+                                               : Bytes(seg.plain);
+      const Status appended = f.writer->append(std::move(piece));
       if (!appended.is_ok()) {
         fail_file_locked(f, appended);
         return;
       }
     }
-    if (f.hash_kind == crypto::ContentHashKind::kLegacySha1) {
-      f.hasher.update(ByteSpan(seg.plain));
-    }
-    f.written += seg.plain.size();
     ++f.next_write;
     consume_waiter_locked(seg_id);
   }

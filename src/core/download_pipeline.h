@@ -13,8 +13,13 @@
 //   misses and mismatches go                                segment id)
 //   to the driver)                                                 │
 //        │                                                         ▼
-//        └────────────────────────────────────────────────►  in-order file write
+//        └────────────────────────────────────────────────►  in-order hand-off
 //                                                           (LocalFs::FileWriter)
+//
+// Hand-off: a verified segment's plaintext goes to the file writer by
+// ownership. The last file position waiting for it takes it (moved); a
+// position written while another (a dedup position) still waits copies
+// it. The appends and commits run under mu_.
 //
 // Bounded memory: add_file() admits each segment of a restore batch in
 // snapshot order, reserving its full footprint — k coded shards plus the
@@ -23,13 +28,16 @@
 // local source supplies reserves its plaintext only. The charge is
 // released in stages: the shard portion as soon as the segment decodes,
 // the plaintext portion once every file position referencing the segment
-// has been written. Peak memory is therefore bounded by the window, not by
-// file or batch size. A segment larger than the whole cap is admitted
-// alone (the gate opens when the pipeline is empty) so progress is always
-// possible. Deliberately uncharged overshoot: straggler-hedge duplicates
-// and corrupt-search extra blocks (both rare, both one block at a time).
-// A redundant block landing after finish() is dropped on arrival, never
-// cached.
+// has been handed to its writer. With a streaming writer (DiskLocalFs)
+// peak memory is therefore bounded by the window, not by file or batch
+// size. A buffered writer (MemoryLocalFs, the LocalFs default) holds each
+// open file whole until it commits, and that staging is not charged: there
+// the bound covers the window, not the files. A segment larger than the
+// whole cap is admitted alone (the gate opens when the pipeline is empty)
+// so progress is always possible. Deliberately uncharged overshoot:
+// straggler-hedge duplicates and corrupt-search extra blocks (both rare,
+// both one block at a time). A redundant block landing after finish() is
+// dropped on arrival, never cached.
 //
 // Integrity: every segment, decoded or read locally, is verified against
 // its id (SHA-256 of the plaintext; legacy ids are SHA-1). A decode moves
@@ -178,7 +186,7 @@ class DownloadPipeline {
     // Remaining charged bytes, split so each stage releases its portion.
     std::size_t shard_charge = 0;
     std::size_t plain_charge = 0;
-    Bytes plain;           // decoded plaintext (until all waiters consume)
+    Bytes plain;  // decoded plaintext, moved to its last waiter's writer
     bool resolved = false;  // decoded or failed
     bool decoded = false;
     bool decode_attempted = false;  // distinguishes kUnavailable / kCorrupt

@@ -4,14 +4,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "cloud/path.h"
 
 namespace unidrive::core {
 
 namespace fs = std::filesystem;
-
-// --- LocalFs::open_write (buffered default) ---------------------------------
 
 namespace {
 
@@ -33,18 +32,23 @@ Bytes slice(const Bytes& data, std::uint64_t offset, std::size_t length) {
   return Bytes(first, first + static_cast<std::ptrdiff_t>(length));
 }
 
-// Stages appends in memory and publishes through LocalFs::write() on
-// commit, so the atomicity of the underlying write() carries over.
-class BufferedFileWriter final : public LocalFs::FileWriter {
- public:
-  BufferedFileWriter(LocalFs& fs, std::string path)
-      : fs_(fs), path_(std::move(path)) {}
+}  // namespace
 
-  Status append(ByteSpan data) override {
+// --- LocalFs::FileWriter ----------------------------------------------------
+
+// Keeps the chunks it is given and on commit hands `publish` the whole
+// file as one buffer: a lone chunk as it is, several joined once into a
+// buffer sized from them. The atomicity of `publish` carries over.
+class LocalFs::BufferedFileWriter final : public LocalFs::FileWriter {
+ public:
+  explicit BufferedFileWriter(PublishFn publish)
+      : publish_(std::move(publish)) {}
+
+  Status append(Bytes data) override {
     if (closed_) {
       return make_error(ErrorCode::kInternal, "append after commit/abort");
     }
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
+    pieces_.push_back(std::move(data));
     return Status::ok();
   }
 
@@ -53,23 +57,36 @@ class BufferedFileWriter final : public LocalFs::FileWriter {
       return make_error(ErrorCode::kInternal, "double commit");
     }
     closed_ = true;
-    const Status status = fs_.write(path_, buffer_);
-    buffer_.clear();
-    UNI_RETURN_IF_ERROR(status);
-    return fs_.mtime(path_);
+    return publish_(join(std::exchange(pieces_, {})));
   }
 
   void abort() override {
     closed_ = true;
-    buffer_.clear();
+    pieces_.clear();
   }
 
  private:
-  LocalFs& fs_;
-  std::string path_;
-  Bytes buffer_;
+  static Bytes join(std::vector<Bytes> pieces) {
+    if (pieces.size() == 1) return std::move(pieces.front());
+    std::size_t total = 0;
+    for (const Bytes& piece : pieces) total += piece.size();
+    Bytes file;
+    file.reserve(total);
+    // Each piece is freed once copied, so the join holds one piece extra,
+    // not a second copy of the file.
+    for (Bytes& piece : pieces) {
+      file.insert(file.end(), piece.begin(), piece.end());
+      piece = Bytes();
+    }
+    return file;
+  }
+
+  PublishFn publish_;
+  std::vector<Bytes> pieces_;
   bool closed_ = false;
 };
+
+namespace {
 
 // Streams appends straight to "<host>.part" and renames into place on
 // commit: peak memory is one chunk, and a crash or abort mid-restore never
@@ -86,7 +103,7 @@ class DiskFileWriter final : public LocalFs::FileWriter {
 
   ~DiskFileWriter() override { abort(); }
 
-  Status append(ByteSpan data) override {
+  Status append(Bytes data) override {
     if (closed_) {
       return make_error(ErrorCode::kInternal, "append after commit/abort");
     }
@@ -143,9 +160,17 @@ class DiskFileWriter final : public LocalFs::FileWriter {
 
 }  // namespace
 
+std::unique_ptr<LocalFs::FileWriter> LocalFs::buffered_writer(
+    PublishFn publish) {
+  return std::make_unique<BufferedFileWriter>(std::move(publish));
+}
+
 Result<std::unique_ptr<LocalFs::FileWriter>> LocalFs::open_write(
     const std::string& path) {
-  return std::unique_ptr<FileWriter>(new BufferedFileWriter(*this, path));
+  return buffered_writer([this, path](Bytes data) -> Result<double> {
+    UNI_RETURN_IF_ERROR(write(path, data));
+    return mtime(path);
+  });
 }
 
 Result<Bytes> LocalFs::read_range(const std::string& path,
@@ -176,11 +201,23 @@ Result<Bytes> MemoryLocalFs::read_range(const std::string& path,
   return slice(data, offset, length);
 }
 
-Status MemoryLocalFs::write(const std::string& path, ByteSpan data) {
+Result<std::unique_ptr<LocalFs::FileWriter>> MemoryLocalFs::open_write(
+    const std::string& path) {
+  return buffered_writer([this, path](Bytes data) -> Result<double> {
+    return publish(path, std::move(data));
+  });
+}
+
+double MemoryLocalFs::publish(const std::string& path, Bytes data) {
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = files_[cloud::normalize_path(path)];
-  e.data = Bytes(data.begin(), data.end());
+  e.data = std::move(data);
   e.mtime = ++tick_;
+  return e.mtime;
+}
+
+Status MemoryLocalFs::write(const std::string& path, ByteSpan data) {
+  publish(path, Bytes(data.begin(), data.end()));
   return Status::ok();
 }
 

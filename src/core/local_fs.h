@@ -3,6 +3,7 @@
 // directory via std::filesystem for the end-to-end examples.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,14 +22,19 @@ class LocalFs {
 
   // Incremental writer for streaming restores: append chunks in order, then
   // commit() to publish the file (or abort() / destroy to discard — a
-  // never-committed writer must leave no trace at `path`). The base class
-  // provides a buffered default that stages in memory and publishes via
-  // write() on commit, so existing subclasses keep working; DiskLocalFs
-  // overrides it to stream through a temp file and rename on commit.
+  // never-committed writer must leave no trace at `path`).
+  //
+  // Ownership: append() takes the chunk it is given. A buffered writer (the
+  // base class's default, which MemoryLocalFs also uses) keeps the chunks
+  // and on commit publishes one buffer: a single chunk as it is, several
+  // joined once. It stages the whole file, and a restore's
+  // max_inflight_bytes does not charge that staging. Only DiskLocalFs
+  // streams: its writer writes each chunk to a temp file, drops it, and
+  // renames on commit.
   class FileWriter {
    public:
     virtual ~FileWriter() = default;
-    virtual Status append(ByteSpan data) = 0;
+    virtual Status append(Bytes data) = 0;
     // At most one commit; append is invalid afterwards. Returns the mtime
     // of the bytes this writer published (taken before they become visible
     // where the backend allows), so a later edit at the path always moves
@@ -38,7 +44,8 @@ class LocalFs {
     virtual void abort() = 0;
   };
 
-  // The writer borrows this LocalFs and must not outlive it.
+  // The writer borrows this LocalFs and must not outlive it. The default
+  // is a buffered writer that publishes through write() and mtime().
   virtual Result<std::unique_ptr<FileWriter>> open_write(
       const std::string& path);
 
@@ -60,10 +67,23 @@ class LocalFs {
   [[nodiscard]] virtual Result<std::uint64_t> size(
       const std::string& path) const = 0;
   [[nodiscard]] virtual Result<double> mtime(const std::string& path) const = 0;
+
+ protected:
+  // Publishes a finished file's bytes and returns their mtime.
+  using PublishFn = std::function<Result<double>(Bytes)>;
+  // The one buffered writer: stages what it is given and hands `publish`
+  // the whole file as one buffer on commit.
+  static std::unique_ptr<FileWriter> buffered_writer(PublishFn publish);
+
+ private:
+  class BufferedFileWriter;
 };
 
 class MemoryLocalFs final : public LocalFs {
  public:
+  // Buffered; commit moves the staged buffer into the folder, uncopied.
+  Result<std::unique_ptr<FileWriter>> open_write(
+      const std::string& path) override;
   Result<Bytes> read(const std::string& path) const override;
   Result<Bytes> read_range(const std::string& path, std::uint64_t offset,
                            std::size_t length) const override;
@@ -82,6 +102,8 @@ class MemoryLocalFs final : public LocalFs {
     Bytes data;
     double mtime = 0;
   };
+  // Stores `data` at `path` without copying it; returns its mtime.
+  double publish(const std::string& path, Bytes data);
   mutable std::mutex mutex_;
   std::map<std::string, Entry> files_;
   std::set<std::string> dirs_;

@@ -203,10 +203,16 @@ TEST(ChaosTest, HangingCloudIsTimedOutAndSyncStillCompletes) {
     cc.faulty[2]->set_profile(hangy);
   }
 
+  // Every cloud call reads the one shared clock, and a hang advances it by
+  // a virtual minute. On a wider pool the other clouds' fanned-out calls
+  // would be in flight while it does, and would read past their own 5-s
+  // deadline. One pool thread per client runs one call at a time, so
+  // virtual time moves only under the hanging call.
   auto fs = std::make_shared<MemoryLocalFs>();
   ClientConfig cfg = chaos_config("devA", clock);
   cfg.retry.attempt_deadline = 5.0;  // give up on stalled requests
   cfg.breaker.open_duration = 100000.0;  // hangs advance the clock a lot
+  cfg.pipeline.threads = 1;
   UniDriveClient client(cc.clouds, fs, cfg, clock, Rng(test_seed(51)));
   Rng rng(test_seed(61));
 
@@ -225,6 +231,7 @@ TEST(ChaosTest, HangingCloudIsTimedOutAndSyncStillCompletes) {
   ClientConfig cfg_b = chaos_config("devB", clock);
   cfg_b.retry.attempt_deadline = 5.0;
   cfg_b.breaker.open_duration = 100000.0;
+  cfg_b.pipeline.threads = 1;
   UniDriveClient reader(cc.clouds, fs_b, cfg_b, clock, Rng(test_seed(52)));
   auto r = reader.sync();
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();

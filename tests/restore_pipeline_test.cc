@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -556,13 +557,134 @@ TEST(StreamingDownloadDriverTest, DestructionCancelsAnArmedHedgeTimer) {
 
 // --- LocalFs::FileWriter ----------------------------------------------------
 
+// A folder whose writers are the shared buffered writer with a publish step
+// that records the buffer it is handed (address, capacity, bytes) before
+// storing a copy in an inner MemoryLocalFs.
+class RecordingFs final : public LocalFs {
+ public:
+  struct Published {
+    std::string path;
+    const std::uint8_t* data = nullptr;
+    std::size_t capacity = 0;
+    Bytes bytes;
+  };
+
+  Result<std::unique_ptr<FileWriter>> open_write(
+      const std::string& path) override {
+    return buffered_writer([this, path](Bytes data) -> Result<double> {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        published_.push_back({path, data.data(), data.capacity(), data});
+      }
+      UNI_RETURN_IF_ERROR(inner_.write(path, data));
+      return inner_.mtime(path);
+    });
+  }
+  std::vector<Published> published() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return published_;
+  }
+  Published published(const std::string& path) const {
+    for (const Published& p : published()) {
+      if (p.path == path) return p;
+    }
+    return {};
+  }
+
+  Result<Bytes> read(const std::string& path) const override {
+    return inner_.read(path);
+  }
+  Status write(const std::string& path, ByteSpan data) override {
+    return inner_.write(path, data);
+  }
+  Status remove(const std::string& path) override {
+    return inner_.remove(path);
+  }
+  Status make_dir(const std::string& path) override {
+    return inner_.make_dir(path);
+  }
+  Status remove_dir(const std::string& path) override {
+    return inner_.remove_dir(path);
+  }
+  [[nodiscard]] std::vector<std::string> list_files() const override {
+    return inner_.list_files();
+  }
+  [[nodiscard]] std::vector<std::string> list_dirs() const override {
+    return inner_.list_dirs();
+  }
+  [[nodiscard]] Result<std::uint64_t> size(
+      const std::string& path) const override {
+    return inner_.size(path);
+  }
+  [[nodiscard]] Result<double> mtime(const std::string& path) const override {
+    return inner_.mtime(path);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Published> published_;
+  MemoryLocalFs inner_;
+};
+
+TEST(FileWriterTest, OwnedAppendsPublishWithoutCopy) {
+  RecordingFs fs;
+  Rng rng(32);
+
+  // One append: the writer publishes that allocation itself.
+  {
+    auto writer = fs.open_write("/one.bin");
+    ASSERT_TRUE(writer.is_ok());
+    Bytes piece = rng.bytes(5000);
+    const Bytes expected = piece;
+    const std::uint8_t* const at = piece.data();
+    ASSERT_TRUE(writer.value()->append(std::move(piece)).is_ok());
+    ASSERT_TRUE(writer.value()->commit().is_ok());
+    const auto published = fs.published();
+    ASSERT_EQ(published.size(), 1u);
+    EXPECT_EQ(published[0].data, at);
+    EXPECT_EQ(published[0].bytes, expected);
+    EXPECT_EQ(fs.read("/one.bin").value(), expected);
+  }
+
+  // Several appends: their byte-exact concatenation, as one buffer.
+  {
+    auto writer = fs.open_write("/many.bin");
+    ASSERT_TRUE(writer.is_ok());
+    Bytes joined;
+    for (const std::size_t n : {3000u, 1u, 0u, 7000u}) {
+      const Bytes piece = rng.bytes(n);
+      joined.insert(joined.end(), piece.begin(), piece.end());
+      ASSERT_TRUE(writer.value()->append(piece).is_ok());
+    }
+    EXPECT_EQ(fs.published().size(), 1u);  // nothing published pre-commit
+    ASSERT_TRUE(writer.value()->commit().is_ok());
+    const auto published = fs.published();
+    ASSERT_EQ(published.size(), 2u);
+    EXPECT_EQ(published[1].bytes, joined);
+    EXPECT_EQ(fs.read("/many.bin").value(), joined);
+  }
+
+  // An abort after appends leaves no trace.
+  {
+    auto writer = fs.open_write("/gone.bin");
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE(writer.value()->append(rng.bytes(100)).is_ok());
+    ASSERT_TRUE(writer.value()->append(rng.bytes(200)).is_ok());
+    writer.value()->abort();
+    EXPECT_FALSE(writer.value()->commit().is_ok());
+  }
+  EXPECT_EQ(fs.published().size(), 2u);
+  EXPECT_FALSE(fs.read("/gone.bin").is_ok());
+  EXPECT_EQ(fs.list_files(),
+            (std::vector<std::string>{"/many.bin", "/one.bin"}));
+}
+
 TEST(FileWriterTest, BufferedWriterPublishesOnlyOnCommit) {
   MemoryLocalFs fs;
   auto writer = fs.open_write("/w.txt");
   ASSERT_TRUE(writer.is_ok());
-  ASSERT_TRUE(writer.value()->append(ByteSpan(bytes_from_string("he"))).is_ok());
-  ASSERT_TRUE(
-      writer.value()->append(ByteSpan(bytes_from_string("llo"))).is_ok());
+  ASSERT_TRUE(writer.value()->append(bytes_from_string("he")).is_ok());
+  ASSERT_TRUE(writer.value()->append(bytes_from_string("llo")).is_ok());
   EXPECT_FALSE(fs.read("/w.txt").is_ok());  // nothing visible pre-commit
   const Result<double> published = writer.value()->commit();
   ASSERT_TRUE(published.is_ok());
@@ -570,7 +692,7 @@ TEST(FileWriterTest, BufferedWriterPublishesOnlyOnCommit) {
   // The commit reports the mtime of the bytes it published.
   EXPECT_EQ(published.value(), fs.mtime("/w.txt").value());
   // The writer is closed: further appends and commits are rejected.
-  EXPECT_FALSE(writer.value()->append(ByteSpan(bytes_from_string("x"))).is_ok());
+  EXPECT_FALSE(writer.value()->append(bytes_from_string("x")).is_ok());
   EXPECT_FALSE(writer.value()->commit().is_ok());
 }
 
@@ -579,14 +701,14 @@ TEST(FileWriterTest, AbortAndDestructionLeaveNoTrace) {
   {
     auto writer = fs.open_write("/a.bin");
     ASSERT_TRUE(writer.is_ok());
-    ASSERT_TRUE(writer.value()->append(ByteSpan(bytes_from_string("xx"))).is_ok());
+    ASSERT_TRUE(writer.value()->append(bytes_from_string("xx")).is_ok());
     writer.value()->abort();
     writer.value()->abort();  // idempotent
   }
   {
     auto writer = fs.open_write("/b.bin");
     ASSERT_TRUE(writer.is_ok());
-    ASSERT_TRUE(writer.value()->append(ByteSpan(bytes_from_string("yy"))).is_ok());
+    ASSERT_TRUE(writer.value()->append(bytes_from_string("yy")).is_ok());
     // destroyed without commit
   }
   EXPECT_FALSE(fs.read("/a.bin").is_ok());
@@ -607,8 +729,8 @@ TEST(FileWriterTest, DiskWriterStreamsThroughPartFileAndRenames) {
     Rng rng(31);
     const Bytes part1 = rng.bytes(10000);
     const Bytes part2 = rng.bytes(5000);
-    ASSERT_TRUE(writer.value()->append(ByteSpan(part1)).is_ok());
-    ASSERT_TRUE(writer.value()->append(ByteSpan(part2)).is_ok());
+    ASSERT_TRUE(writer.value()->append(part1).is_ok());
+    ASSERT_TRUE(writer.value()->append(part2).is_ok());
     EXPECT_FALSE(fs.read("/docs/out.bin").is_ok());  // only the .part exists
     const Result<double> published = writer.value()->commit();
     ASSERT_TRUE(published.is_ok());
@@ -623,7 +745,7 @@ TEST(FileWriterTest, DiskWriterStreamsThroughPartFileAndRenames) {
 
     auto aborted = fs.open_write("/docs/gone.bin");
     ASSERT_TRUE(aborted.is_ok());
-    ASSERT_TRUE(aborted.value()->append(ByteSpan(part1)).is_ok());
+    ASSERT_TRUE(aborted.value()->append(part1).is_ok());
     aborted.value()->abort();
     EXPECT_EQ(fs.list_files(),
               std::vector<std::string>{"/docs/out.bin"});
@@ -888,6 +1010,69 @@ TEST(RestorePipelineTest, FinishReturnsBeforeRedundantFetchLands) {
   // The late completion still ran the engine's bookkeeping.
   EXPECT_EQ(obs->metrics.snapshot().counter_value("driver.down.cloud0.ok"),
             1u);
+}
+
+// One segment feeds a position in each of two files, and both files are
+// admitted before its fetch lands (every cloud is gated until then). When
+// it decodes, the earlier waiter (/a) copies the plaintext and the last
+// one (/b) takes it. The segment's size is not a multiple of k, so the
+// decode's own buffer is recognisable by its capacity: k shards' worth,
+// trimmed to the segment's size.
+TEST(RestorePipelineTest, SharedSegmentIsCopiedForEarlierWaiterAndMovedToLast) {
+  const std::size_t k = 3;
+  const std::size_t size = 100000;
+  const erasure::RsCode code(16, k);
+  ASSERT_NE(k * code.shard_size(size), size);
+  cloud::MultiCloud clouds = make_clouds(3);
+  metadata::SyncFolderImage image;
+  Rng rng(51);
+
+  const Bytes content = rng.bytes(size);  // one segment, block b on cloud b
+  const auto snap_a =
+      publish_file("/a.bin", content, size, code, 3, clouds, image);
+  const auto snap_b =
+      publish_file("/b.bin", content, size, code, 3, clouds, image);
+  ASSERT_EQ(snap_a.segment_ids, snap_b.segment_ids);
+
+  HangGate gate;
+  cloud::FaultProfile hang_profile;
+  hang_profile.hang_rate = 1.0;
+  hang_profile.hang_seconds = 1.0;
+  cloud::MultiCloud gated;
+  for (const auto& c : clouds) {
+    gated.push_back(std::make_shared<cloud::FaultyCloud>(
+        c, hang_profile, /*seed=*/1, [&gate](Duration) { gate.wait(); }));
+  }
+
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(gated, executor.get());
+  RecordingFs fs;
+  DownloadPipeline pipeline(k, code, {0, 1, 2}, sched::DriverConfig{2},
+                            monitor, executor, async_lookup(twins),
+                            PipelineConfig{}, fs, nullptr,
+                            std::make_shared<obs::Observability>());
+  pipeline.add_file(snap_a, image);
+  pipeline.add_file(snap_b, image);
+  gate.release();
+  const auto results = pipeline.finish();
+
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.status.is_ok()) << r.path << ": " << r.status.message();
+  }
+  EXPECT_EQ(fs.read("/a.bin").value(), content);
+  EXPECT_EQ(fs.read("/b.bin").value(), content);
+  ASSERT_EQ(fs.published().size(), 2u);
+  const RecordingFs::Published a = fs.published("/a.bin");
+  const RecordingFs::Published b = fs.published("/b.bin");
+  EXPECT_EQ(a.bytes, content);
+  EXPECT_EQ(b.bytes, content);
+  EXPECT_NE(a.capacity, k * code.shard_size(size))
+      << "the earlier waiter took the decoded buffer";
+  EXPECT_EQ(b.capacity, k * code.shard_size(size))
+      << "the last waiter copied the decoded buffer";
+  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
 }
 
 // Cancel mid-flight with completion-based fetches wedged in an injected
