@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "crypto/convergent.h"
 
@@ -33,23 +36,82 @@ bool holds_committed_segments(const metadata::SyncFolderImage& image,
   return offset == data.size();
 }
 
-// A file read and cut by the producer whose segment ids are hashed on the
-// executor while the producer reads and cuts the next file. Each id is a
-// claim-once task: a pool thread runs it, or the producer does when it
-// needs the ids first, so a busy or one-thread pool never stalls the scan.
-// Shared with the queued tasks; a task that finds its id claimed touches
-// nothing but its flag, so the bytes can leave once the ids are in.
-struct HashedFile {
+// What a scan shares with its file tasks. It outlives every task that
+// claims a file: the producer waits for each file it admitted.
+struct ScanInputs {
+  const LocalFs& fs;
+  const metadata::SyncFolderImage& image;
+  const chunker::SegmenterParams& params;
+  Executor& executor;
+};
+
+// A file in the scan's window. Its task reads the file, runs the
+// unchanged-file walk, cuts it and hashes its segments; the producer
+// finalizes it in path order. The task and each segment's id are claim-once:
+// a pool thread runs them, or the producer does when it needs the file
+// first, so a busy or one-thread pool never stalls the scan. Shared with the
+// queued tasks; a task that finds its work claimed touches nothing but its
+// flag, so the bytes can leave once the ids are in.
+struct ScannedFile : std::enable_shared_from_this<ScannedFile> {
   std::string path;
+  std::uint64_t size = 0;  // as listed; what the file costs the window
   double mtime = 0;
   const FileSnapshot* known = nullptr;
+  const ScanInputs* inputs = nullptr;  // read only by the task's claimer
+  std::atomic<bool> task_claimed{false};
+
+  // Set by the task before `prepared`.
+  bool read_ok = false;
+  bool unchanged = false;  // the bytes are `known`'s committed segments
+  std::exception_ptr error;  // thrown by the task; rethrown at finalize
   Bytes data;
   std::vector<chunker::Segment> segments;  // ids filled in by hash()
   std::vector<std::atomic<bool>> claimed;
+
   std::mutex mu;
   std::condition_variable cv;
+  bool prepared = false;
   std::size_t remaining = 0;  // ids claimed-or-not still to be hashed
 
+  // The file's task. It offers every id but the first to the pool, then
+  // hashes each id no one has started.
+  void prepare() {
+    if (task_claimed.exchange(true)) return;
+    try {
+      read_and_cut();
+      const std::shared_ptr<ScannedFile> self = shared_from_this();
+      for (std::size_t i = 1; i < segments.size(); ++i) {
+        inputs->executor.submit([self, i] { self->hash(i); });
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      prepared = true;
+    }
+    cv.notify_all();
+    for (std::size_t i = 0; i < segments.size(); ++i) hash(i);
+  }
+  void read_and_cut() {
+    auto content = inputs->fs.read(path);
+    if (!content.is_ok()) return;
+    read_ok = true;
+    data = std::move(content).take();
+    // Unchanged when the bytes still are the committed segments. The
+    // snapshot keeps its own content hash, legacy SHA-1 included, so a
+    // folder committed before segment-list hashes never re-commits.
+    unchanged = known != nullptr && known->size == data.size() &&
+                holds_committed_segments(inputs->image, *known, ByteSpan(data));
+    if (unchanged) return;
+    std::vector<chunker::Segment> cut =
+        chunker::cut_segments(ByteSpan(data), inputs->params);
+    // Flags first: `segments` is never longer than `claimed`, even if the
+    // allocation throws.
+    claimed = std::vector<std::atomic<bool>>(cut.size());
+    segments = std::move(cut);
+    remaining = segments.size();
+  }
   void hash(std::size_t i) {
     if (claimed[i].exchange(true)) return;
     chunker::Segment& seg = segments[i];
@@ -57,12 +119,25 @@ struct HashedFile {
     std::lock_guard<std::mutex> lock(mu);
     if (--remaining == 0) cv.notify_all();
   }
-  [[nodiscard]] bool hashed() {
+  [[nodiscard]] bool ready() {
     std::lock_guard<std::mutex> lock(mu);
-    return remaining == 0;
+    return prepared && remaining == 0;
   }
-  // Hashes every id no pool thread has started, then waits for the rest.
-  void finish_hashing() {
+  // Keeps a task no pool thread has started from ever running, or waits
+  // until the one running it no longer needs `inputs`.
+  void abandon() {
+    if (!task_claimed.exchange(true)) return;
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return prepared; });
+  }
+  // Runs the task unless a pool thread claimed it, hashes every id no one
+  // has started, then waits for the rest.
+  void finish() {
+    prepare();
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return prepared; });
+    }
     for (std::size_t i = 0; i < segments.size(); ++i) hash(i);
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return remaining == 0; });
@@ -90,7 +165,8 @@ ScanResult scan_local_changes(const LocalFs& fs,
                               const metadata::SyncFolderImage& image,
                               const chunker::SegmenterParams& seg_params,
                               const std::string& device, ScanCache* cache,
-                              Executor& executor, const SegmentSink& sink) {
+                              Executor& executor, const SegmentSink& sink,
+                              std::size_t max_window_bytes) {
   ScanResult result;
   std::set<std::string> emitted;  // within-scan dedup of new segments
 
@@ -98,9 +174,19 @@ ScanResult scan_local_changes(const LocalFs& fs,
   const std::set<std::string> local_set(local_files.begin(),
                                         local_files.end());
 
-  // Files are finalized in path order, each once its ids are in.
-  const auto finalize = [&](HashedFile& file) {
-    file.finish_hashing();
+  // Files are finalized in path order, each once its task and ids are done.
+  const auto finalize = [&](ScannedFile& file) {
+    file.finish();
+    if (file.error) std::rethrow_exception(file.error);
+    if (!file.read_ok) return;  // raced with deletion
+    ++result.files_hashed;
+    if (file.unchanged) {
+      if (cache != nullptr) {
+        cache->update(file.path, file.known->size, file.mtime,
+                      file.known->content_hash);
+      }
+      return;
+    }
     Bytes data = std::move(file.data);
     FileSnapshot snapshot;
     snapshot.path = file.path;
@@ -134,56 +220,58 @@ ScanResult scan_local_changes(const LocalFs& fs,
     result.touched.push_back(std::move(snapshot));
   };
 
-  // Added / edited files. At most one file is read ahead of the one being
-  // finalized, so at most two files' bytes are resident.
-  std::shared_ptr<HashedFile> ahead;
-  for (const std::string& path : local_files) {
-    ++result.files_scanned;
-    const metadata::FileSnapshot* known = image.find_file(path);
-    auto size = fs.size(path);
-    if (!size.is_ok()) continue;  // raced with deletion
-    const double mtime = fs.mtime(path).value_or(0.0);
+  // Added / edited files, in a window of at most `max_files` whose listed
+  // bytes stay within `max_window_bytes`; the oldest file is always
+  // admitted, so one larger than the bound is scanned alone. A one-thread
+  // pool reads one file ahead.
+  const ScanInputs inputs{fs, image, seg_params, executor};
+  const std::size_t max_files = std::max<std::size_t>(
+      2, std::min<std::size_t>(executor.size(),
+                               std::thread::hardware_concurrency()));
+  std::deque<std::shared_ptr<ScannedFile>> window;
+  std::uint64_t window_bytes = 0;
+  const auto finalize_oldest = [&] {
+    const std::shared_ptr<ScannedFile> file = std::move(window.front());
+    window.pop_front();
+    window_bytes -= file->size;
+    finalize(*file);
+  };
+  try {
+    for (const std::string& path : local_files) {
+      ++result.files_scanned;
+      const metadata::FileSnapshot* known = image.find_file(path);
+      auto size = fs.size(path);
+      if (!size.is_ok()) continue;  // raced with deletion
+      const double mtime = fs.mtime(path).value_or(0.0);
 
-    // Fast path: fingerprint cache (size + mtime) avoids reading the file.
-    if (cache != nullptr && known != nullptr) {
-      const std::string* cached = cache->lookup(path, size.value(), mtime);
-      if (cached != nullptr && *cached == known->content_hash) continue;
-    }
-
-    if (ahead != nullptr && ahead->hashed()) {
-      finalize(*ahead);
-      ahead.reset();
-    }
-    auto content = fs.read(path);
-    if (!content.is_ok()) continue;
-    ++result.files_hashed;
-    // Unchanged when the bytes still are the committed segments. The
-    // snapshot keeps its own content hash, legacy SHA-1 included, so a
-    // folder committed before segment-list hashes never re-commits.
-    if (known != nullptr && known->size == content.value().size() &&
-        holds_committed_segments(image, *known, ByteSpan(content.value()))) {
-      if (cache != nullptr) {
-        cache->update(path, content.value().size(), mtime,
-                      known->content_hash);
+      // Fast path: fingerprint cache (size + mtime) avoids reading the file.
+      if (cache != nullptr && known != nullptr) {
+        const std::string* cached = cache->lookup(path, size.value(), mtime);
+        if (cached != nullptr && *cached == known->content_hash) continue;
       }
-      continue;
-    }
 
-    auto file = std::make_shared<HashedFile>();
-    file->path = path;
-    file->mtime = mtime;
-    file->known = known;
-    file->data = std::move(content).take();
-    file->segments = chunker::cut_segments(ByteSpan(file->data), seg_params);
-    file->claimed = std::vector<std::atomic<bool>>(file->segments.size());
-    file->remaining = file->segments.size();
-    for (std::size_t i = 0; i < file->segments.size(); ++i) {
-      executor.submit([file, i] { file->hash(i); });
+      // Finalize what is done, then make room.
+      while (!window.empty() &&
+             (window.front()->ready() || window.size() >= max_files ||
+              window_bytes + size.value() > max_window_bytes)) {
+        finalize_oldest();
+      }
+      auto file = std::make_shared<ScannedFile>();
+      file->path = path;
+      file->size = size.value();
+      file->mtime = mtime;
+      file->known = known;
+      file->inputs = &inputs;
+      window.push_back(file);
+      window_bytes += file->size;
+      executor.submit([file] { file->prepare(); });
     }
-    if (ahead != nullptr) finalize(*ahead);
-    ahead = std::move(file);
+    while (!window.empty()) finalize_oldest();
+  } catch (...) {
+    // No task may reach `inputs` once the scan unwinds.
+    for (const std::shared_ptr<ScannedFile>& file : window) file->abandon();
+    throw;
   }
-  if (ahead != nullptr) finalize(*ahead);
 
   // Deleted files.
   for (const auto& [path, snapshot] : image.files()) {

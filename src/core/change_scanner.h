@@ -10,13 +10,15 @@
 // also streams the *new* segments of added/edited files (dedup against the
 // pool) to a sink, so the data plane encodes and uploads exactly those.
 //
-// The producer thread only reads and cuts: the segment ids of a cut file
-// are hashed on the executor while the producer reads and cuts the next
-// one. Files are finalized (snapshot, cache, dedup, sink) strictly in path
-// order, so at most two files' bytes are resident at once.
+// Each changed or uncached file is one task on the executor that reads it,
+// runs the unchanged-file walk, cuts it and hashes its segments, each
+// segment's id a subtask of its own. A bounded window of files is in flight
+// at once, and files are finalized (snapshot, cache, dedup, sink) strictly
+// in path order, so the sink sees what a serial scan would hand it.
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,20 +70,28 @@ using SegmentSink = std::function<void(const std::string& id, Bytes bytes)>;
 
 // `seg_params.theta` is the target segment size; `device` stamps snapshot
 // origin. `cache` (may be null) skips re-hashing files whose (size, mtime)
-// fingerprint is unchanged and is updated in place. Segment ids are hashed
-// on `executor` (a client passes its own pool, other callers
-// Executor::shared()); the calling thread hashes any id no pool thread has
-// started by the time it needs it, so any pool size makes progress.
+// fingerprint is unchanged and is updated in place. Files are read, cut and
+// hashed on `executor` (a client passes its own pool, other callers
+// Executor::shared()); the calling thread runs any file task or id no pool
+// thread has started by the time it needs it, so any pool size makes
+// progress.
+//
+// The window holds at most max(2, min(executor.size(),
+// hardware_concurrency())) files, and admits a file only while the listed
+// sizes of the files in it stay within `max_window_bytes` (a client passes
+// PipelineConfig::max_inflight_bytes; the default sets no byte bound); the
+// oldest file is always admitted, so a file larger than the bound is
+// scanned alone.
 //
 // Each new segment's bytes — not yet in the image's pool, and deduped
 // within the scan — are handed to `sink` as soon as its file is finalized,
 // so the sync pipeline encodes and uploads while the scan is still reading
 // later files. A one-segment file's read buffer is handed over whole. The
 // sink may block (backpressure from a bounded pipeline).
-ScanResult scan_local_changes(const LocalFs& fs,
-                              const metadata::SyncFolderImage& image,
-                              const chunker::SegmenterParams& seg_params,
-                              const std::string& device, ScanCache* cache,
-                              Executor& executor, const SegmentSink& sink);
+ScanResult scan_local_changes(
+    const LocalFs& fs, const metadata::SyncFolderImage& image,
+    const chunker::SegmenterParams& seg_params, const std::string& device,
+    ScanCache* cache, Executor& executor, const SegmentSink& sink,
+    std::size_t max_window_bytes = std::numeric_limits<std::size_t>::max());
 
 }  // namespace unidrive::core

@@ -551,7 +551,8 @@ Result<SyncReport> UniDriveClient::sync() {
                                 if (pipeline != nullptr) {
                                   pipeline->feed(id, std::move(bytes));
                                 }
-                              });
+                              },
+                              config_.pipeline.max_inflight_bytes);
   }
   obs::add_counter(obs_.get(), "sync.files_hashed", scan.files_hashed);
 
@@ -830,7 +831,8 @@ Status UniDriveClient::restore_previous_version(const std::string& path) {
 // (with the corrupt-shard search) from the multi-cloud that never trusts a
 // placement in `exclude` — membership changes must work even when the
 // local copy is missing (e.g. a freshly joined device administering the
-// multi-cloud). The one-segment file lands in a scratch in-memory folder.
+// multi-cloud). The one-segment file lands in a scratch in-memory folder,
+// which hands back the buffer the restore published, uncopied.
 Result<Bytes> UniDriveClient::segment_content(
     const SyncFolderImage& image, const HeldSegments& held,
     const std::string& segment_id,
@@ -857,7 +859,7 @@ Result<Bytes> UniDriveClient::segment_content(
   auto pipeline = make_download_pipeline(scratch);
   pipeline->add_file(snapshot, source, &held);
   UNI_RETURN_IF_ERROR(finish_restore(std::move(pipeline)).front().status);
-  return scratch.read(snapshot.path);
+  return scratch.take(snapshot.path);
 }
 
 erasure::RsCode UniDriveClient::codec() const {

@@ -1,6 +1,7 @@
 #include "core/local_fs.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +31,20 @@ Status check_range(const std::string& path, std::uint64_t size,
 Bytes slice(const Bytes& data, std::uint64_t offset, std::size_t length) {
   const auto first = data.begin() + static_cast<std::ptrdiff_t>(offset);
   return Bytes(first, first + static_cast<std::ptrdiff_t>(length));
+}
+
+// Bytes [offset, offset + length) of the host file `host`, in one sized
+// read. A short read (the file shrank since it was sized) is an error.
+Result<Bytes> read_exactly(const std::string& host, const std::string& path,
+                           std::uint64_t offset, std::size_t length) {
+  std::ifstream in(host, std::ios::binary);
+  if (!in) return make_error(ErrorCode::kNotFound, path);
+  in.seekg(static_cast<std::streamoff>(offset));
+  Bytes data(length);
+  in.read(reinterpret_cast<char*>(data.data()),
+          static_cast<std::streamsize>(length));
+  if (!in) return make_error(ErrorCode::kInternal, "short read of " + path);
+  return data;
 }
 
 }  // namespace
@@ -184,21 +199,45 @@ Result<Bytes> LocalFs::read_range(const std::string& path,
 // --- MemoryLocalFs ----------------------------------------------------------
 
 Result<Bytes> MemoryLocalFs::read(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = files_.find(cloud::normalize_path(path));
-  if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
-  return it->second.data;
+  std::shared_ptr<const Bytes> data;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = files_.find(cloud::normalize_path(path));
+    if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
+    data = it->second.data;
+  }
+  return *data;
 }
 
 Result<Bytes> MemoryLocalFs::read_range(const std::string& path,
                                         std::uint64_t offset,
                                         std::size_t length) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = files_.find(cloud::normalize_path(path));
-  if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
-  const Bytes& data = it->second.data;
-  UNI_RETURN_IF_ERROR(check_range(path, data.size(), offset, length));
-  return slice(data, offset, length);
+  std::shared_ptr<const Bytes> data;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = files_.find(cloud::normalize_path(path));
+    if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
+    data = it->second.data;
+  }
+  UNI_RETURN_IF_ERROR(check_range(path, data->size(), offset, length));
+  return slice(*data, offset, length);
+}
+
+Result<Bytes> MemoryLocalFs::take(const std::string& path) {
+  std::shared_ptr<Bytes> data;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto node = files_.extract(cloud::normalize_path(path));
+    if (node.empty()) return make_error(ErrorCode::kNotFound, path);
+    data = std::move(node.mapped().data);
+  }
+  // Out of the map, no new reader can share the bytes. The fence pairs
+  // with the release of the last reader that let go of them.
+  if (data.use_count() == 1) {
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return std::move(*data);
+  }
+  return *data;
 }
 
 Result<std::unique_ptr<LocalFs::FileWriter>> MemoryLocalFs::open_write(
@@ -209,9 +248,11 @@ Result<std::unique_ptr<LocalFs::FileWriter>> MemoryLocalFs::open_write(
 }
 
 double MemoryLocalFs::publish(const std::string& path, Bytes data) {
+  auto published = std::make_shared<Bytes>(std::move(data));
+  std::shared_ptr<Bytes> replaced;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = files_[cloud::normalize_path(path)];
-  e.data = std::move(data);
+  replaced = std::exchange(e.data, std::move(published));
   e.mtime = ++tick_;
   return e.mtime;
 }
@@ -222,10 +263,10 @@ Status MemoryLocalFs::write(const std::string& path, ByteSpan data) {
 }
 
 Status MemoryLocalFs::remove(const std::string& path) {
+  decltype(files_)::node_type removed;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mutex_);
-  if (files_.erase(cloud::normalize_path(path)) == 0) {
-    return make_error(ErrorCode::kNotFound, path);
-  }
+  removed = files_.extract(cloud::normalize_path(path));
+  if (removed.empty()) return make_error(ErrorCode::kNotFound, path);
   return Status::ok();
 }
 
@@ -258,7 +299,7 @@ Result<std::uint64_t> MemoryLocalFs::size(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = files_.find(cloud::normalize_path(path));
   if (it == files_.end()) return make_error(ErrorCode::kNotFound, path);
-  return static_cast<std::uint64_t>(it->second.data.size());
+  return static_cast<std::uint64_t>(it->second.data->size());
 }
 
 Result<double> MemoryLocalFs::mtime(const std::string& path) const {
@@ -284,11 +325,11 @@ Result<std::unique_ptr<LocalFs::FileWriter>> DiskLocalFs::open_write(
 }
 
 Result<Bytes> DiskLocalFs::read(const std::string& path) const {
-  std::ifstream in(host_path(path), std::ios::binary);
-  if (!in) return make_error(ErrorCode::kNotFound, path);
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return data;
+  const std::string host = host_path(path);
+  std::error_code ec;
+  const std::uint64_t size = fs::file_size(host, ec);
+  if (ec) return make_error(ErrorCode::kNotFound, path);
+  return read_exactly(host, path, 0, static_cast<std::size_t>(size));
 }
 
 Result<Bytes> DiskLocalFs::read_range(const std::string& path,
@@ -300,14 +341,7 @@ Result<Bytes> DiskLocalFs::read_range(const std::string& path,
   if (ec) return make_error(ErrorCode::kNotFound, path);
   // Checked before allocating: the range comes from committed metadata.
   UNI_RETURN_IF_ERROR(check_range(path, size, offset, length));
-  std::ifstream in(host, std::ios::binary);
-  if (!in) return make_error(ErrorCode::kNotFound, path);
-  in.seekg(static_cast<std::streamoff>(offset));
-  Bytes data(length);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(length));
-  if (!in) return make_error(ErrorCode::kInternal, "short read of " + path);
-  return data;
+  return read_exactly(host, path, offset, length);
 }
 
 Status DiskLocalFs::write(const std::string& path, ByteSpan data) {

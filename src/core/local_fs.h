@@ -79,11 +79,17 @@ class LocalFs {
   class BufferedFileWriter;
 };
 
+// Each file's bytes sit behind a shared pointer: the mutex guards only the
+// map, so readers copy outside it, in parallel, and a reader racing a
+// remove or an overwrite copies one whole version, old or new.
 class MemoryLocalFs final : public LocalFs {
  public:
   // Buffered; commit moves the staged buffer into the folder, uncopied.
   Result<std::unique_ptr<FileWriter>> open_write(
       const std::string& path) override;
+  // Removes the file and hands back its bytes: moved when no reader holds
+  // them, copied otherwise.
+  Result<Bytes> take(const std::string& path);
   Result<Bytes> read(const std::string& path) const override;
   Result<Bytes> read_range(const std::string& path, std::uint64_t offset,
                            std::size_t length) const override;
@@ -99,7 +105,7 @@ class MemoryLocalFs final : public LocalFs {
 
  private:
   struct Entry {
-    Bytes data;
+    std::shared_ptr<Bytes> data;  // never written through while shared
     double mtime = 0;
   };
   // Stores `data` at `path` without copying it; returns its mtime.

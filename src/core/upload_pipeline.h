@@ -1,9 +1,9 @@
 // UploadPipeline — the staged, streaming data-plane write path:
 //
 //   scan/CDC  ──feed()──►  [dedup probe]  ──►  [bounded encode queue]  ──►  encode workers
-//   (producer; ids         (pool-hit short-circuit)      (seal + RS fan-out
-//   hashed one file                                      on the shared
-//   ahead on the                                         Executor, rows read
+//   (a window of           (pool-hit short-circuit)      (seal + RS fan-out
+//   files read, cut                                      on the shared
+//   and hashed on the                                    Executor, rows read
 //   Executor)                                            in place, coded rows
 //                                                        into ShardPool
 //                                                        buffers)

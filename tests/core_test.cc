@@ -4,10 +4,13 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <latch>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <regex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "chunker/segmenter.h"
@@ -94,6 +97,59 @@ TEST(MemoryLocalFsTest, ListSorted) {
             (std::vector<std::string>{"/a", "/b", "/dir/c"}));
 }
 
+// Readers copy outside the folder's lock. Racing write, a writer's publish
+// and remove of one path, every read that succeeds sees one whole version,
+// and every range read a slice of one.
+TEST(MemoryLocalFsTest, ReadersSeeWholeVersionsWhileWritersReplace) {
+  MemoryLocalFs fs;
+  // Version v holds (64 KiB + v * 4 KiB) bytes of the value v + 1, so a torn
+  // copy mixes lengths or values.
+  std::vector<Bytes> versions;
+  for (std::size_t v = 0; v < 4; ++v) {
+    versions.emplace_back((64 << 10) + v * (4 << 10),
+                          static_cast<std::uint8_t>(v + 1));
+  }
+  const auto whole = [&](const Bytes& data) {
+    return std::find(versions.begin(), versions.end(), data) !=
+           versions.end();
+  };
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        if (const auto data = fs.read("/f"); data.is_ok()) {
+          ++reads;
+          if (!whole(data.value())) ++torn;
+        }
+        if (const auto part = fs.read_range("/f", 1000, 60 << 10);
+            part.is_ok()) {
+          ++reads;
+          const Bytes& bytes = part.value();
+          if (bytes != Bytes(bytes.size(), bytes.front()) ||
+              bytes.front() == 0 || bytes.front() > versions.size()) {
+            ++torn;
+          }
+        }
+      }
+    });
+  }
+  for (std::size_t round = 0;
+       round < 200 || (reads.load() < 100 && round < 100000); ++round) {
+    EXPECT_TRUE(fs.write("/f", ByteSpan(versions[round % 4])).is_ok());
+    auto writer = fs.open_write("/f").value();
+    EXPECT_TRUE(writer->append(versions[(round + 1) % 4]).is_ok());
+    EXPECT_TRUE(writer->commit().is_ok());
+    EXPECT_TRUE(fs.remove("/f").is_ok());
+  }
+  done = true;
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GE(reads.load(), 100u);
+  EXPECT_EQ(torn.load(), 0u);
+}
+
 TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
   const std::string root =
       (std::filesystem::temp_directory_path() / "unidrive_fs_test").string();
@@ -109,6 +165,28 @@ TEST(DiskLocalFsTest, RoundTripOnRealDirectory) {
   EXPECT_TRUE(fs.remove("/docs/a.txt").is_ok());
   EXPECT_EQ(fs.read_range("/docs/a.txt", 0, 1).code(), ErrorCode::kNotFound);
   EXPECT_TRUE(fs.list_files().empty());
+  std::filesystem::remove_all(root);
+}
+
+// A multi-MiB file reads back byte-exact in one sized read, and an empty
+// file reads back empty.
+TEST(DiskLocalFsTest, ReadsMultiMiBFileExactly) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "unidrive_fs_read_test")
+          .string();
+  std::filesystem::remove_all(root);
+  DiskLocalFs fs(root);
+  Rng rng(7);
+  const Bytes content = rng.bytes((5 << 20) + 7);
+  ASSERT_TRUE(fs.write("/big.bin", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(fs.write("/empty.bin", ByteSpan(Bytes{})).is_ok());
+  const auto big = fs.read("/big.bin");
+  ASSERT_TRUE(big.is_ok()) << big.status().to_string();
+  EXPECT_EQ(big.value(), content);
+  const auto empty = fs.read("/empty.bin");
+  ASSERT_TRUE(empty.is_ok()) << empty.status().to_string();
+  EXPECT_TRUE(empty.value().empty());
+  EXPECT_EQ(fs.read("/missing.bin").code(), ErrorCode::kNotFound);
   std::filesystem::remove_all(root);
 }
 
@@ -271,6 +349,206 @@ TEST(ChangeScannerTest, HashingAheadMatchesSegmentFile) {
             results[1].changes.aggregated().size());
   EXPECT_TRUE(results[0].touched[0].segment_ids.empty());  // the empty file
   EXPECT_GT(results[0].touched[2].segment_ids.size(), 3u);  // multi-segment
+}
+
+// The sink calls a serial segment_file scan of `fs` makes against an empty
+// pool, in path order, leaving out `skip`.
+SunkSegments serial_sink_calls(const LocalFs& fs, std::size_t theta,
+                               const std::string& skip = "") {
+  SunkSegments calls;
+  std::set<std::string> emitted;
+  for (const std::string& path : fs.list_files()) {
+    if (path == skip) continue;
+    const Bytes data = fs.read(path).value();
+    for (const chunker::Segment& seg : chunker::segment_file(
+             ByteSpan(data), chunker::SegmenterParams{theta})) {
+      if (emitted.insert(seg.id).second) {
+        calls.emplace_back(seg.id, chunker::segment_bytes(ByteSpan(data), seg));
+      }
+    }
+  }
+  return calls;
+}
+
+// A MemoryLocalFs whose reads count how many are in flight, and for each
+// path the most that were in flight while it was read. The first `wave`
+// reads wait (up to 10 s) until `wave` are in flight at once; every read
+// then stays open 2 ms, so a read the window should not admit overlaps.
+// A read of `throw_on` throws.
+class GatedReadFs final : public LocalFs {
+ public:
+  explicit GatedReadFs(std::size_t wave) : wave_(wave) {}
+
+  MemoryLocalFs inner;
+  std::string throw_on;
+
+  [[nodiscard]] std::size_t peak() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+  [[nodiscard]] std::size_t overlap(const std::string& path) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return overlap_.at(path);
+  }
+
+  Result<Bytes> read(const std::string& path) const override {
+    if (path == throw_on) throw std::runtime_error("read of " + path);
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++in_flight_;
+      peak_ = std::max(peak_, in_flight_);
+      open_.insert(path);
+      for (const std::string& p : open_) {
+        overlap_[p] = std::max(overlap_[p], in_flight_);
+      }
+      cv_.notify_all();
+      if (++started_ <= wave_) {
+        cv_.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return in_flight_ >= wave_; });
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto data = inner.read(path);
+    std::lock_guard<std::mutex> lock(mu_);
+    --in_flight_;
+    open_.erase(path);
+    return data;
+  }
+  Status write(const std::string& path, ByteSpan data) override {
+    return inner.write(path, data);
+  }
+  Status remove(const std::string& path) override {
+    return inner.remove(path);
+  }
+  Status make_dir(const std::string& path) override {
+    return inner.make_dir(path);
+  }
+  Status remove_dir(const std::string& path) override {
+    return inner.remove_dir(path);
+  }
+  [[nodiscard]] std::vector<std::string> list_files() const override {
+    return inner.list_files();
+  }
+  [[nodiscard]] std::vector<std::string> list_dirs() const override {
+    return inner.list_dirs();
+  }
+  [[nodiscard]] Result<std::uint64_t> size(
+      const std::string& path) const override {
+    return inner.size(path);
+  }
+  [[nodiscard]] Result<double> mtime(const std::string& path) const override {
+    return inner.mtime(path);
+  }
+
+ private:
+  const std::size_t wave_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::size_t in_flight_ = 0;
+  mutable std::size_t peak_ = 0;
+  mutable std::size_t started_ = 0;
+  mutable std::set<std::string> open_;
+  mutable std::map<std::string, std::size_t> overlap_;
+};
+
+// The scan reads a window of files at once: as many as the pool and the
+// cores allow, never more, and a file larger than the byte bound alone.
+// The sink still sees path order.
+TEST(ChangeScannerTest, WindowBoundsFilesInFlight) {
+  constexpr std::size_t kTheta = 64 << 10;
+  constexpr std::size_t kMaxWindowBytes = 128 << 10;
+  Executor executor(8);
+  const std::size_t window = std::max<std::size_t>(
+      2, std::min<std::size_t>(executor.size(),
+                               std::thread::hardware_concurrency()));
+  GatedReadFs fs(window);
+  Rng rng(8);
+  // Every window of 16 KiB files fits the byte bound; the big file does not.
+  for (int i = 0; i < 12; ++i) {
+    const std::string path = "/a" + std::to_string(100 + i);
+    ASSERT_TRUE(fs.write(path, ByteSpan(rng.bytes(16 << 10))).is_ok());
+  }
+  ASSERT_TRUE(fs.write("/m_big", ByteSpan(rng.bytes(160 << 10))).is_ok());
+  for (int i = 0; i < 4; ++i) {
+    const std::string path = "/z" + std::to_string(i);
+    ASSERT_TRUE(fs.write(path, ByteSpan(rng.bytes(16 << 10))).is_ok());
+  }
+  const SunkSegments expected = serial_sink_calls(fs.inner, kTheta);
+
+  SunkSegments sunk;
+  const ScanResult result = scan_local_changes(
+      fs, metadata::SyncFolderImage{}, chunker::SegmenterParams{kTheta}, "dev",
+      nullptr, executor,
+      [&sunk](const std::string& id, Bytes bytes) {
+        sunk.emplace_back(id, std::move(bytes));
+      },
+      kMaxWindowBytes);
+
+  EXPECT_EQ(fs.peak(), window);
+  EXPECT_EQ(fs.overlap("/m_big"), 1u) << "the big file shared the window";
+  EXPECT_EQ(sunk, expected);
+  EXPECT_EQ(result.files_scanned, 17u);
+  EXPECT_EQ(result.files_hashed, 17u);
+  EXPECT_EQ(result.touched.size(), 17u);
+}
+
+// A read that throws on a pool thread fails the scan when its file is
+// finalized, as a read on the scanning thread would, instead of stalling
+// it.
+TEST(ChangeScannerTest, ReadThatThrowsFailsTheScan) {
+  Executor executor(4);
+  GatedReadFs fs(0);
+  fs.throw_on = "/c";
+  Rng rng(9);
+  for (const char* path : {"/a", "/b", "/c", "/d", "/e", "/f"}) {
+    ASSERT_TRUE(fs.write(path, ByteSpan(rng.bytes(16 << 10))).is_ok());
+  }
+  EXPECT_THROW(scan(fs, metadata::SyncFolderImage{}, nullptr, nullptr,
+                    64 << 10, executor),
+               std::runtime_error);
+}
+
+// Every worker of the pool is busy: the producer runs each file's task and
+// hashes its ids itself, so the scan completes with the sink calls a
+// serial scan makes.
+TEST(ChangeScannerTest, BusyPoolDoesNotStallScan) {
+  constexpr std::size_t kTheta = 64 << 10;
+  MemoryLocalFs fs;
+  Rng rng(6);
+  const Bytes same = rng.bytes(200000);
+  ASSERT_TRUE(fs.write("/f_same", ByteSpan(same)).is_ok());
+  metadata::SyncFolderImage image;
+  SunkSegments committed;
+  commit_scan(scan(fs, image, nullptr, &committed), committed, image);
+
+  const Bytes shared = rng.bytes(50 << 10);
+  ASSERT_TRUE(fs.write("/a_empty", ByteSpan(Bytes{})).is_ok());
+  ASSERT_TRUE(fs.write("/b_small", ByteSpan(rng.bytes(20 << 10))).is_ok());
+  ASSERT_TRUE(fs.write("/c_multi", ByteSpan(rng.bytes(700 << 10))).is_ok());
+  ASSERT_TRUE(fs.write("/d_dup", ByteSpan(shared)).is_ok());
+  ASSERT_TRUE(fs.write("/e_dup", ByteSpan(shared)).is_ok());
+  ASSERT_TRUE(fs.write("/f_same", ByteSpan(same)).is_ok());  // new mtime
+  const SunkSegments expected = serial_sink_calls(fs, kTheta, "/f_same");
+
+  std::latch busy(2);
+  std::latch release(1);
+  Executor executor(2);
+  for (int i = 0; i < 2; ++i) {
+    executor.submit([&] {
+      busy.count_down();
+      release.wait();
+    });
+  }
+  busy.wait();
+  SunkSegments sunk;
+  const ScanResult result = scan(fs, image, nullptr, &sunk, kTheta, executor);
+  release.count_down();
+
+  EXPECT_EQ(sunk, expected);
+  EXPECT_EQ(result.files_scanned, 6u);
+  EXPECT_EQ(result.files_hashed, 6u);
+  ASSERT_EQ(result.touched.size(), 5u);
+  EXPECT_GT(result.touched[2].segment_ids.size(), 3u);  // multi-segment
 }
 
 TEST(ChangeScannerTest, UnchangedFileIsRecognisedBySegmentIds) {
@@ -1264,6 +1542,32 @@ TEST_F(ClientTest, ReconstructSegmentWithoutLocalCopy) {
   EXPECT_EQ(client.reconstruct_segment(id, {distrusted}).code(),
             ErrorCode::kCorrupt);
   EXPECT_FALSE(fetched_distrusted());
+}
+
+// A reconstruction served from the clouds returns the decode's own buffer,
+// which the scratch folder hands back uncopied. The segment's size is not
+// a multiple of k, so that buffer is recognisable by its capacity: k
+// shards' worth, trimmed to the segment's size.
+TEST_F(ClientTest, ReconstructSegmentReturnsTheDecodedBuffer) {
+  auto fs = std::make_shared<MemoryLocalFs>();
+  UniDriveClient client(clouds_, fs, test_config("devA"));
+  Rng rng(62);
+  const Bytes content = rng.bytes(40000);  // one segment
+  ASSERT_TRUE(fs->write("/f", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(client.sync().is_ok());
+  ASSERT_TRUE(fs->remove("/f").is_ok());  // no local copy to read
+
+  const std::vector<std::string>& ids =
+      client.image().files().at("/f").segment_ids;
+  ASSERT_EQ(ids.size(), 1u);
+  const std::size_t decoded_capacity =
+      client.config().k * client.codec().shard_size(content.size());
+  ASSERT_NE(decoded_capacity, content.size());
+  const auto plain = client.reconstruct_segment(ids.front(), {});
+  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+  EXPECT_EQ(plain.value(), content);
+  EXPECT_EQ(plain.value().capacity(), decoded_capacity)
+      << "the reconstruction copied the decoded buffer";
 }
 
 // A pull reads the root once: the update check hands the root it read to
